@@ -19,8 +19,8 @@ time on the integrand being estimated is identically zero.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,11 @@ __all__ = [
 
 DEFAULT_EPS_SIGMA = 1e-8
 DEFAULT_N_ODE_STEPS = 200
+
+# gamma_report memo: per model, up to _MEMO_SIZE queries (oldest evicted
+# first).  Weak keys, so a model the caller has dropped is freed with its memo.
+_MEMO_SIZE = 4096
+_max_sigma_memo = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -144,11 +149,18 @@ def _max_sigma_batch(model: CoefficientModel, t0: float, x0: np.ndarray,
     return mx
 
 
-@lru_cache(maxsize=262144)
 def _cached_max_sigma(model: CoefficientModel, t_key: float, x_key: float,
                       n_ode_steps: int) -> float:
-    return float(_max_sigma_batch(model, t_key, np.asarray([x_key]),
-                                  n_ode_steps)[0])
+    memo = _max_sigma_memo.setdefault(model, {})
+    key = (t_key, x_key, n_ode_steps)
+    mx = memo.get(key)
+    if mx is None:
+        mx = float(_max_sigma_batch(model, t_key, np.asarray([x_key]),
+                                    n_ode_steps)[0])
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = mx
+    return mx
 
 
 def gamma_report(model: CoefficientModel, point: ProblemPoint,
@@ -157,7 +169,8 @@ def gamma_report(model: CoefficientModel, point: ProblemPoint,
     """Classify a starting point against the degeneracy sets.
 
     Results are memoized per model with the query rounded to 1e-12 in t
-    and 1e-10 in x, which makes repeated grid scans cheap.
+    and 1e-10 in x, which makes repeated grid scans cheap.  The memo holds
+    a bounded number of queries per model and no reference to the model.
     """
     if n_ode_steps < 1:
         raise ValueError(f"n_ode_steps must be >= 1, got {n_ode_steps}")

@@ -343,15 +343,20 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
 def reconstruct_Z(model: CoefficientModel, path: PathBundle,
                   provider: ValueProvider,
                   eps_sigma: float = DEFAULT_EPS_SIGMA,
-                  n_ode_steps: int = DEFAULT_N_ODE_STEPS) -> np.ndarray:
+                  n_ode_steps: int = DEFAULT_N_ODE_STEPS,
+                  tau: Optional[float] = None) -> np.ndarray:
     """Martingale integrand along one path: ``u_x * sigma`` before the
     path leaves the alive set, exactly zero from that time on.
 
-    Returns an ``(n_nodes, 2)`` array of ``(time, Z)`` rows.
+    ``tau`` is the path's exit time from the alive set; pass it when
+    ``locate_tau`` has already been run on this path, otherwise it is
+    computed here.  Returns an ``(n_nodes, 2)`` array of ``(time, Z)`` rows.
     """
     if provider.ux_eval is None:
         raise ValueError("reconstruct_Z needs a provider with ux_eval")
-    tau = locate_tau(model, path, n_ode_steps=n_ode_steps, eps_sigma=eps_sigma)
+    if tau is None:
+        tau = locate_tau(model, path, n_ode_steps=n_ode_steps,
+                         eps_sigma=eps_sigma)
     times = path.grid.times()
     out = np.zeros((times.size, 2))
     out[:, 0] = times

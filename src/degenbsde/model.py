@@ -69,6 +69,11 @@ class CoefficientModel:
       offset finite-difference grids off the jumps.
     * ``sigma_time_jumps``: t-locations where ``sigma`` jumps in time;
       the Hölder modulus is only claimed between consecutive jumps.
+    * ``frozen_after``: a time after which the forward coefficients are
+      dead: for every ``t > frozen_after``, ``sigma``, ``sigma_x``, ``b``
+      and ``b_x`` are identically zero, so simulated paths stop moving.
+      The stepping kernel then skips the remaining steps and their
+      random draws.  ``None`` (the default) claims nothing.
     """
 
     sigma: Coefficient
@@ -92,6 +97,7 @@ class CoefficientModel:
     f1_depends_on_y: bool = False
     g_jumps: tuple = ()
     sigma_time_jumps: tuple = ()
+    frozen_after: Optional[float] = None
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -107,6 +113,10 @@ class CoefficientModel:
             raise ValueError(f"horizon_T must be positive, got {self.horizon_T}")
         if not (self.psi_K > 0.0 and self.psi_p0 > 0.0):
             raise ValueError("psi_K and psi_p0 must be positive")
+        if self.frozen_after is not None and not math.isfinite(self.frozen_after):
+            raise ValueError(
+                f"frozen_after must be finite or None, got {self.frozen_after}"
+            )
 
     def psi(self, x):
         """Growth envelope ``psi_K * (1 + |x|**psi_p0)``."""
@@ -181,7 +191,8 @@ def _make_indicator_zero_vol(T: float = 1.0) -> CoefficientModel:
         sigma=_zero2, sigma_x=_zero2, b=_zero2, b_x=_zero2,
         f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=float(T),
-        f1_is_zero=True, g_jumps=(0.0,), name="indicator_zero_vol",
+        f1_is_zero=True, g_jumps=(0.0,), frozen_after=0.0,
+        name="indicator_zero_vol",
     )
 
 
@@ -222,7 +233,7 @@ def _make_example1(alpha: float = 0.8, beta: float = 0.5) -> CoefficientModel:
         holder_alpha=min(beta, 1.0),
         holder_C=1.0 if beta <= 1.0 else beta,
         horizon_T=2.0,
-        f1_is_zero=True, g_jumps=(0.0,), name="example1",
+        f1_is_zero=True, g_jumps=(0.0,), frozen_after=1.0, name="example1",
     )
 
 
@@ -300,7 +311,7 @@ def _make_step_vol(sigma_bar: float = 1.0, t_cut: float = 0.5,
         f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=max(sigma_bar, 1.0), holder_alpha=1.0, holder_C=1.0,
         horizon_T=T, f1_is_zero=True, g_jumps=(strike,),
-        sigma_time_jumps=(t_cut,), name="step_vol",
+        sigma_time_jumps=(t_cut,), frozen_after=t_cut, name="step_vol",
     )
 
 
@@ -387,7 +398,8 @@ def transformed_drift(model: CoefficientModel) -> CoefficientModel:
     Returns a model with drift ``b + f2 * sigma`` (and the matching
     x-derivative) and ``f2 == 0``.  Applying it to a model whose ``f2``
     already vanishes reproduces the same drift values, so the operation
-    is idempotent in value.
+    is idempotent in value.  ``frozen_after`` carries over: the new drift
+    vanishes wherever ``b`` and ``sigma`` do.
     """
     b, b_x = model.b, model.b_x
     sigma, sigma_x = model.sigma, model.sigma_x
@@ -422,8 +434,9 @@ def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50
     bounds ``|sigma|, |b| <= lipschitz_K``; the x-derivative closures
     against central differences (step 1e-5, relative); the time-Hölder
     modulus of sigma on sampled pairs not straddling a registered jump;
-    and the payoff growth bound ``|g| <= psi``.  Raises
-    ``ModelInvariantError`` on the first violation.
+    exact zeros of ``sigma``, ``sigma_x``, ``b`` and ``b_x`` at sampled
+    ``t > frozen_after``; and the payoff growth bound ``|g| <= psi``.
+    Raises ``ModelInvariantError`` on the first violation.
     """
     ts = np.linspace(0.0, model.horizon_T, n_t)
     xs = np.linspace(x_lo, x_hi, n_x)
@@ -441,6 +454,17 @@ def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50
             raise ModelInvariantError(
                 f"{model.name}: |b| exceeds lipschitz_K={K} at t={t}"
             )
+
+    if model.frozen_after is not None:
+        dead = [(model.sigma, "sigma"), (model.sigma_x, "sigma_x"),
+                (model.b, "b"), (model.b_x, "b_x")]
+        for t in ts[ts > model.frozen_after]:
+            for fn, label in dead:
+                if np.any(np.asarray(fn(float(t), xs), dtype=float) != 0.0):
+                    raise ModelInvariantError(
+                        f"{model.name}: {label} is not zero at t={t} > "
+                        f"frozen_after={model.frozen_after}"
+                    )
 
     # derivative closures vs central differences
     h = 1e-5

@@ -17,10 +17,18 @@ same path inside a batch.
 Randomness is counter-based: path ``i`` under seed ``s`` always draws its
 increments from the Philox stream keyed ``(s, i)``, independent of batch
 layout, chunking, or evaluation order.
+
+Frozen tail: when the model declares ``frozen_after``, every step from the
+first grid node past that time leaves the state unchanged, so the kernel
+stops computing there and ``path_stream`` draws only the increments of the
+steps before it (a Philox prefix draw equals the prefix of the full draw).
+The remaining nodes are still yielded, with the frozen state, zero
+``gamma`` and zero ``dW``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -76,8 +84,9 @@ class PathState(NamedTuple):
     """State of a path family at grid index ``k`` (time ``t``).
 
     ``dW`` is the Brownian increment toward index ``k + 1`` (``None`` at
-    the terminal node).  Accumulators are the left-endpoint sums over
-    ``j < k``, so at ``k = 0`` they are zero.
+    the terminal node); in a frozen tail (see the module docstring) it is
+    zero, since no increment can move the state there.  Accumulators are
+    the left-endpoint sums over ``j < k``, so at ``k = 0`` they are zero.
     """
 
     k: int
@@ -210,13 +219,34 @@ def _check_compatible(model: CoefficientModel, point: ProblemPoint,
         )
 
 
+def _live_steps(model: CoefficientModel, grid: TimeGrid) -> int:
+    """Number of steps before the frozen tail: the first grid index whose
+    time exceeds ``model.frozen_after``, capped at ``n_steps``."""
+    if model.frozen_after is None:
+        return grid.n_steps
+    k_star = int(np.searchsorted(grid.times(), model.frozen_after, side="right"))
+    return min(k_star, grid.n_steps)
+
+
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, dW: np.ndarray) -> Iterator[PathState]:
-    """Advance a path family driven by the given increment matrix."""
+    """Advance a path family driven by the given increment matrix.
+
+    Only the first ``_live_steps`` columns of ``dW`` are read.
+    """
     n = grid.n_steps
     dt = grid.dt
     times = grid.times()
     shape = (dW.shape[0],)
+    n_live = _live_steps(model, grid)
+    zeros = np.zeros(shape)
+    steps = dW.T[:n_live]
+    if n_live < n:
+        # The first frozen step still runs, on a zero increment.  With dead
+        # coefficients its only effect is the one a full run has on its
+        # first tail step (0 * inf turning S1 or B into NaN, -0.0 into
+        # +0.0); after it every further step is the identity.
+        steps = itertools.chain(steps, (zeros,))
 
     X = np.full(shape, point.x0, dtype=float)
     gradX = np.ones(shape, dtype=float)
@@ -225,9 +255,8 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     B = np.zeros(shape, dtype=float)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n):
+        for k, dWk in enumerate(steps):
             t = float(times[k])
-            dWk = dW[:, k]
             gamma = np.broadcast_to(
                 np.asarray(model.sigma(t, X), dtype=float), shape)
             yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
@@ -243,6 +272,10 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
             X = X + bv * dt + gamma * dWk
             gradX = new_gradX
 
+        for k in range(n_live + 1, n):  # the rest of a frozen tail
+            yield PathState(k, float(times[k]), X, gradX, zeros, Lambda, S1,
+                            B, zeros)
+
         t = float(times[n])
         gamma = np.broadcast_to(np.asarray(model.sigma(t, X), dtype=float), shape)
         yield PathState(n, t, X, gradX, gamma, Lambda, S1, B, None)
@@ -254,11 +287,11 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
 
     This is the streaming interface the estimators consume; it holds no
     per-node history, only the running state, so memory stays flat in
-    ``n_steps``.
+    ``n_steps``.  Only the increments before a frozen tail are drawn.
     """
     _check_compatible(model, point, grid)
     idx = np.asarray(path_indices, dtype=np.int64)
-    dW = _increment_matrix(seed, idx, grid.n_steps, grid.dt)
+    dW = _increment_matrix(seed, idx, _live_steps(model, grid), grid.dt)
     yield from _stream_from_increments(model, point, grid, dW)
 
 

@@ -39,6 +39,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .degeneracy import DEFAULT_EPS_SIGMA
 from .sde_sim import PathBundle, TimeGrid
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "degenerate_weight_values",
     "nondegenerate_increment",
 ]
-
-DEFAULT_EPS_SIGMA = 1e-8
 
 
 def default_lambda_floor(grid: TimeGrid, eps_sigma: float = DEFAULT_EPS_SIGMA) -> float:

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import degenbsde.cli as cli
 from degenbsde import OutsideGamma0Error, builtin_model_names
 from degenbsde.cli import ConfigError, main, run_experiment
 
@@ -37,6 +39,26 @@ def test_blowup_rate_writes_slope_footer(tmp_path):
     assert footer[0] == "slope"
     assert footer[2] == ""
     assert len(res.checks) == 1 and res.checks[0].name == "blowup-slope"
+
+
+@pytest.mark.parametrize("bad", [0.0, float("nan"), -1.0])
+def test_blowup_rate_fails_on_an_unusable_mean(tmp_path, monkeypatch, bad):
+    real = cli.estimate_ux_weighted
+
+    def spoiled(model, point, *args, **kwargs):
+        est = real(model, point, *args, **kwargs)
+        if abs(point.t0 - 0.6) < 1e-12:
+            est = dataclasses.replace(est, mean=bad * abs(est.mean))
+        return est
+
+    monkeypatch.setattr(cli, "estimate_ux_weighted", spoiled)
+    cfg = {"experiment": "blowup-rate", "model": "example1",
+           "t_lo": 0.5, "t_hi": 0.7, "n_t_points": 3,
+           "n_paths": 400, "n_steps": 100}
+    check = run_experiment(cfg, out_dir=tmp_path).checks[0]
+    assert check.name == "blowup-slope"
+    assert not check.passed
+    assert "t=0.6" in check.measured
 
 
 def test_blowup_rate_requires_the_dying_model(tmp_path):

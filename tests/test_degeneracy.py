@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import degenbsde.degeneracy as deg
 from degenbsde import (
     CoefficientModel,
     ProblemPoint,
@@ -180,3 +183,19 @@ def test_report_cache_returns_identical_answers():
     a = gamma_report(m, ProblemPoint(0.5, 0.0))
     b = gamma_report(m, ProblemPoint(0.5, 0.0))
     assert a == b
+
+
+def test_report_cache_does_not_keep_models_alive():
+    m = builtin_model("step_vol")
+    gamma_report(m, ProblemPoint(0.1, 0.0))
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+def test_report_cache_is_bounded_per_model():
+    m = builtin_model("tanh_smooth")
+    for i in range(deg._MEMO_SIZE + 10):
+        gamma_report(m, ProblemPoint(0.5, i * 1e-3), n_ode_steps=1)
+    assert len(deg._max_sigma_memo[m]) == deg._MEMO_SIZE

@@ -23,6 +23,7 @@ from degenbsde import (
     example1_u,
     example1_ux_at_zero,
     grid_provider,
+    locate_tau,
     picard_value_iteration,
     reconstruct_Z,
     simulate_path,
@@ -361,6 +362,19 @@ def test_reconstruct_Z_matches_provider_before_death():
         / math.sqrt(1.0 - t_k)
     assert out[k, 1] == pytest.approx(float(expect), rel=1e-12)
     assert out[-1, 1] == 0.0
+
+
+def test_reconstruct_Z_accepts_precomputed_tau():
+    model = builtin_model("step_vol")
+    grid = TimeGrid(0.0, 1.0, 32)
+    path = simulate_path(model, ProblemPoint(0.0, 0.2), grid, seed=4)
+    prov = bachelier_provider(1.0)
+    tau = locate_tau(model, path)
+    np.testing.assert_array_equal(reconstruct_Z(model, path, prov, tau=tau),
+                                  reconstruct_Z(model, path, prov))
+    # the given tau is used as is, without being recomputed
+    out = reconstruct_Z(model, path, prov, tau=float(grid.times()[3]))
+    assert np.all(out[3:, 1] == 0.0) and np.all(out[:3, 1] != 0.0)
 
 
 def test_reconstruct_Z_needs_gradient_provider():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ def test_step_vol_time_jump_metadata():
     x = np.zeros(1)
     assert m.sigma(0.25, x)[0] == 1.0
     assert m.sigma(0.2500001, x)[0] == 0.0
+
+
+def test_frozen_after_declarations():
+    assert builtin_model("example1").frozen_after == 1.0
+    assert builtin_model("step_vol", t_cut=0.25).frozen_after == 0.25
+    assert builtin_model("indicator_zero_vol").frozen_after == 0.0
+    assert builtin_model("tanh_smooth").frozen_after is None
+    assert builtin_model("bachelier_digital").frozen_after is None
+    gc = builtin_model("girsanov_const", t_cut=0.3)
+    assert gc.frozen_after == 0.3
+    assert transformed_drift(gc).frozen_after == 0.3
+
+
+def test_invariant_check_catches_wrong_freeze_time():
+    for m, wrong in ((builtin_model("example1"), 0.5),
+                     (builtin_model("step_vol", t_cut=0.6), 0.4)):
+        with pytest.raises(ModelInvariantError, match="frozen_after"):
+            check_model_invariants(replace(m, frozen_after=wrong))
+    # a drift that stays alive is caught too
+    m = replace(builtin_model("step_vol"), b=lambda t, x: np.full_like(
+        np.asarray(x, dtype=float), 0.5), b_x=lambda t, x: np.zeros_like(
+        np.asarray(x, dtype=float)))
+    with pytest.raises(ModelInvariantError, match="b is not zero"):
+        check_model_invariants(m)
 
 
 def test_fd_derivative_matches_known_derivative():
