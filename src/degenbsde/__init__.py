@@ -15,14 +15,14 @@ from .degeneracy import (DEFAULT_EPS_SIGMA, DEFAULT_N_ODE_STEPS,
                          check_gamma_equivalence, gamma_report, locate_tau,
                          locate_tau_batch)
 from .estimators import (Estimate, EstimationError, OutsideGamma0Error,
-                         PicardValue, ProviderRequiredError, ValueProvider,
+                         ProviderRequiredError, ValueProvider,
                          bachelier_provider, empirical_lambda_moment,
                          estimate_u, estimate_ux_pathwise,
                          estimate_ux_weighted, example1_provider,
-                         grid_provider, picard_value_iteration, reconstruct_Z)
+                         grid_provider, reconstruct_Z)
 from .model import (BUILTIN_MODELS, CoefficientModel, ModelInvariantError,
                     ProblemPoint, builtin_model, builtin_model_names,
-                    check_model_invariants, fd_derivative, holder_delta,
+                    check_model_invariants, fd_derivative,
                     transformed_drift)
 from .oracles import (Example1Params, bachelier_digital, example1_sigma0,
                       example1_u, example1_ux_at_zero, example1_z_exponent,
@@ -58,7 +58,6 @@ __all__ = [
     "PathState",
     "PdeGrid",
     "PdeSolution",
-    "PicardValue",
     "ProblemPoint",
     "ProviderRequiredError",
     "SimulationError",
@@ -91,14 +90,12 @@ __all__ = [
     "gamma_report",
     "gaussian_abs_moment",
     "grid_provider",
-    "holder_delta",
     "locate_tau",
     "locate_tau_batch",
     "make_grid",
     "nondegenerate_increment",
     "nondegenerate_weight",
     "path_stream",
-    "picard_value_iteration",
     "reconstruct_Z",
     "simulate_batch",
     "simulate_path",

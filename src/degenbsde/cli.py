@@ -484,6 +484,8 @@ def _run_pde_vs_mc(cfg, model, out_dir):
     if cfg["weight_kind"] not in ("degenerate", "nondegenerate"):
         raise ConfigError("key 'weight_kind' must be 'degenerate' or "
                           "'nondegenerate'")
+    if not cfg["probes"]:
+        raise ConfigError("key 'probes' must be non-empty")
     probes = []
     for item in cfg["probes"]:
         if (not isinstance(item, (list, tuple)) or len(item) != 2
@@ -590,14 +592,13 @@ _RUNNERS = {
 }
 
 
-def run_experiment(raw_config: dict, out_dir="." , check: bool = False
-                   ) -> ExperimentResult:
+def run_experiment(raw_config: dict, out_dir=".") -> ExperimentResult:
     """Validate, run, and write artifacts for one experiment config.
 
     Raises ConfigError for schema problems, NumericalFailure (or
     EstimationError/SimulationError) for runtime breakdowns.  Check
-    outcomes are always computed; ``check`` only controls whether main()
-    turns failures into exit status 3.
+    outcomes are always computed; main() turns failures into exit status
+    3 only under ``--check``.
     """
     cfg = _validate_config(raw_config)
     model = _build_model(cfg)
@@ -605,7 +606,6 @@ def run_experiment(raw_config: dict, out_dir="." , check: bool = False
         raise ConfigError("key 'eps_sigma' must be positive")
     if cfg["lambda_floor"] is not None and cfg["lambda_floor"] <= 0.0:
         raise ConfigError("key 'lambda_floor' must be positive")
-    del check
     return _RUNNERS[cfg["experiment"]](cfg, model, Path(out_dir))
 
 
@@ -654,7 +654,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        result = run_experiment(raw, out_dir=args.out_dir, check=args.check)
+        result = run_experiment(raw, out_dir=args.out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,8 @@
 martingale integrand.
 
 Every estimator first absorbs the linear-in-z cost into the drift, then
-streams paths in fixed-size chunks through the shared stepping kernel.
+streams paths in fixed-size chunks through the shared stepping kernel;
+one driver does this for all of them, each supplying its per-path value.
 Per-path results are deterministic functions of ``(seed, path_index)``,
 and the final mean is taken over the full per-path value vector, so the
 returned numbers do not depend on chunking or evaluation order.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .weights import (default_lambda_floor, default_sigma_floor,
 __all__ = [
     "Estimate",
     "ValueProvider",
-    "PicardValue",
     "OutsideGamma0Error",
     "ProviderRequiredError",
     "EstimationError",
@@ -53,7 +53,6 @@ __all__ = [
     "estimate_ux_weighted",
     "reconstruct_Z",
     "empirical_lambda_moment",
-    "picard_value_iteration",
     "bachelier_provider",
     "example1_provider",
     "grid_provider",
@@ -102,18 +101,6 @@ class ValueProvider:
 
     u_eval: Optional[Callable] = None
     ux_eval: Optional[Callable] = None
-
-
-@dataclass(frozen=True)
-class PicardValue:
-    """Fixed-point iteration result; usable directly as a value provider."""
-
-    u_eval: Callable
-    ux_eval: Callable
-    converged: bool
-    n_iterations: int
-    final_change: float
-    contraction_ratio: float
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +160,39 @@ def _driver_y(model: CoefficientModel, provider: Optional[ValueProvider],
     return 0.0
 
 
+def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
+                    eps_sigma: float, n_ode_steps: int) -> None:
+    report = gamma_report(model, point, n_ode_steps=n_ode_steps,
+                          eps_sigma=eps_sigma)
+    if not report.in_Gamma0:
+        raise OutsideGamma0Error(
+            f"({point.t0}, {point.x0}) is outside the alive set: the drift "
+            f"characteristic meets no volatility above {eps_sigma} before "
+            f"the horizon"
+        )
+
+
+def _estimate(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
+              seed: int, n_paths: int, per_path: Callable) -> Estimate:
+    """The one simulation-to-estimate loop behind every estimator.
+
+    Streams the absorbed-drift paths chunk by chunk.  ``per_path(states, n)``
+    consumes one chunk's stream of ``PathState`` over ``n`` paths and
+    returns ``(values, keep)``; paths outside ``keep`` or with a non-finite
+    value are excluded and counted in ``n_floored``.
+    """
+    mt = transformed_drift(model)
+    parts: list = []
+    n_excluded = 0
+    for idx in _chunk_indices(n_paths):
+        vals, keep = per_path(path_stream(mt, point, grid, seed, idx),
+                              idx.size)
+        keep = keep & np.isfinite(vals)
+        n_excluded += int(np.count_nonzero(~keep))
+        parts.append(np.asarray(vals[keep], dtype=float))
+    return _finalize(parts, n_excluded, n_paths)
+
+
 # ---------------------------------------------------------------------------
 # value estimator
 # ---------------------------------------------------------------------------
@@ -186,27 +206,22 @@ def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     """
     n_paths = _check_n_paths(n_paths)
     _require_driver_inputs(model, provider)
-    mt = transformed_drift(model)
     need_driver = not model.f1_is_zero
     dt = grid.dt
 
-    parts: list = []
-    n_excluded = 0
-    for idx in _chunk_indices(n_paths):
+    def per_path(states, n):
         driver = 0.0
         last = None
-        for st in path_stream(mt, point, grid, seed, idx):
+        for st in states:
             if need_driver and st.dW is not None:
                 y = _driver_y(model, provider, st.t, st.X)
                 driver = driver + np.asarray(
                     model.f1(st.t, st.X, y), dtype=float) * dt
             last = st
         vals = np.asarray(model.g(last.X), dtype=float) + driver
-        vals = np.broadcast_to(vals, last.X.shape)
-        finite = np.isfinite(vals)
-        n_excluded += int(np.count_nonzero(~finite))
-        parts.append(np.asarray(vals[finite], dtype=float))
-    return _finalize(parts, n_excluded, n_paths)
+        return np.broadcast_to(vals, last.X.shape), True
+
+    return _estimate(model, point, grid, seed, n_paths, per_path)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +247,12 @@ def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
     if need_driver and model.f1_depends_on_y and model.f1_y is None:
         raise ValueError("pathwise gradient estimation needs model.f1_y")
     _require_driver_inputs(model, provider, need_ux=True)
-    mt = transformed_drift(model)
     dt = grid.dt
 
-    parts: list = []
-    n_excluded = 0
-    for idx in _chunk_indices(n_paths):
+    def per_path(states, n):
         acc = 0.0
         last = None
-        for st in path_stream(mt, point, grid, seed, idx):
+        for st in states:
             if need_driver and st.dW is not None:
                 y = _driver_y(model, provider, st.t, st.X)
                 term = np.asarray(model.f1_x(st.t, st.X, y), dtype=float) * st.gradX
@@ -251,10 +263,9 @@ def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
                 acc = acc + term * dt
             last = st
         vals = np.asarray(model.g_prime(last.X), dtype=float) * last.gradX + acc
-        finite = np.isfinite(vals)
-        n_excluded += int(np.count_nonzero(~finite))
-        parts.append(np.asarray(vals[finite], dtype=float))
-    return _finalize(parts, n_excluded, n_paths)
+        return vals, True
+
+    return _estimate(model, point, grid, seed, n_paths, per_path)
 
 
 def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
@@ -276,16 +287,8 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
     if weight_kind not in ("degenerate", "nondegenerate"):
         raise ValueError(f"unknown weight_kind {weight_kind!r}")
     n_paths = _check_n_paths(n_paths)
-    report = gamma_report(model, point, n_ode_steps=n_ode_steps,
-                          eps_sigma=eps_sigma)
-    if not report.in_Gamma0:
-        raise OutsideGamma0Error(
-            f"({point.t0}, {point.x0}) is outside the alive set: the drift "
-            f"characteristic meets no volatility above {eps_sigma} before "
-            f"the horizon"
-        )
+    _require_gamma0(model, point, eps_sigma, n_ode_steps)
     _require_driver_inputs(model, provider)
-    mt = transformed_drift(model)
     need_driver = not model.f1_is_zero
     dt = grid.dt
     if lambda_floor is None:
@@ -294,16 +297,14 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
         sigma_floor = default_sigma_floor(eps_sigma)
     degenerate = weight_kind == "degenerate"
 
-    parts: list = []
-    n_excluded = 0
-    for idx in _chunk_indices(n_paths):
+    def per_path(states, n):
         driver = 0.0
-        snd = np.zeros(idx.size)
-        ming = np.full(idx.size, np.inf)
+        snd = np.zeros(n)
+        ming = np.full(n, np.inf)
         tacc = 0.0
         last = None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for st in path_stream(mt, point, grid, seed, idx):
+            for st in states:
                 if need_driver and st.k >= 1:
                     # right-endpoint quadrature: the weight is undefined at
                     # the left endpoint where no volatility has accumulated
@@ -328,11 +329,9 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
                 floored = ~(ming >= sigma_floor)
                 w_T = np.where(floored, 0.0, snd / tacc)
             vals = np.asarray(model.g(last.X), dtype=float) * w_T + driver
-        finite = np.isfinite(vals)
-        keep = finite & ~floored
-        n_excluded += int(np.count_nonzero(~keep))
-        parts.append(np.asarray(vals[keep], dtype=float))
-    return _finalize(parts, n_excluded, n_paths)
+        return vals, ~floored
+
+    return _estimate(model, point, grid, seed, n_paths, per_path)
 
 
 # ---------------------------------------------------------------------------
@@ -382,34 +381,25 @@ def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
     if not (p > 0.0):
         raise ValueError(f"p must be positive, got {p}")
     n_paths = _check_n_paths(n_paths)
-    report = gamma_report(model, point, n_ode_steps=n_ode_steps,
-                          eps_sigma=eps_sigma)
-    if not report.in_Gamma0:
-        raise OutsideGamma0Error(
-            f"({point.t0}, {point.x0}) is outside the alive set"
-        )
+    _require_gamma0(model, point, eps_sigma, n_ode_steps)
     if lambda_floor is None:
         lambda_floor = default_lambda_floor(grid, eps_sigma)
-    mt = transformed_drift(model)
 
-    parts: list = []
-    n_excluded = 0
-    for idx in _chunk_indices(n_paths):
+    def per_path(states, n):
         last = None
-        for st in path_stream(mt, point, grid, seed, idx):
+        for st in states:
             last = st
         lam = last.Lambda
         floored = ~(lam >= lambda_floor)
         with np.errstate(over="ignore"):
             vals = np.where(floored, 1.0, lam) ** (-p)
-        keep = ~floored & np.isfinite(vals)
-        n_excluded += int(np.count_nonzero(~keep))
-        parts.append(np.asarray(vals[keep], dtype=float))
-    return _finalize(parts, n_excluded, n_paths)
+        return vals, ~floored
+
+    return _estimate(model, point, grid, seed, n_paths, per_path)
 
 
 # ---------------------------------------------------------------------------
-# fixed-point value iteration
+# tabulated values
 # ---------------------------------------------------------------------------
 
 
@@ -442,74 +432,6 @@ def grid_provider(times: np.ndarray, xs: np.ndarray,
         return np.interp(x, xs, D[_nearest_level(times, float(t))])
 
     return ValueProvider(u_eval=u_eval, ux_eval=ux_eval)
-
-
-def picard_value_iteration(model: CoefficientModel, space_grid,
-                           time_grid: TimeGrid, seed: int, n_paths: int,
-                           k_max: int = 8, tol: float = 1e-3) -> PicardValue:
-    """Solve the value fixed point on a grid by repeated re-estimation.
-
-    Starting from the zero function, each sweep re-estimates the value at
-    every grid node with the running cost fed by the previous sweep's
-    interpolant (same seed throughout: common random numbers keep the
-    iteration a deterministic map).  Stops when the max grid change drops
-    below ``tol`` or after ``k_max`` sweeps; non-convergence is reported
-    through the ``converged`` flag, not an exception.
-
-    Simulation at a level reuses the tail of ``time_grid``, so the grid
-    doubles as the quadrature step of the running cost.
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    xs = np.asarray(space_grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0.0):
-        raise ValueError("space_grid must be a strictly increasing 1-D array")
-    if time_grid.T != model.horizon_T:
-        raise ValueError(
-            f"time_grid ends at {time_grid.T}, horizon is {model.horizon_T}"
-        )
-    times = time_grid.times()
-    n_lev = times.size
-    T = model.horizon_T
-
-    def sweep(U_prev: Optional[np.ndarray]) -> np.ndarray:
-        prov = grid_provider(times, xs, U_prev) if U_prev is not None else None
-        U = np.empty((n_lev, xs.size))
-        U[-1] = np.asarray(model.g(xs), dtype=float)
-        for i in range(n_lev - 1):
-            sub = TimeGrid(float(times[i]), T, time_grid.n_steps - i)
-            for j in range(xs.size):
-                U[i, j] = estimate_u(
-                    model, ProblemPoint(float(times[i]), float(xs[j])), sub,
-                    seed, n_paths, provider=prov).mean
-        return U
-
-    if model.f1_is_zero:
-        U = sweep(None)
-        prov = grid_provider(times, xs, U)
-        return PicardValue(u_eval=prov.u_eval, ux_eval=prov.ux_eval,
-                           converged=True, n_iterations=1, final_change=0.0,
-                           contraction_ratio=0.0)
-
-    U = np.zeros((n_lev, xs.size))
-    changes: list = []
-    for _ in range(k_max):
-        U_new = sweep(U)
-        changes.append(float(np.max(np.abs(U_new - U))))
-        U = U_new
-        if changes[-1] < tol:
-            break
-    converged = changes[-1] < tol
-    if len(changes) >= 2 and changes[-2] > 0.0:
-        ratio = changes[-1] / changes[-2]
-    else:
-        ratio = 0.0 if converged else float("nan")
-    prov = grid_provider(times, xs, U)
-    return PicardValue(u_eval=prov.u_eval, ux_eval=prov.ux_eval,
-                       converged=converged, n_iterations=len(changes),
-                       final_change=changes[-1], contraction_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "builtin_model",
     "builtin_model_names",
     "transformed_drift",
-    "holder_delta",
     "fd_derivative",
     "check_model_invariants",
     "BUILTIN_MODELS",
@@ -412,18 +411,6 @@ def transformed_drift(model: CoefficientModel) -> CoefficientModel:
         return b_x(t, x) + f2_x(t, x) * sigma(t, x) + f2(t, x) * sigma_x(t, x)
 
     return replace(model, b=b_tilde, b_x=b_tilde_x, f2=_zero2, f2_x=_zero2)
-
-
-def holder_delta(model: CoefficientModel, eps: float) -> float:
-    """Largest time window over which sigma can move by at most ``eps``.
-
-    Inverts the declared Hölder modulus: ``min(T, (eps / C)**(1/alpha))``.
-    Only meaningful for models whose volatility has no registered time
-    jump inside the window.
-    """
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    return min(model.horizon_T, (eps / model.holder_C) ** (1.0 / model.holder_alpha))
 
 
 def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50,

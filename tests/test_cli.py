@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +276,30 @@ def test_main_lists_models_and_experiments(capsys):
     for name in ("blowup-rate", "weight-crossval", "tau-locate",
                  "lambda-moment", "girsanov-equiv", "pde-vs-mc", "z-path"):
         assert name in out
+
+
+def test_empty_probes_is_a_config_error(tmp_path):
+    cfg = {"experiment": "pde-vs-mc", "model": "bachelier_digital",
+           "probes": []}
+    with pytest.raises(ConfigError, match="'probes' must be non-empty"):
+        run_experiment(cfg, out_dir=tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# checked-in run configs
+# ---------------------------------------------------------------------------
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
+                  .glob("*.json"))
+
+
+def test_configs_cover_every_experiment():
+    names = {json.loads(p.read_text())["experiment"] for p in _CONFIGS}
+    assert names == set(cli._RUNNERS)
+
+
+@pytest.mark.parametrize("path", _CONFIGS, ids=lambda p: p.stem)
+def test_checked_in_config_is_valid(path):
+    cfg = cli._validate_config(json.loads(path.read_text()))
+    cli._build_model(cfg)

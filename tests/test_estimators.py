@@ -24,7 +24,6 @@ from degenbsde import (
     example1_ux_at_zero,
     grid_provider,
     locate_tau,
-    picard_value_iteration,
     reconstruct_Z,
     simulate_path,
 )
@@ -275,47 +274,8 @@ def test_provider_fed_cost_reproduces_exponential_decay():
 
 
 # ---------------------------------------------------------------------------
-# fixed-point iteration
+# tabulated values
 # ---------------------------------------------------------------------------
-
-
-def test_picard_recovers_exponential_decay():
-    model = _linear_cost_model()
-    xs = np.linspace(-1.0, 1.0, 5)
-    grid = TimeGrid(0.0, 1.0, 40)
-    pv = picard_value_iteration(model, xs, grid, seed=0, n_paths=2)
-    assert pv.converged
-    assert pv.n_iterations >= 3
-    assert pv.contraction_ratio < 1.0
-    assert pv.u_eval(0.0, 0.0) == pytest.approx(math.exp(-1.0), abs=2.5e-2)
-    # the value never depended on x, and the sweeps must preserve that
-    assert pv.u_eval(0.0, 0.9) == pytest.approx(pv.u_eval(0.0, 0.0),
-                                                rel=1e-12)
-
-
-def test_picard_zero_cost_fast_path():
-    model = builtin_model("tanh_smooth")
-    xs = np.linspace(-1.0, 1.0, 3)
-    pv = picard_value_iteration(model, xs, TimeGrid(0.0, 1.0, 4), seed=0,
-                                n_paths=16)
-    assert pv.converged
-    assert pv.n_iterations == 1
-    assert pv.final_change == 0.0
-    assert pv.contraction_ratio == 0.0
-
-
-def test_picard_validates_grids():
-    model = builtin_model("tanh_smooth")
-    with pytest.raises(ValueError):
-        picard_value_iteration(model, np.array([0.0]), TimeGrid(0.0, 1.0, 4),
-                               seed=0, n_paths=4)
-    with pytest.raises(ValueError):
-        picard_value_iteration(model, np.array([0.0, 1.0]),
-                               TimeGrid(0.0, 0.5, 4), seed=0, n_paths=4)
-    with pytest.raises(ValueError):
-        picard_value_iteration(model, np.array([0.0, 1.0]),
-                               TimeGrid(0.0, 1.0, 4), seed=0, n_paths=4,
-                               k_max=0)
 
 
 def test_grid_provider_interpolates_and_differentiates():

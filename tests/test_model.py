@@ -15,7 +15,6 @@ from degenbsde import (
     builtin_model_names,
     check_model_invariants,
     fd_derivative,
-    holder_delta,
     transformed_drift,
 )
 
@@ -134,15 +133,6 @@ def test_transformed_drift_idempotent_in_value():
     for t in (0.0, 0.3, 0.9):
         np.testing.assert_array_equal(mtt.b(t, x), mt.b(t, x))
         np.testing.assert_array_equal(mtt.b_x(t, x), mt.b_x(t, x))
-
-
-def test_holder_delta_monotone_and_capped():
-    m = builtin_model("example1", alpha=0.8, beta=0.5)
-    d_small = holder_delta(m, 1e-4)
-    d_big = holder_delta(m, 1e-1)
-    assert 0 < d_small < d_big <= m.horizon_T
-    with pytest.raises(ValueError):
-        holder_delta(m, 0.0)
 
 
 def test_invariant_check_catches_wrong_derivative():

@@ -218,6 +218,24 @@ def test_running_cost_enters_the_sweep():
     assert sol.u(0.25, -0.4) == pytest.approx(1.0 - t_snap, rel=1e-12)
 
 
+def test_value_dependent_cost_gives_exponential_decay():
+    # f = -y, g = 1: u(t, x) = exp(-(T - t)), flat in x; the sweep feeds
+    # the current level into f1 as y
+    model = CoefficientModel(
+        sigma=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
+        sigma_x=_zero2, b=_zero2, b_x=_zero2,
+        f1=lambda t, x, y: -np.asarray(y, dtype=float)
+        * np.ones_like(np.asarray(x, dtype=float)),
+        f2=_zero2, f2_x=_zero2,
+        g=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
+        f1_is_zero=False, f1_depends_on_y=True,
+    )
+    sol = solve_fd(model, make_grid(model, -1.0, 1.0, 41))
+    assert abs(sol.u(0.0, 0.0) - math.exp(-1.0)) <= 1e-3
+    assert sol.u(0.0, 0.9) == pytest.approx(sol.u(0.0, 0.0), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # structural guarantees
 # ---------------------------------------------------------------------------
