@@ -9,11 +9,10 @@ cross-validates everything against an explicit finite-difference solver
 and closed-form oracles.
 """
 
-from .degeneracy import (DEFAULT_EPS_SIGMA, DEFAULT_N_ODE_STEPS,
-                         CharacteristicPath, DegeneracyReport,
-                         GammaEquivalenceReport, characteristic,
-                         check_gamma_equivalence, gamma_report, locate_tau,
-                         locate_tau_batch)
+from .degeneracy import (DEFAULT_EPS_SIGMA, CharacteristicPath,
+                         DegeneracyReport, GammaEquivalenceReport,
+                         characteristic, check_gamma_equivalence,
+                         gamma_report, locate_tau, locate_tau_batch)
 from .estimators import (Estimate, EstimationError, OutsideGamma0Error,
                          ProviderRequiredError, ValueProvider,
                          bachelier_provider, empirical_lambda_moment,
@@ -33,9 +32,7 @@ from .sde_sim import (BatchPaths, PathBundle, PathState, SimulationError,
                       TimeGrid, brownian_increments, path_stream,
                       simulate_batch, simulate_path,
                       simulate_path_with_increments)
-from .weights import (WeightSample, default_lambda_floor, default_sigma_floor,
-                      degenerate_weight, degenerate_weight_values,
-                      nondegenerate_increment, nondegenerate_weight)
+from .weights import default_lambda_floor, degenerate_weight_values
 
 __version__ = "0.1.0"
 
@@ -46,7 +43,6 @@ __all__ = [
     "CharacteristicPath",
     "CoefficientModel",
     "DEFAULT_EPS_SIGMA",
-    "DEFAULT_N_ODE_STEPS",
     "DegeneracyReport",
     "Estimate",
     "EstimationError",
@@ -63,7 +59,6 @@ __all__ = [
     "SimulationError",
     "TimeGrid",
     "ValueProvider",
-    "WeightSample",
     "bachelier_digital",
     "bachelier_provider",
     "brownian_increments",
@@ -74,8 +69,6 @@ __all__ = [
     "check_gamma_equivalence",
     "check_model_invariants",
     "default_lambda_floor",
-    "default_sigma_floor",
-    "degenerate_weight",
     "degenerate_weight_values",
     "empirical_lambda_moment",
     "estimate_u",
@@ -93,8 +86,6 @@ __all__ = [
     "locate_tau",
     "locate_tau_batch",
     "make_grid",
-    "nondegenerate_increment",
-    "nondegenerate_weight",
     "path_stream",
     "reconstruct_Z",
     "simulate_batch",

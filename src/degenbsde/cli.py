@@ -22,15 +22,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
 
 import numpy as np
 
-from .degeneracy import (DEFAULT_EPS_SIGMA, DEFAULT_N_ODE_STEPS,
-                         check_gamma_equivalence, locate_tau,
-                         locate_tau_batch)
+from .degeneracy import (DEFAULT_EPS_SIGMA, check_gamma_equivalence,
+                         locate_tau, locate_tau_batch)
 from .estimators import (EstimationError, OutsideGamma0Error,
                          ProviderRequiredError, bachelier_provider,
                          empirical_lambda_moment, estimate_u,
@@ -304,7 +302,9 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
 def _run_blowup_rate(cfg, model, out_dir):
     if cfg["model"] != "example1":
         raise ConfigError("key 'model': blowup-rate requires 'example1'")
-    _positive(cfg, "n_paths", "n_steps", "n_t_points")
+    _positive(cfg, "n_paths", "n_steps")
+    if cfg["n_t_points"] < 2:
+        raise ConfigError("key 'n_t_points' must be >= 2 to fit a slope")
     if not (0.0 <= cfg["t_lo"] < cfg["t_hi"] < 1.0):
         raise ConfigError("keys 't_lo'/'t_hi' must satisfy "
                           "0 <= t_lo < t_hi < 1")
@@ -436,6 +436,9 @@ def _run_girsanov_equiv(cfg, model, out_dir):
     _positive(cfg, "n_paths", "n_steps", "n_x", "equiv_n_t", "equiv_n_x")
     if not cfg["probes_x"]:
         raise ConfigError("key 'probes_x' must be non-empty")
+    if any(isinstance(x, bool) or not isinstance(x, (int, float))
+           for x in cfg["probes_x"]):
+        raise ConfigError("key 'probes_x' must hold numbers")
     t0 = cfg["t0"]
     if not (0.0 <= t0 < model.horizon_T):
         raise ConfigError("key 't0' must lie in [0, horizon)")

@@ -19,7 +19,6 @@ time on the integrand being estimated is identically zero.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,16 +37,11 @@ __all__ = [
     "locate_tau_batch",
     "check_gamma_equivalence",
     "DEFAULT_EPS_SIGMA",
-    "DEFAULT_N_ODE_STEPS",
 ]
 
 DEFAULT_EPS_SIGMA = 1e-8
-DEFAULT_N_ODE_STEPS = 200
-
-# gamma_report memo: per model, up to _MEMO_SIZE queries (oldest evicted
-# first).  Weak keys, so a model the caller has dropped is freed with its memo.
-_MEMO_SIZE = 4096
-_max_sigma_memo = weakref.WeakKeyDictionary()
+# RK4 steps per characteristic, from the start time to the horizon
+N_ODE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ class GammaEquivalenceReport:
 
 
 def _rk4_sweep(model: CoefficientModel, t0: float, x0: np.ndarray, T: float,
-               n_ode_steps: int, keep_path: bool):
+               keep_path: bool):
     """Integrate the drift ODE from (t0, x0) to T.
 
     Returns ``(eta_path or None, running max of |sigma| along the way)``.
@@ -104,14 +98,14 @@ def _rk4_sweep(model: CoefficientModel, t0: float, x0: np.ndarray, T: float,
     if T <= t0:
         return (eta[None, :].copy() if keep_path else None), mx
 
-    s = np.linspace(t0, T, n_ode_steps + 1)
-    h = (T - t0) / n_ode_steps
-    path = np.empty((n_ode_steps + 1, eta.size)) if keep_path else None
+    s = np.linspace(t0, T, N_ODE_STEPS + 1)
+    h = (T - t0) / N_ODE_STEPS
+    path = np.empty((N_ODE_STEPS + 1, eta.size)) if keep_path else None
     if keep_path:
         path[0] = eta
 
     b = model.b
-    for j in range(n_ode_steps):
+    for j in range(N_ODE_STEPS):
         sj = float(s[j])
         sm = sj + 0.5 * h
         k1 = np.asarray(b(sj, eta), dtype=float)
@@ -126,62 +120,37 @@ def _rk4_sweep(model: CoefficientModel, t0: float, x0: np.ndarray, T: float,
     return path, mx
 
 
-def characteristic(model: CoefficientModel, point: ProblemPoint,
-                   n_ode_steps: int = DEFAULT_N_ODE_STEPS) -> CharacteristicPath:
+def characteristic(model: CoefficientModel,
+                   point: ProblemPoint) -> CharacteristicPath:
     """Solve the drift ODE from the point to the horizon."""
-    if n_ode_steps < 1:
-        raise ValueError(f"n_ode_steps must be >= 1, got {n_ode_steps}")
     T = model.horizon_T
     if not (point.t0 < T):
         raise ValueError(
             f"characteristic needs t0 < horizon, got t0={point.t0}, T={T}"
         )
     path, _ = _rk4_sweep(model, point.t0, np.asarray([point.x0]), T,
-                         n_ode_steps, keep_path=True)
-    return CharacteristicPath(grid=TimeGrid(point.t0, T, n_ode_steps),
+                         keep_path=True)
+    return CharacteristicPath(grid=TimeGrid(point.t0, T, N_ODE_STEPS),
                               eta=path[:, 0].copy())
 
 
-def _max_sigma_batch(model: CoefficientModel, t0: float, x0: np.ndarray,
-                     n_ode_steps: int) -> np.ndarray:
-    _, mx = _rk4_sweep(model, t0, x0, model.horizon_T, n_ode_steps,
-                       keep_path=False)
-    return mx
-
-
-def _cached_max_sigma(model: CoefficientModel, t_key: float, x_key: float,
-                      n_ode_steps: int) -> float:
-    memo = _max_sigma_memo.setdefault(model, {})
-    key = (t_key, x_key, n_ode_steps)
-    mx = memo.get(key)
-    if mx is None:
-        mx = float(_max_sigma_batch(model, t_key, np.asarray([x_key]),
-                                    n_ode_steps)[0])
-        if len(memo) >= _MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = mx
+def _max_sigma_batch(model: CoefficientModel, t0: float,
+                     x0: np.ndarray) -> np.ndarray:
+    _, mx = _rk4_sweep(model, t0, x0, model.horizon_T, keep_path=False)
     return mx
 
 
 def gamma_report(model: CoefficientModel, point: ProblemPoint,
-                 n_ode_steps: int = DEFAULT_N_ODE_STEPS,
                  eps_sigma: float = DEFAULT_EPS_SIGMA) -> DegeneracyReport:
-    """Classify a starting point against the degeneracy sets.
-
-    Results are memoized per model with the query rounded to 1e-12 in t
-    and 1e-10 in x, which makes repeated grid scans cheap.  The memo holds
-    a bounded number of queries per model and no reference to the model.
-    """
-    if n_ode_steps < 1:
-        raise ValueError(f"n_ode_steps must be >= 1, got {n_ode_steps}")
+    """Classify a starting point against the degeneracy sets."""
     if not (eps_sigma > 0.0):
         raise ValueError(f"eps_sigma must be positive, got {eps_sigma}")
     if point.t0 > model.horizon_T:
         raise ValueError(
             f"t0={point.t0} lies beyond the horizon {model.horizon_T}"
         )
-    mx = _cached_max_sigma(model, round(float(point.t0), 12),
-                           round(float(point.x0), 10), int(n_ode_steps))
+    mx = float(_max_sigma_batch(model, float(point.t0),
+                                np.asarray([float(point.x0)]))[0])
     here = float(np.abs(np.asarray(
         model.sigma(float(point.t0), np.asarray(point.x0, dtype=float)),
         dtype=float)))
@@ -201,8 +170,7 @@ def gamma_report(model: CoefficientModel, point: ProblemPoint,
 
 
 def _locate_tau_matrix(model: CoefficientModel, times: np.ndarray,
-                       X: np.ndarray, n_ode_steps: int,
-                       eps_sigma: float) -> np.ndarray:
+                       X: np.ndarray, eps_sigma: float) -> np.ndarray:
     """First grid time at which each row of X has left the alive set.
 
     Scans grid nodes in order, keeping only still-alive paths active, so
@@ -215,7 +183,7 @@ def _locate_tau_matrix(model: CoefficientModel, times: np.ndarray,
         if active.size == 0:
             break
         t = float(times[k])
-        mx = _max_sigma_batch(model, t, X[active, k], n_ode_steps)
+        mx = _max_sigma_batch(model, t, X[active, k])
         dead = ~(mx > eps_sigma)
         if np.any(dead):
             taus[active[dead]] = t
@@ -224,7 +192,6 @@ def _locate_tau_matrix(model: CoefficientModel, times: np.ndarray,
 
 
 def locate_tau(model: CoefficientModel, path: PathBundle,
-               n_ode_steps: int = DEFAULT_N_ODE_STEPS,
                eps_sigma: float = DEFAULT_EPS_SIGMA) -> float:
     """First grid time at which the path has left the alive set (else T).
 
@@ -234,15 +201,14 @@ def locate_tau(model: CoefficientModel, path: PathBundle,
     """
     times = path.grid.times()
     return float(_locate_tau_matrix(model, times, path.X[None, :],
-                                    n_ode_steps, eps_sigma)[0])
+                                    eps_sigma)[0])
 
 
 def locate_tau_batch(model: CoefficientModel, batch: BatchPaths,
-                     n_ode_steps: int = DEFAULT_N_ODE_STEPS,
                      eps_sigma: float = DEFAULT_EPS_SIGMA) -> np.ndarray:
     """Vectorized ``locate_tau`` over a batch; equal to the per-path values."""
     times = batch.grid.times()
-    return _locate_tau_matrix(model, times, batch.X, n_ode_steps, eps_sigma)
+    return _locate_tau_matrix(model, times, batch.X, eps_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +218,6 @@ def locate_tau_batch(model: CoefficientModel, batch: BatchPaths,
 
 def check_gamma_equivalence(model: CoefficientModel,
                             sample_points: Sequence[ProblemPoint],
-                            n_ode_steps: int = DEFAULT_N_ODE_STEPS,
                             eps_sigma: float = DEFAULT_EPS_SIGMA,
                             ) -> GammaEquivalenceReport:
     """Compare alive-set membership under the raw and absorbed drifts.
@@ -278,8 +243,8 @@ def check_gamma_equivalence(model: CoefficientModel,
     for t0, entries in by_t.items():
         idx = np.asarray([i for i, _ in entries])
         xs = np.asarray([x for _, x in entries])
-        mx_raw[idx] = _max_sigma_batch(model, t0, xs, n_ode_steps)
-        mx_new[idx] = _max_sigma_batch(shifted, t0, xs, n_ode_steps)
+        mx_raw[idx] = _max_sigma_batch(model, t0, xs)
+        mx_new[idx] = _max_sigma_batch(shifted, t0, xs)
 
     alive_raw = mx_raw > eps_sigma
     alive_new = mx_new > eps_sigma

@@ -34,13 +34,12 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .degeneracy import (DEFAULT_EPS_SIGMA, DEFAULT_N_ODE_STEPS, gamma_report,
-                         locate_tau)
+from .degeneracy import DEFAULT_EPS_SIGMA, gamma_report, locate_tau
 from .model import CoefficientModel, ProblemPoint, transformed_drift
 from .oracles import Example1Params, bachelier_digital, example1_u
 from .sde_sim import PathBundle, TimeGrid, path_stream
-from .weights import (default_lambda_floor, default_sigma_floor,
-                      degenerate_weight_values, nondegenerate_increment)
+from .weights import (default_lambda_floor, degenerate_weight_values,
+                      nondegenerate_weight_values)
 
 __all__ = [
     "Estimate",
@@ -161,9 +160,8 @@ def _driver_y(model: CoefficientModel, provider: Optional[ValueProvider],
 
 
 def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
-                    eps_sigma: float, n_ode_steps: int) -> None:
-    report = gamma_report(model, point, n_ode_steps=n_ode_steps,
-                          eps_sigma=eps_sigma)
+                    eps_sigma: float) -> None:
+    report = gamma_report(model, point, eps_sigma=eps_sigma)
     if not report.in_Gamma0:
         raise OutsideGamma0Error(
             f"({point.t0}, {point.x0}) is outside the alive set: the drift "
@@ -273,9 +271,7 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
                          provider: Optional[ValueProvider] = None,
                          weight_kind: str = "degenerate",
                          eps_sigma: float = DEFAULT_EPS_SIGMA,
-                         lambda_floor: Optional[float] = None,
-                         sigma_floor: Optional[float] = None,
-                         n_ode_steps: int = DEFAULT_N_ODE_STEPS) -> Estimate:
+                         lambda_floor: Optional[float] = None) -> Estimate:
     """Gradient by integration-by-parts weighting: mean of
     ``g(X_T) * N_T`` plus the right-endpoint sum of ``f1 * N`` when the
     cost is active.  No payoff derivative is touched.
@@ -283,18 +279,18 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
     Refuses to run when the starting point lies outside the alive set
     (no weight with finite variance exists there); the integrand being
     estimated is identically zero past the exit from that set anyway.
+    The classical weight is floored where ``|sigma|`` fell below
+    ``eps_sigma``.
     """
     if weight_kind not in ("degenerate", "nondegenerate"):
         raise ValueError(f"unknown weight_kind {weight_kind!r}")
     n_paths = _check_n_paths(n_paths)
-    _require_gamma0(model, point, eps_sigma, n_ode_steps)
+    _require_gamma0(model, point, eps_sigma)
     _require_driver_inputs(model, provider)
     need_driver = not model.f1_is_zero
     dt = grid.dt
     if lambda_floor is None:
         lambda_floor = default_lambda_floor(grid, eps_sigma)
-    if sigma_floor is None:
-        sigma_floor = default_sigma_floor(eps_sigma)
     degenerate = weight_kind == "degenerate"
 
     def per_path(states, n):
@@ -303,31 +299,28 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
         ming = np.full(n, np.inf)
         tacc = 0.0
         last = None
+
+        def weight(st):
+            if degenerate:
+                return degenerate_weight_values(st.Lambda, st.S1, st.B,
+                                                lambda_floor)
+            return nondegenerate_weight_values(snd, tacc, ming, eps_sigma)
+
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for st in states:
                 if need_driver and st.k >= 1:
                     # right-endpoint quadrature: the weight is undefined at
                     # the left endpoint where no volatility has accumulated
-                    if degenerate:
-                        w_k, fl_k = degenerate_weight_values(
-                            st.Lambda, st.S1, st.B, lambda_floor)
-                    else:
-                        fl_k = ~(ming >= sigma_floor)
-                        w_k = np.where(fl_k, 0.0, snd / tacc)
+                    w_k, _ = weight(st)
                     y = _driver_y(model, provider, st.t, st.X)
                     driver = driver + np.asarray(
                         model.f1(st.t, st.X, y), dtype=float) * w_k * dt
                 if st.dW is not None and not degenerate:
                     ming = np.minimum(ming, np.abs(st.gamma))
-                    snd = snd + nondegenerate_increment(st.gradX, st.gamma, st.dW)
+                    snd = snd + (st.gradX / st.gamma) * st.dW
                     tacc = tacc + dt
                 last = st
-            if degenerate:
-                w_T, floored = degenerate_weight_values(
-                    last.Lambda, last.S1, last.B, lambda_floor)
-            else:
-                floored = ~(ming >= sigma_floor)
-                w_T = np.where(floored, 0.0, snd / tacc)
+            w_T, floored = weight(last)
             vals = np.asarray(model.g(last.X), dtype=float) * w_T + driver
         return vals, ~floored
 
@@ -342,7 +335,6 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
 def reconstruct_Z(model: CoefficientModel, path: PathBundle,
                   provider: ValueProvider,
                   eps_sigma: float = DEFAULT_EPS_SIGMA,
-                  n_ode_steps: int = DEFAULT_N_ODE_STEPS,
                   tau: Optional[float] = None) -> np.ndarray:
     """Martingale integrand along one path: ``u_x * sigma`` before the
     path leaves the alive set, exactly zero from that time on.
@@ -354,8 +346,7 @@ def reconstruct_Z(model: CoefficientModel, path: PathBundle,
     if provider.ux_eval is None:
         raise ValueError("reconstruct_Z needs a provider with ux_eval")
     if tau is None:
-        tau = locate_tau(model, path, n_ode_steps=n_ode_steps,
-                         eps_sigma=eps_sigma)
+        tau = locate_tau(model, path, eps_sigma=eps_sigma)
     times = path.grid.times()
     out = np.zeros((times.size, 2))
     out[:, 0] = times
@@ -370,8 +361,7 @@ def reconstruct_Z(model: CoefficientModel, path: PathBundle,
 def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, seed: int, n_paths: int, p: float,
                             eps_sigma: float = DEFAULT_EPS_SIGMA,
-                            lambda_floor: Optional[float] = None,
-                            n_ode_steps: int = DEFAULT_N_ODE_STEPS) -> Estimate:
+                            lambda_floor: Optional[float] = None) -> Estimate:
     """Negative moment ``E[Lambda_T**(-p)]`` of the occupation integral.
 
     Finiteness of these moments is what makes the occupation-normalized
@@ -381,7 +371,7 @@ def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
     if not (p > 0.0):
         raise ValueError(f"p must be positive, got {p}")
     n_paths = _check_n_paths(n_paths)
-    _require_gamma0(model, point, eps_sigma, n_ode_steps)
+    _require_gamma0(model, point, eps_sigma)
     if lambda_floor is None:
         lambda_floor = default_lambda_floor(grid, eps_sigma)
 
@@ -452,12 +442,12 @@ def bachelier_provider(sigma_bar: float, strike: float = 0.0,
     return ValueProvider(u_eval=u_eval, ux_eval=ux_eval)
 
 
-def example1_provider(params: Example1Params,
-                      fd_step: float = 1e-4) -> ValueProvider:
+def example1_provider(params: Example1Params) -> ValueProvider:
     """Closed-form provider for the dying-volatility power model.
 
     The gradient is a central difference of the exact value with a
-    relative step; adequate away from the terminal kink at the origin.
+    relative step of 1e-4; adequate away from the terminal kink at the
+    origin.
     """
 
     def u_eval(t, x):
@@ -465,7 +455,7 @@ def example1_provider(params: Example1Params,
 
     def ux_eval(t, x):
         x = np.asarray(x, dtype=float)
-        h = fd_step * (1.0 + np.abs(x))
+        h = 1e-4 * (1.0 + np.abs(x))
         up = np.asarray(example1_u(t, x + h, params))
         dn = np.asarray(example1_u(t, x - h, params))
         out = (up - dn) / (2.0 * h)

@@ -20,8 +20,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 

@@ -16,16 +16,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from degenbsde.degeneracy import (DEFAULT_EPS_SIGMA, DEFAULT_N_ODE_STEPS,
-                                  gamma_report)
+from degenbsde.degeneracy import DEFAULT_EPS_SIGMA, gamma_report
 from degenbsde.estimators import (Estimate, EstimationError,
                                   OutsideGamma0Error, ProviderRequiredError,
                                   ValueProvider)
 from degenbsde.model import CoefficientModel, ProblemPoint, transformed_drift
 from degenbsde.sde_sim import TimeGrid, path_stream
-from degenbsde.weights import (default_lambda_floor, default_sigma_floor,
-                               degenerate_weight_values,
-                               nondegenerate_increment)
+from degenbsde.weights import default_lambda_floor, degenerate_weight_values
 
 CHUNK_SIZE = 8192
 UNRELIABLE_FLOOR_FRACTION = 0.05
@@ -154,13 +151,11 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
                          weight_kind: str = "degenerate",
                          eps_sigma: float = DEFAULT_EPS_SIGMA,
                          lambda_floor: Optional[float] = None,
-                         sigma_floor: Optional[float] = None,
-                         n_ode_steps: int = DEFAULT_N_ODE_STEPS) -> Estimate:
+                         sigma_floor: Optional[float] = None) -> Estimate:
     if weight_kind not in ("degenerate", "nondegenerate"):
         raise ValueError(f"unknown weight_kind {weight_kind!r}")
     n_paths = _check_n_paths(n_paths)
-    report = gamma_report(model, point, n_ode_steps=n_ode_steps,
-                          eps_sigma=eps_sigma)
+    report = gamma_report(model, point, eps_sigma=eps_sigma)
     if not report.in_Gamma0:
         raise OutsideGamma0Error(
             f"({point.t0}, {point.x0}) is outside the alive set: the drift "
@@ -174,7 +169,7 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
     if lambda_floor is None:
         lambda_floor = default_lambda_floor(grid, eps_sigma)
     if sigma_floor is None:
-        sigma_floor = default_sigma_floor(eps_sigma)
+        sigma_floor = eps_sigma
     degenerate = weight_kind == "degenerate"
 
     parts: list = []
@@ -201,7 +196,7 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
                         model.f1(st.t, st.X, y), dtype=float) * w_k * dt
                 if st.dW is not None and not degenerate:
                     ming = np.minimum(ming, np.abs(st.gamma))
-                    snd = snd + nondegenerate_increment(st.gradX, st.gamma, st.dW)
+                    snd = snd + (st.gradX / st.gamma) * st.dW
                     tacc = tacc + dt
                 last = st
             if degenerate:
@@ -221,13 +216,11 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
 def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, seed: int, n_paths: int, p: float,
                             eps_sigma: float = DEFAULT_EPS_SIGMA,
-                            lambda_floor: Optional[float] = None,
-                            n_ode_steps: int = DEFAULT_N_ODE_STEPS) -> Estimate:
+                            lambda_floor: Optional[float] = None) -> Estimate:
     if not (p > 0.0):
         raise ValueError(f"p must be positive, got {p}")
     n_paths = _check_n_paths(n_paths)
-    report = gamma_report(model, point, n_ode_steps=n_ode_steps,
-                          eps_sigma=eps_sigma)
+    report = gamma_report(model, point, eps_sigma=eps_sigma)
     if not report.in_Gamma0:
         raise OutsideGamma0Error(
             f"({point.t0}, {point.x0}) is outside the alive set"

@@ -285,6 +285,27 @@ def test_empty_probes_is_a_config_error(tmp_path):
         run_experiment(cfg, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("bad", [[1, 2], None, "abc", True])
+def test_girsanov_equiv_rejects_non_numeric_probes_x(tmp_path, capsys,
+                                                     monkeypatch, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("validation must precede the FD solve")
+
+    monkeypatch.setattr(cli, "_solve", no_solve)
+    path = _write_config(tmp_path, {
+        "experiment": "girsanov-equiv", "model": "girsanov_const",
+        "probes_x": [bad]})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert "probes_x" in capsys.readouterr().err
+
+
+def test_blowup_rate_needs_two_points_for_a_slope(tmp_path):
+    cfg = {"experiment": "blowup-rate", "model": "example1",
+           "n_t_points": 1, "n_paths": 16, "n_steps": 20}
+    with pytest.raises(ConfigError, match="n_t_points"):
+        run_experiment(cfg, out_dir=tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # checked-in run configs
 # ---------------------------------------------------------------------------

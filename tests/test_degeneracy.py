@@ -5,7 +5,6 @@ import weakref
 import numpy as np
 import pytest
 
-import degenbsde.degeneracy as deg
 from degenbsde import (
     CoefficientModel,
     ProblemPoint,
@@ -54,7 +53,7 @@ def _drifting_model(speed: float = 1.0) -> CoefficientModel:
 
 def test_characteristic_follows_constant_drift():
     m = _drifting_model(speed=1.0)
-    char = characteristic(m, ProblemPoint(0.0, -0.5), n_ode_steps=100)
+    char = characteristic(m, ProblemPoint(0.0, -0.5))
     times = char.grid.times()
     np.testing.assert_allclose(char.eta, -0.5 + times, rtol=0, atol=1e-12)
 
@@ -174,18 +173,16 @@ def test_eps_sigma_validation():
     m = builtin_model("tanh_smooth")
     with pytest.raises(ValueError):
         gamma_report(m, ProblemPoint(0.0, 0.0), eps_sigma=0.0)
-    with pytest.raises(ValueError):
-        gamma_report(m, ProblemPoint(0.0, 0.0), n_ode_steps=0)
 
 
-def test_report_cache_returns_identical_answers():
+def test_report_returns_identical_answers():
     m = builtin_model("example1")
     a = gamma_report(m, ProblemPoint(0.5, 0.0))
     b = gamma_report(m, ProblemPoint(0.5, 0.0))
     assert a == b
 
 
-def test_report_cache_does_not_keep_models_alive():
+def test_report_does_not_keep_models_alive():
     m = builtin_model("step_vol")
     gamma_report(m, ProblemPoint(0.1, 0.0))
     ref = weakref.ref(m)
@@ -193,9 +190,3 @@ def test_report_cache_does_not_keep_models_alive():
     gc.collect()
     assert ref() is None
 
-
-def test_report_cache_is_bounded_per_model():
-    m = builtin_model("tanh_smooth")
-    for i in range(deg._MEMO_SIZE + 10):
-        gamma_report(m, ProblemPoint(0.5, i * 1e-3), n_ode_steps=1)
-    assert len(deg._max_sigma_memo[m]) == deg._MEMO_SIZE

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import degenbsde.estimators as est_mod
@@ -154,6 +156,32 @@ def test_weighted_digital_delta_both_kinds():
     assert deg.mean == non.mean
     assert deg.stderr == non.stderr
     assert deg == non
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma_bar=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 1.3]),
+       t0=st.floats(0.0, 0.9), x0=st.floats(-2.0, 2.0),
+       n_steps=st.integers(1, 64), seed=st.integers(0, 2 ** 16),
+       n_paths=st.integers(2, 200), chunk=st.integers(1, 256))
+def test_weight_kinds_coincide_at_constant_vol(sigma_bar, t0, x0, n_steps,
+                                               seed, n_paths, chunk):
+    # scaling sigma by powers of two keeps every float operation exact, so
+    # the two weights give the same Estimate bit for bit; at a generic
+    # constant volatility they agree to rounding
+    model = builtin_model("bachelier_digital", sigma_bar=sigma_bar)
+    args = (model, ProblemPoint(t0, x0), TimeGrid(t0, 1.0, n_steps), seed,
+            n_paths)
+    saved = est_mod.CHUNK_SIZE
+    est_mod.CHUNK_SIZE = chunk
+    try:
+        deg = estimate_ux_weighted(*args, weight_kind="degenerate")
+        non = estimate_ux_weighted(*args, weight_kind="nondegenerate")
+    finally:
+        est_mod.CHUNK_SIZE = saved
+    if sigma_bar == 1.3:
+        assert deg.mean == pytest.approx(non.mean, rel=1e-12)
+    else:
+        assert deg == non
 
 
 def test_pathwise_gradient_matches_quadrature():

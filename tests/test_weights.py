@@ -1,22 +1,15 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from degenbsde import (
     ProblemPoint,
     TimeGrid,
     builtin_model,
     default_lambda_floor,
-    default_sigma_floor,
-    degenerate_weight,
     degenerate_weight_values,
-    nondegenerate_increment,
-    nondegenerate_weight,
     simulate_path,
 )
+from degenbsde.weights import nondegenerate_weight_values
 
 
 def _const_vol_path(sigma_bar, n_steps=64, seed=3, idx=0):
@@ -25,49 +18,39 @@ def _const_vol_path(sigma_bar, n_steps=64, seed=3, idx=0):
     return simulate_path(m, ProblemPoint(0.0, 0.0), grid, seed, idx), grid
 
 
+def _degenerate_at(path, r):
+    value, floored = degenerate_weight_values(
+        path.Lambda[r], path.S1[r], path.B[r], default_lambda_floor(path.grid))
+    return float(value), bool(floored)
+
+
+def _nondegenerate_at(path, r):
+    # the classical accumulators over the first r steps, summed in order
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (path.gradX[:r] / path.gamma[:r]) * path.dW[:r]
+        snd = np.add.accumulate(terms)[-1]
+        elapsed = np.add.accumulate(np.full(r, path.grid.dt))[-1]
+        ming = np.min(np.abs(path.gamma[:r]))
+        value, floored = nondegenerate_weight_values(snd, elapsed, ming, 1e-8)
+    return float(value), bool(floored)
+
+
 def test_degenerate_weight_constant_vol_closed_form():
     # with sigma constant and flat tangent flow the weight is W_r/(sigma r)
     sigma_bar = 1.7
     path, grid = _const_vol_path(sigma_bar)
     for r in (5, 32, 64):
-        w = degenerate_weight(path, r)
-        assert not w.floored
+        value, floored = _degenerate_at(path, r)
+        assert not floored
         wr = float(np.sum(path.dW[:r]))
         r_time = r * grid.dt
-        assert w.value == pytest.approx(wr / (sigma_bar * r_time), rel=1e-12)
-        assert w.lambda_at_r == pytest.approx(sigma_bar ** 2 * r_time, rel=1e-12)
-
-
-def test_weights_coincide_bitwise_at_unit_vol():
-    path, _ = _const_vol_path(1.0)
-    for r in (1, 17, 64):
-        dg = degenerate_weight(path, r)
-        nd = nondegenerate_weight(path, r)
-        assert dg.value == nd.value  # bitwise, not approx
-        assert not dg.floored and not nd.floored
-
-
-def test_weights_coincide_bitwise_at_power_of_two_vol():
-    # scaling sigma by powers of two keeps every float operation exact,
-    # so the coincidence survives
-    for sigma_bar in (0.5, 2.0, 4.0):
-        path, _ = _const_vol_path(sigma_bar)
-        dg = degenerate_weight(path, path.grid.n_steps)
-        nd = nondegenerate_weight(path, path.grid.n_steps)
-        assert dg.value == nd.value
-
-
-def test_weights_agree_numerically_at_generic_vol():
-    path, _ = _const_vol_path(1.3)
-    dg = degenerate_weight(path, 64)
-    nd = nondegenerate_weight(path, 64)
-    assert dg.value == pytest.approx(nd.value, rel=1e-12)
+        assert value == pytest.approx(wr / (sigma_bar * r_time), rel=1e-12)
+        assert path.Lambda[r] == pytest.approx(sigma_bar ** 2 * r_time, rel=1e-12)
 
 
 def test_degenerate_weight_survives_dead_start():
     # volatility switches ON at t = 0.5: classical weight floored, the
     # occupation-normalized one is fine at the terminal node
-    import degenbsde as d
     from dataclasses import replace
 
     base = builtin_model("bachelier_digital")
@@ -77,70 +60,23 @@ def test_degenerate_weight_survives_dead_start():
     m = replace(base, sigma=sig, sigma_time_jumps=(0.5,), name="late_vol")
     grid = TimeGrid(0.0, 1.0, 64)
     path = simulate_path(m, ProblemPoint(0.0, 0.0), grid, 7, 0)
-    nd = nondegenerate_weight(path, 64)
-    assert nd.floored and nd.value is None
-    dg = degenerate_weight(path, 64)
-    assert not dg.floored
+    nd_value, nd_floored = _nondegenerate_at(path, 64)
+    assert nd_floored and nd_value == 0.0
+    _, dg_floored = _degenerate_at(path, 64)
+    assert not dg_floored
     # occupation mass only over the live half
-    assert dg.lambda_at_r == pytest.approx(0.5, rel=1e-12)
+    assert path.Lambda[64] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_degenerate_weight_floors_before_any_mass():
     m = builtin_model("step_vol", t_cut=0.5)
     grid = TimeGrid(0.75, 1.0, 16)  # entirely in the dead window
     path = simulate_path(m, ProblemPoint(0.75, 0.0), grid, 1, 0)
-    w = degenerate_weight(path, 16)
-    assert w.floored and w.value is None
-    assert w.lambda_at_r == 0.0
-
-
-def test_r_index_bounds():
-    path, _ = _const_vol_path(1.0, n_steps=8)
-    with pytest.raises(ValueError):
-        degenerate_weight(path, 0)
-    with pytest.raises(ValueError):
-        nondegenerate_weight(path, 9)
-
-
-def test_vectorized_weights_match_scalar_api():
-    m = builtin_model("step_vol")
-    grid = TimeGrid(0.0, 1.0, 32)
-    import degenbsde as d
-    batch = d.simulate_batch(m, ProblemPoint(0.0, 0.0), grid, 11, 16)
-    floor = default_lambda_floor(grid)
-    vals, floored = degenerate_weight_values(
-        batch.Lambda[:, -1], batch.S1[:, -1], batch.B[:, -1], floor)
-    for i in range(16):
-        w = degenerate_weight(batch[i], 32, lambda_floor=floor)
-        assert bool(floored[i]) == w.floored
-        if not w.floored:
-            assert vals[i] == w.value
+    value, floored = _degenerate_at(path, 16)
+    assert floored and value == 0.0
+    assert path.Lambda[16] == 0.0
 
 
 def test_floor_defaults():
     grid = TimeGrid(0.0, 1.0, 100)
     assert default_lambda_floor(grid, 1e-8) == pytest.approx(0.01 * 1e-16)
-    assert default_sigma_floor(1e-6) == 1e-6
-
-
-def test_nondegenerate_increment_shared_formula():
-    gradX = np.array([1.0, 2.0, 4.0])
-    gamma = np.array([2.0, 2.0, 0.5])
-    dW = np.array([0.1, -0.2, 0.3])
-    np.testing.assert_array_equal(nondegenerate_increment(gradX, gamma, dW),
-                                  (gradX / gamma) * dW)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), idx=st.integers(0, 64),
-       r=st.integers(1, 32))
-def test_weight_population_consistency(seed, idx, r):
-    # scalar and vectorized degenerate weights never disagree
-    path, _ = _const_vol_path(1.0, n_steps=32, seed=seed, idx=idx)
-    floor = default_lambda_floor(path.grid)
-    w = degenerate_weight(path, r, lambda_floor=floor)
-    vals, floored = degenerate_weight_values(
-        np.array([path.Lambda[r]]), np.array([path.S1[r]]),
-        np.array([path.B[r]]), floor)
-    assert not bool(floored[0]) and not w.floored
-    assert vals[0] == w.value
