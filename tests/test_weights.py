@@ -48,6 +48,32 @@ def test_degenerate_weight_constant_vol_closed_form():
         assert path.Lambda[r] == pytest.approx(sigma_bar ** 2 * r_time, rel=1e-12)
 
 
+def test_weights_coincide_bitwise_at_unit_vol():
+    path, _ = _const_vol_path(1.0)
+    for r in (1, 17, 64):
+        dg_value, dg_floored = _degenerate_at(path, r)
+        nd_value, nd_floored = _nondegenerate_at(path, r)
+        assert dg_value == nd_value  # bitwise, not approx
+        assert not dg_floored and not nd_floored
+
+
+def test_weights_coincide_bitwise_at_power_of_two_vol():
+    # scaling sigma by powers of two keeps every float operation exact,
+    # so the coincidence survives
+    for sigma_bar in (0.5, 2.0, 4.0):
+        path, _ = _const_vol_path(sigma_bar)
+        dg_value, _ = _degenerate_at(path, path.grid.n_steps)
+        nd_value, _ = _nondegenerate_at(path, path.grid.n_steps)
+        assert dg_value == nd_value
+
+
+def test_weights_agree_numerically_at_generic_vol():
+    path, _ = _const_vol_path(1.3)
+    dg_value, _ = _degenerate_at(path, 64)
+    nd_value, _ = _nondegenerate_at(path, 64)
+    assert dg_value == pytest.approx(nd_value, rel=1e-12)
+
+
 def test_degenerate_weight_survives_dead_start():
     # volatility switches ON at t = 0.5: classical weight floored, the
     # occupation-normalized one is fine at the terminal node
