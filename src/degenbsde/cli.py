@@ -176,6 +176,16 @@ _EXPERIMENT_DOC = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number that converts to a finite float (booleans excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _check_kind(key: str, value, kind: str):
     if kind == "str":
         if not isinstance(value, str):
@@ -186,8 +196,8 @@ def _check_kind(key: str, value, kind: str):
             raise ConfigError(f"key {key!r} must be an integer")
         return int(value)
     if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r} must be a number")
+        if not _is_finite_number(value):
+            raise ConfigError(f"key {key!r} must be a finite number")
         return float(value)
     if kind == "dict":
         if not isinstance(value, dict):
@@ -436,9 +446,8 @@ def _run_girsanov_equiv(cfg, model, out_dir):
     _positive(cfg, "n_paths", "n_steps", "n_x", "equiv_n_t", "equiv_n_x")
     if not cfg["probes_x"]:
         raise ConfigError("key 'probes_x' must be non-empty")
-    if any(isinstance(x, bool) or not isinstance(x, (int, float))
-           for x in cfg["probes_x"]):
-        raise ConfigError("key 'probes_x' must hold numbers")
+    if not all(_is_finite_number(x) for x in cfg["probes_x"]):
+        raise ConfigError("key 'probes_x' must hold finite numbers")
     t0 = cfg["t0"]
     if not (0.0 <= t0 < model.horizon_T):
         raise ConfigError("key 't0' must lie in [0, horizon)")

@@ -174,7 +174,14 @@ def _locate_tau_matrix(model: CoefficientModel, times: np.ndarray,
     """First grid time at which each row of X has left the alive set.
 
     Scans grid nodes in order, keeping only still-alive paths active, so
-    the per-node work shrinks as paths stop.
+    the per-node work shrinks as paths stop.  The characteristic's running
+    max of ``|sigma|`` starts at the node itself, so a node with
+    ``|sigma| > eps_sigma`` there is alive without solving the ODE; only
+    the other active paths (a NaN ``sigma`` among them) go through
+    ``_max_sigma_batch``.  Where ``sigma`` is finite along the
+    characteristic this is the ``gamma_report`` classification.  A NaN
+    ``sigma`` further along a characteristic would make that running max
+    NaN and the node dead; a node alive pointwise stays alive here.
     """
     n_paths = X.shape[0]
     taus = np.full(n_paths, float(times[-1]))
@@ -183,8 +190,15 @@ def _locate_tau_matrix(model: CoefficientModel, times: np.ndarray,
         if active.size == 0:
             break
         t = float(times[k])
-        mx = _max_sigma_batch(model, t, X[active, k])
-        dead = ~(mx > eps_sigma)
+        x = X[active, k]
+        here = np.abs(np.broadcast_to(
+            np.asarray(model.sigma(t, x), dtype=float), x.shape))
+        check = ~(here > eps_sigma)
+        if not np.any(check):
+            continue
+        mx = _max_sigma_batch(model, t, x[check])
+        dead = np.zeros(active.size, dtype=bool)
+        dead[check] = ~(mx > eps_sigma)
         if np.any(dead):
             taus[active[dead]] = t
             active = active[~dead]
@@ -195,9 +209,12 @@ def locate_tau(model: CoefficientModel, path: PathBundle,
                eps_sigma: float = DEFAULT_EPS_SIGMA) -> float:
     """First grid time at which the path has left the alive set (else T).
 
-    Consistent with ``gamma_report``: it returns the first grid node whose
-    classification has ``in_Gamma0`` false.  Past the returned time the
-    reconstructed integrand is set to zero.
+    Consistent with ``gamma_report`` wherever ``sigma`` is finite along the
+    characteristics: it returns the first grid node whose classification
+    has ``in_Gamma0`` false.  A node with ``|sigma| > eps_sigma`` counts as
+    alive without the ODE, even if ``sigma`` turns NaN further along its
+    characteristic.  Past the returned time the reconstructed integrand is
+    set to zero.
     """
     times = path.grid.times()
     return float(_locate_tau_matrix(model, times, path.X[None, :],

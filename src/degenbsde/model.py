@@ -72,7 +72,9 @@ class CoefficientModel:
       dead: for every ``t > frozen_after``, ``sigma``, ``sigma_x``, ``b``
       and ``b_x`` are identically zero, so simulated paths stop moving.
       The stepping kernel then skips the remaining steps and their
-      random draws.  ``None`` (the default) claims nothing.
+      random draws, and ``solve_fd`` copies the value levels past it
+      instead of sweeping them (zero running cost only).  ``None`` (the
+      default) claims nothing.
     """
 
     sigma: Coefficient
@@ -418,9 +420,10 @@ def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50
     """Verify declared constants against sampled coefficient values.
 
     Checks, on an ``n_t x n_x`` grid over ``[0, T] x [x_lo, x_hi]``:
-    bounds ``|sigma|, |b| <= lipschitz_K``; the x-derivative closures
-    against central differences (step 1e-5, relative); the time-Hölder
-    modulus of sigma on sampled pairs not straddling a registered jump;
+    finite ``sigma`` and ``b``; bounds ``|sigma|, |b| <= lipschitz_K``;
+    the x-derivative closures against central differences (step 1e-5,
+    relative); the time-Hölder modulus of sigma on sampled pairs not
+    straddling a registered jump;
     exact zeros of ``sigma``, ``sigma_x``, ``b`` and ``b_x`` at sampled
     ``t > frozen_after``; and the payoff growth bound ``|g| <= psi``.
     Raises ``ModelInvariantError`` on the first violation.
@@ -433,6 +436,10 @@ def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50
     for t in ts:
         sv = np.asarray(model.sigma(float(t), xs), dtype=float)
         bv = np.asarray(model.b(float(t), xs), dtype=float)
+        for vals, label in ((sv, "sigma"), (bv, "b")):
+            if not np.all(np.isfinite(vals)):
+                raise ModelInvariantError(
+                    f"{model.name}: {label} is not finite at t={t}")
         if np.any(np.abs(sv) > K + slack):
             raise ModelInvariantError(
                 f"{model.name}: |sigma| exceeds lipschitz_K={K} at t={t}"

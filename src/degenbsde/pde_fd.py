@@ -174,6 +174,9 @@ def make_grid(model: CoefficientModel, x_min: float, x_max: float, n_x: int,
     limit = cfl_check(model, probe).dt_limit
     span = t_max - t_min
     n_t = 1 if math.isinf(limit) else max(1, math.ceil(span / limit))
+    if span / n_t > limit:
+        # span / limit rounded onto an integer, leaving dt one ulp too big
+        n_t += 1
     n_t = _level_aligned_n_t(model, t_min, t_max, n_t)
     return PdeGrid(x_min=x_min, x_max=x_max, n_x=n_x,
                    t_min=t_min, t_max=t_max, n_t=n_t)
@@ -230,6 +233,11 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     present, is fed the current level as its y argument.  At most
     ``max_stored_levels`` levels are retained, evenly thinned, with the
     initial and terminal levels always kept.
+
+    Levels past ``model.frozen_after`` are copied, not swept, when the
+    running cost is zero: there ``sigma = b = 0``, so once the first such
+    step leaves every node unchanged (its ``rhs`` all zero and no ``-0.0``
+    in ``u``), every later one would too, bit for bit.
     """
     if grid.t_max != model.horizon_T:
         raise ValueError(
@@ -256,12 +264,20 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     if keep[-1] != n_t:
         keep.append(n_t)
     keep_set = set(keep)
-    stored = {n_t: None}
+    frozen_after = None if has_cost else model.frozen_after
+    identity = False
 
+    # u is rebound each step, never written in place, so stored levels may
+    # share it
     u = np.asarray(model.g(xs), dtype=float).copy()
-    stored[n_t] = u.copy()
+    stored = {n_t: u}
     for m in range(n_t - 1, -1, -1):
         t_up = grid.t_min + (m + 1) * dt
+        frozen = frozen_after is not None and t_up > frozen_after
+        if frozen and identity:
+            if m in keep_set:
+                stored[m] = u
+            continue
         sig = np.broadcast_to(np.asarray(mt.sigma(t_up, xs), dtype=float),
                               xs.shape)
         drf = np.broadcast_to(np.asarray(mt.b(t_up, xs), dtype=float),
@@ -277,8 +293,11 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
         if has_cost:
             rhs = rhs + np.asarray(mt.f1(t_up, xs, u), dtype=float)
         u = u + dt * rhs
+        if frozen:
+            identity = (bool(np.all(rhs == 0.0))
+                        and not np.any((u == 0.0) & np.signbit(u)))
         if m in keep_set:
-            stored[m] = u.copy()
+            stored[m] = u
 
     levels = sorted(stored)
     times = grid.t_min + dt * np.asarray(levels, dtype=float)

@@ -285,7 +285,8 @@ def test_empty_probes_is_a_config_error(tmp_path):
         run_experiment(cfg, out_dir=tmp_path)
 
 
-@pytest.mark.parametrize("bad", [[1, 2], None, "abc", True])
+@pytest.mark.parametrize("bad", [[1, 2], None, "abc", True, float("nan"),
+                                 float("inf")])
 def test_girsanov_equiv_rejects_non_numeric_probes_x(tmp_path, capsys,
                                                      monkeypatch, bad):
     def no_solve(*args, **kwargs):
@@ -297,6 +298,19 @@ def test_girsanov_equiv_rejects_non_numeric_probes_x(tmp_path, capsys,
         "probes_x": [bad]})
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
     assert "probes_x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_eps_sigma_is_rejected_before_any_solve(tmp_path,
+                                                            monkeypatch, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("validation must precede the FD solve")
+
+    monkeypatch.setattr(cli, "_solve", no_solve)
+    cfg = {"experiment": "girsanov-equiv", "model": "girsanov_const",
+           "eps_sigma": bad}
+    with pytest.raises(ConfigError, match="'eps_sigma' must be a finite"):
+        run_experiment(cfg, out_dir=tmp_path)
 
 
 def test_blowup_rate_needs_two_points_for_a_slope(tmp_path):

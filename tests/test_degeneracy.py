@@ -4,12 +4,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenbsde import (
     CoefficientModel,
     ProblemPoint,
     TimeGrid,
     builtin_model,
+    builtin_model_names,
     characteristic,
     check_gamma_equivalence,
     gamma_report,
@@ -19,6 +22,7 @@ from degenbsde import (
     simulate_path,
     transformed_drift,
 )
+from degenbsde.degeneracy import _locate_tau_matrix, _max_sigma_batch
 
 
 def _zeros2(t, x):
@@ -190,3 +194,84 @@ def test_report_does_not_keep_models_alive():
     gc.collect()
     assert ref() is None
 
+
+
+def _reference_locate_tau_matrix(model, times, X, eps_sigma):
+    # the classification before the pointwise shortcut, kept frozen: one
+    # characteristic ODE per active path and node
+    n_paths = X.shape[0]
+    taus = np.full(n_paths, float(times[-1]))
+    active = np.arange(n_paths)
+    for k in range(times.size):
+        if active.size == 0:
+            break
+        t = float(times[k])
+        mx = _max_sigma_batch(model, t, X[active, k])
+        dead = ~(mx > eps_sigma)
+        if np.any(dead):
+            taus[active[dead]] = t
+            active = active[~dead]
+    return taus
+
+
+_TAU_MODELS = {**{name: builtin_model(name) for name in builtin_model_names()},
+               "drift_into_life": _drifting_model(speed=1.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TAU_MODELS)),
+    seed=st.integers(0, 2 ** 32),
+    n_paths=st.integers(1, 24),
+    n_steps=st.integers(1, 30),
+    t_frac=st.floats(0.0, 0.98),
+    x0=st.floats(-2.0, 2.0),
+    eps_sigma=st.sampled_from([1e-8, 1e-3, 0.3, 0.9, 1.5]),
+)
+def test_locate_tau_matrix_matches_frozen_reference(name, seed, n_paths,
+                                                    n_steps, t_frac, x0,
+                                                    eps_sigma):
+    model = _TAU_MODELS[name]
+    t0 = t_frac * model.horizon_T
+    grid = TimeGrid(t0, model.horizon_T, n_steps)
+    batch = simulate_batch(model, ProblemPoint(t0, x0), grid, seed, n_paths)
+    want = _reference_locate_tau_matrix(model, grid.times(), batch.X,
+                                        eps_sigma)
+    got = locate_tau_batch(model, batch, eps_sigma=eps_sigma)
+    np.testing.assert_array_equal(got, want)
+
+
+def _nan_sigma_model(sigma) -> CoefficientModel:
+    return CoefficientModel(
+        sigma=sigma, sigma_x=_zeros2, b=_zeros2, b_x=_zeros2,
+        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f2=_zeros2, f2_x=_zeros2,
+        g=lambda x: np.tanh(np.asarray(x, dtype=float)),
+        lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
+        f1_is_zero=True, name="nan_sigma_test",
+    )
+
+
+def test_nan_sigma_at_the_node_goes_to_the_ode_and_is_dead():
+    # sigma is NaN right of x = 1: a path starting there fails the
+    # pointwise test, and the ODE's NaN running max classifies it dead
+    model = _nan_sigma_model(lambda t, x: np.where(
+        np.asarray(x, dtype=float) > 1.0, np.nan, 1.0))
+    times = np.linspace(0.0, 1.0, 5)
+    X = np.array([[2.0] * 5, [0.0] * 5])
+    for locate in (_locate_tau_matrix, _reference_locate_tau_matrix):
+        np.testing.assert_array_equal(locate(model, times, X, 1e-8),
+                                      [0.0, 1.0])
+
+
+def test_pointwise_alive_node_stays_alive_before_nan_sigma():
+    # sigma is 1 up to t = 0.5 and NaN after: nodes up to 0.5 are alive
+    # pointwise, the first NaN node is dead through the ODE.  Solving the
+    # ODE everywhere would carry the later NaN into the running max and
+    # call the path dead from its start.
+    model = _nan_sigma_model(lambda t, x: np.where(
+        t <= 0.5, 1.0, np.nan) * np.ones_like(np.asarray(x, dtype=float)))
+    times = np.linspace(0.0, 1.0, 5)
+    X = np.zeros((1, 5))
+    assert _locate_tau_matrix(model, times, X, 1e-8)[0] == 0.75
+    assert _reference_locate_tau_matrix(model, times, X, 1e-8)[0] == 0.0

@@ -151,6 +151,23 @@ def test_invariant_check_catches_bound_violation():
         check_model_invariants(bad)
 
 
+def test_invariant_check_catches_non_finite_coefficients():
+    base = builtin_model("bachelier_digital")
+
+    def nan_right_of_3(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 3.0, np.nan, 1.0)
+
+    def inf_drift(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < -4.0, -np.inf, 0.0)
+
+    with pytest.raises(ModelInvariantError, match="sigma is not finite"):
+        check_model_invariants(replace(base, sigma=nan_right_of_3))
+    with pytest.raises(ModelInvariantError, match="b is not finite"):
+        check_model_invariants(replace(base, b=inf_drift))
+
+
 def test_problem_point_validation():
     ProblemPoint(0.0, -3.0)
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from degenbsde import (
@@ -13,7 +16,7 @@ from degenbsde import (
     make_grid,
     solve_fd,
 )
-from degenbsde.model import CoefficientModel
+from degenbsde.model import CoefficientModel, transformed_drift
 from degenbsde.pde_fd import MAX_STORED_LEVELS
 
 
@@ -124,6 +127,15 @@ def test_make_grid_lands_volatility_jump_on_level():
     assert grid.n_t % 2 == 0
     times = grid.times()
     assert np.min(np.abs(times - 0.5)) < 1e-12
+
+
+def test_make_grid_step_count_survives_rounding():
+    # span / limit is exactly 320.0 in floating point, yet 2 / 320 exceeds
+    # the limit by one ulp; the grid must still pass solve_fd's check
+    model = builtin_model("example1")
+    grid = make_grid(model, -1.0, 0.0, 13)
+    assert cfl_check(model, grid).satisfied
+    solve_fd(model, grid)
 
 
 def test_solve_rejects_unstable_grid():
@@ -303,3 +315,157 @@ def test_grid_validation():
     model = builtin_model("bachelier_digital")
     with pytest.raises(ValueError):
         solve_fd(model, make_grid(model, -1.0, 1.0, 11), max_stored_levels=1)
+
+
+# ---------------------------------------------------------------------------
+# levels past frozen_after are copied, not swept
+# ---------------------------------------------------------------------------
+
+
+def _reference_sweep(model, grid, max_stored_levels=MAX_STORED_LEVELS):
+    # the backward sweep before frozen levels were copied, kept frozen:
+    # every level is stepped
+    mt = transformed_drift(model)
+    xs = grid.xs()
+    dx, dt, n_t = grid.dx, grid.dt, grid.n_t
+    has_cost = not model.f1_is_zero
+    stride = max(1, math.ceil((n_t + 1) / max_stored_levels))
+    keep = [m for m in range(0, n_t + 1, stride)]
+    if keep[-1] != n_t:
+        keep.append(n_t)
+    keep_set = set(keep)
+    u = np.asarray(model.g(xs), dtype=float).copy()
+    stored = {n_t: u.copy()}
+    for m in range(n_t - 1, -1, -1):
+        t_up = grid.t_min + (m + 1) * dt
+        sig = np.broadcast_to(np.asarray(mt.sigma(t_up, xs), dtype=float),
+                              xs.shape)
+        drf = np.broadcast_to(np.asarray(mt.b(t_up, xs), dtype=float),
+                              xs.shape)
+        d2 = np.zeros_like(u)
+        d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        fwd = np.zeros_like(u)
+        fwd[:-1] = (u[1:] - u[:-1]) / dx
+        bwd = np.zeros_like(u)
+        bwd[1:] = (u[1:] - u[:-1]) / dx
+        d1 = np.where(drf > 0.0, fwd, np.where(drf < 0.0, bwd, 0.0))
+        rhs = 0.5 * sig * sig * d2 + drf * d1
+        if has_cost:
+            rhs = rhs + np.asarray(mt.f1(t_up, xs, u), dtype=float)
+        u = u + dt * rhs
+        if m in keep_set:
+            stored[m] = u.copy()
+    levels = sorted(stored)
+    times = grid.t_min + dt * np.asarray(levels, dtype=float)
+    return times, np.stack([stored[m] for m in levels])
+
+
+def _frozen_with_cost(t_cut):
+    # step_vol plus a unit running cost below t = 0.7: the first frozen
+    # step leaves every node unchanged, yet the later ones still move, so
+    # no level may be copied
+    def f1(t, x, y):
+        return np.full_like(np.asarray(x, dtype=float),
+                            1.0 if t <= 0.7 else 0.0)
+
+    return replace(builtin_model("step_vol", t_cut=t_cut), f1=f1,
+                   f1_is_zero=False, name="step_vol_with_cost")
+
+
+def _negative_zero_payoff():
+    # g = -x^2 is -0.0 at the node x = 0, where d2 < 0.  With f2 = -1 the
+    # absorbed drift b - sigma is -0.0 over the last frozen stretch, so the
+    # rhs there is -0.0 and the node stays -0.0; over the earlier frozen
+    # stretch it is +0.0, the rhs +0.0, and the node turns +0.0.  Copying
+    # while u holds -0.0 would keep the wrong sign bit.
+    def sigma(t, x):
+        return np.where(np.asarray(t) <= 0.4, 1.0, 0.0) * np.ones_like(
+            np.asarray(x, dtype=float))
+
+    def b(t, x):
+        zero = np.zeros_like(np.asarray(x, dtype=float))
+        return -zero if t > 0.7 else zero
+
+    return CoefficientModel(
+        sigma=sigma, sigma_x=_zero2, b=b, b_x=_zero2,
+        f1=_zero3, f2=lambda t, x: -np.ones_like(np.asarray(x, dtype=float)),
+        f2_x=_zero2, g=lambda x: -np.asarray(x, dtype=float) ** 2,
+        lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
+        f1_is_zero=True, sigma_time_jumps=(0.4,), frozen_after=0.4,
+        name="negative_zero_payoff",
+    )
+
+
+def _infinite_payoff(t_cut):
+    # the payoff is +inf right of 1.5: the frozen steps turn its
+    # neighbors into NaN, so they are not identities and must be swept
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 1.5, np.inf, (x > 0.0).astype(float))
+
+    return replace(builtin_model("step_vol", t_cut=t_cut), g=g,
+                   name="step_vol_infinite_payoff")
+
+
+_FROZEN_FD_MODELS = {
+    "example1": lambda t_cut: builtin_model("example1"),
+    "girsanov_const": lambda t_cut: builtin_model("girsanov_const",
+                                                  t_cut=t_cut),
+    "indicator_zero_vol": lambda t_cut: builtin_model("indicator_zero_vol"),
+    "step_vol": lambda t_cut: builtin_model("step_vol", t_cut=t_cut),
+    "step_vol_with_cost": _frozen_with_cost,
+    "step_vol_infinite_payoff": _infinite_payoff,
+    "negative_zero_payoff": lambda t_cut: _negative_zero_payoff(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FROZEN_FD_MODELS)),
+    t_cut=st.floats(0.05, 0.95),
+    n_x=st.integers(3, 61),
+    x_min=st.floats(-4.0, -0.5),
+    width=st.floats(1.0, 6.0),
+    max_stored_levels=st.sampled_from([2, 3, 17, MAX_STORED_LEVELS]),
+)
+def test_frozen_level_copy_matches_frozen_reference(name, t_cut, n_x, x_min,
+                                                    width, max_stored_levels):
+    model = _FROZEN_FD_MODELS[name](t_cut)
+    grid = make_grid(model, x_min, x_min + width, n_x)
+    sol = solve_fd(model, grid, max_stored_levels=max_stored_levels)
+    times, U = _reference_sweep(model, grid, max_stored_levels)
+    np.testing.assert_array_equal(sol.times, times)
+    assert sol.U.tobytes() == U.tobytes()
+
+
+def test_negative_zero_nodes_keep_the_swept_sign_bits():
+    model = _negative_zero_payoff()
+    grid = make_grid(model, -1.0, 1.0, 21)
+    j = 10
+    assert grid.xs()[j] == 0.0
+    sol = solve_fd(model, grid)
+    times, U = _reference_sweep(model, grid)
+    assert sol.U.tobytes() == U.tobytes()
+    # the node is -0.0 late and +0.0 earlier in the frozen stretch
+    late = np.signbit(sol.U[:, j]) & (sol.times > 0.7)
+    early = ~np.signbit(sol.U[:, j]) & (sol.times > 0.4) & (sol.times <= 0.7)
+    assert np.any(late) and np.any(early)
+    assert np.all(sol.U[sol.times > 0.4, j] == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["step_vol", "example1", "girsanov_const"]),
+    t_cut=st.floats(0.05, 0.95),
+    n_x=st.integers(3, 81),
+    x_min=st.floats(-5.0, 1.0),
+    width=st.floats(1.0, 8.0),
+)
+def test_maximum_principle_holds_on_every_stored_level(name, t_cut, n_x,
+                                                       x_min, width):
+    model = _FROZEN_FD_MODELS[name](t_cut)
+    sol = solve_fd(model, make_grid(model, x_min, x_min + width, n_x))
+    payoff = np.asarray(model.g(sol.xs), dtype=float)
+    lo, hi = float(np.min(payoff)), float(np.max(payoff))
+    assert np.all(sol.U >= lo - 1e-12)
+    assert np.all(sol.U <= hi + 1e-12)
