@@ -233,6 +233,9 @@ def _validate_config(raw: dict) -> dict:
             raise ConfigError(f"key {key!r} is required")
         else:
             out[key] = rule.default
+    if not (0 <= out["seed"] < 2 ** 64):
+        raise ConfigError(f"key 'seed' must lie in [0, 2**64), got "
+                          f"{out['seed']}")
     return out
 
 

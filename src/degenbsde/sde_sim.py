@@ -15,8 +15,9 @@ consume the same kernel, so a path simulated alone is bit-identical to the
 same path inside a batch.
 
 Randomness is counter-based: path ``i`` under seed ``s`` always draws its
-increments from the Philox stream keyed ``(s, i)``, independent of batch
-layout, chunking, or evaluation order.
+increments from the Philox stream whose 128-bit key is the exact pair
+``(s, i)`` of 64-bit words, with ``s`` in ``[0, 2**64)`` and ``i`` in
+``[0, 2**63)``, independent of batch layout, chunking, or evaluation order.
 
 Frozen tail: when the model declares ``frozen_after``, every step from the
 first grid node past that time leaves the state unchanged, so the kernel
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -162,23 +164,57 @@ class BatchPaths:
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
     if not (0 <= seed < 2 ** 64):
         raise ValueError(f"seed must be a 64-bit nonnegative integer, got {seed}")
     return seed
 
 
-def _increment_matrix(seed: int, path_indices: np.ndarray, n_steps: int,
+def _path_indices(path_indices) -> np.ndarray:
+    """The indices as an int64 array; raises ``ValueError`` naming the first
+    one that is not an integer in ``[0, 2**63)``."""
+    idx = np.asarray(path_indices)
+    if idx.dtype.kind not in "iu":
+        # floats, or integers no single numpy integer type holds
+        idx = np.asarray(path_indices, dtype=object)
+        for i in idx.flat:
+            if not isinstance(i, (int, np.integer)) or not 0 <= i < 2 ** 63:
+                raise ValueError(
+                    f"path index must be an integer in [0, 2**63), got {i}")
+        return idx.astype(np.int64)
+    bad = idx >= 2 ** 63 if idx.dtype.kind == "u" else idx < 0
+    if bad.any():
+        raise ValueError(
+            f"path index must be an integer in [0, 2**63), got {idx[bad][0]}")
+    return idx.astype(np.int64, copy=False)
+
+
+def _increment_matrix(seed: int, path_indices, n_steps: int,
                       dt: float) -> np.ndarray:
-    """Gaussian increments, one Philox stream per (seed, path_index)."""
-    seed = _check_seed(seed)
-    out = np.empty((path_indices.size, n_steps), dtype=float)
-    for row, i in enumerate(path_indices):
-        i = int(i)
-        if i < 0:
-            raise ValueError(f"path_index must be nonnegative, got {i}")
-        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-        out[row] = gen.standard_normal(n_steps)
+    """Gaussian increments, one row per path index.
+
+    The row of index ``i`` is the start of the Philox stream keyed by the
+    exact 128-bit pair ``(seed, i)``, with ``seed`` in ``[0, 2**64)`` and
+    ``i`` in ``[0, 2**63)``.  One generator is reset to that key, a zero
+    counter and an empty buffer per row, so each row holds what a generator
+    freshly built on that key would draw.
+    """
+    key = np.array([_check_seed(seed), 0], dtype=np.uint64)
+    idx = _path_indices(path_indices)
+    bit_gen = np.random.Philox(key=key)
+    gen = np.random.Generator(bit_gen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    out = np.empty((idx.size, n_steps), dtype=float)
+    for row, i in enumerate(idx.tolist()):
+        key[1] = i
+        bit_gen.state = state
+        gen.standard_normal(out=out[row])
     out *= math.sqrt(dt)
     return out
 
@@ -187,15 +223,16 @@ def brownian_increments(seed: int, path_index: int, n_steps: int,
                         dt: float) -> np.ndarray:
     """Increments of path ``path_index`` under ``seed``: N(0, dt), iid.
 
-    Deterministic in ``(seed, path_index)``; distinct indices give
-    independent streams.
+    Deterministic in ``(seed, path_index)``, the exact 128-bit Philox key,
+    with ``seed`` in ``[0, 2**64)`` and ``path_index`` in ``[0, 2**63)``;
+    distinct pairs give independent streams.  A seed that is not an
+    integer raises ``TypeError``, an index that is not one ``ValueError``.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    idx = np.asarray([path_index], dtype=np.int64)
-    return _increment_matrix(seed, idx, n_steps, dt)[0]
+    return _increment_matrix(seed, [path_index], n_steps, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +327,8 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     ``n_steps``.  Only the increments before a frozen tail are drawn.
     """
     _check_compatible(model, point, grid)
-    idx = np.asarray(path_indices, dtype=np.int64)
-    dW = _increment_matrix(seed, idx, _live_steps(model, grid), grid.dt)
+    dW = _increment_matrix(seed, path_indices, _live_steps(model, grid),
+                           grid.dt)
     yield from _stream_from_increments(model, point, grid, dW)
 
 
@@ -330,8 +367,7 @@ def simulate_path(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
                   seed: int, path_index: int = 0) -> PathBundle:
     """Simulate a single path (bit-identical to the same index in a batch)."""
     _check_compatible(model, point, grid)
-    idx = np.asarray([path_index], dtype=np.int64)
-    dW = _increment_matrix(seed, idx, grid.n_steps, grid.dt)
+    dW = _increment_matrix(seed, [path_index], grid.n_steps, grid.dt)
     return _materialize(model, point, grid, dW)[0]
 
 
@@ -363,8 +399,7 @@ def simulate_batch(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     _check_compatible(model, point, grid)
-    idx = np.arange(n_paths, dtype=np.int64)
-    dW = _increment_matrix(seed, idx, grid.n_steps, grid.dt)
+    dW = _increment_matrix(seed, np.arange(n_paths), grid.n_steps, grid.dt)
     batch = _materialize(model, point, grid, dW)
     if batch.n_invalid > _MAX_INVALID_FRACTION * n_paths:
         raise SimulationError(

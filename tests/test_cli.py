@@ -313,6 +313,22 @@ def test_non_finite_eps_sigma_is_rejected_before_any_solve(tmp_path,
         run_experiment(cfg, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("bad", [-1, 2 ** 64])
+def test_out_of_range_seed_is_rejected_before_any_solve(tmp_path, capsys,
+                                                        monkeypatch, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("validation must precede the FD solve")
+
+    monkeypatch.setattr(cli, "_solve", no_solve)
+    cfg = {"experiment": "girsanov-equiv", "model": "girsanov_const",
+           "seed": bad}
+    with pytest.raises(ConfigError, match="'seed' must lie in"):
+        run_experiment(cfg, out_dir=tmp_path)
+    path = _write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert "config error: key 'seed'" in capsys.readouterr().err
+
+
 def test_blowup_rate_needs_two_points_for_a_slope(tmp_path):
     cfg = {"experiment": "blowup-rate", "model": "example1",
            "n_t_points": 1, "n_paths": 16, "n_steps": 20}

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenbsde import (
@@ -17,6 +18,7 @@ from degenbsde import (
     simulate_path,
     simulate_path_with_increments,
 )
+from degenbsde.sde_sim import _increment_matrix
 
 
 def _zero2(t, x):
@@ -203,6 +205,36 @@ def test_seed_range_validated():
         simulate_path(m, ProblemPoint(0.0, 0.0), grid, seed=-1, path_index=0)
 
 
+@pytest.mark.parametrize("seed", [3.7, 3.0, "3", None])
+def test_non_integer_seed_is_a_type_error(seed):
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        brownian_increments(seed, 0, 4, 0.25)
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, -1, 2 ** 63, 2 ** 64])
+def test_bad_path_index_is_named(index):
+    m = builtin_model("tanh_smooth")
+    grid = TimeGrid(0.0, 1.0, 4)
+    pt = ProblemPoint(0.0, 0.0)
+    with pytest.raises(ValueError, match=f"got {index}$"):
+        brownian_increments(0, index, 4, 0.25)
+    with pytest.raises(ValueError, match=f"got {index}$"):
+        simulate_path(m, pt, grid, seed=0, path_index=index)
+    with pytest.raises(ValueError, match=f"got {index}$"):
+        next(path_stream(m, pt, grid, 0, [index]))
+
+
+def test_high_seeds_do_not_alias():
+    # the exact 64-bit seed is the key: no two seeds share a stream
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = brownian_increments(2 ** 63 + 5, 0, 8, 0.125)
+        b = brownian_increments(2 ** 63 + 6, 0, 8, 0.125)
+        top = brownian_increments(2 ** 64 - 1, 0, 8, 0.125)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(top, brownian_increments(0, 0, 8, 0.125))
+
+
 def test_exploding_paths_raise_simulation_error():
     m = _ou_model()
     from dataclasses import replace
@@ -229,3 +261,30 @@ def test_increments_depend_on_both_seed_and_index(seed, idx):
     c = brownian_increments(seed + 1, idx, 8, 0.125)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _per_path_generators(seed, indices, n_steps, key_of):
+    return np.stack([
+        np.random.Generator(np.random.Philox(key=key_of(seed, i)))
+        .standard_normal(n_steps) for i in indices]) * math.sqrt(0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       indices=st.lists(st.integers(0, 2 ** 40 - 1), min_size=1, max_size=8),
+       n_steps=st.integers(1, 67))
+@example(seed=0, indices=[9, 2, 9, 0], n_steps=1)
+@example(seed=2 ** 63 - 1, indices=[2 ** 40 - 1, 3, 3], n_steps=7)
+@example(seed=2 ** 63, indices=[5], n_steps=13)
+@example(seed=2 ** 64 - 1, indices=[0, 0], n_steps=3)
+def test_increment_matrix_matches_per_path_generators(seed, indices, n_steps):
+    got = _increment_matrix(seed, np.asarray(indices), n_steps, 0.5)
+    exact = _per_path_generators(
+        seed, indices, n_steps,
+        lambda s, i: np.array([s, i], dtype=np.uint64))
+    assert got.tobytes() == exact.tobytes()
+    if seed < 2 ** 63:
+        # a list key reaches Philox exactly only below 2**63
+        old = _per_path_generators(seed, indices, n_steps,
+                                   lambda s, i: [s, i])
+        assert got.tobytes() == old.tobytes()
