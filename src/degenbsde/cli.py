@@ -30,10 +30,13 @@ import numpy as np
 from .degeneracy import (DEFAULT_EPS_SIGMA, check_gamma_equivalence,
                          locate_tau, locate_tau_batch)
 from .estimators import (EstimationError, OutsideGamma0Error,
-                         ProviderRequiredError, bachelier_provider,
-                         empirical_lambda_moment, estimate_u,
-                         estimate_ux_pathwise, estimate_ux_weighted,
-                         example1_provider, reconstruct_Z)
+                         ProviderRequiredError, _estimate,
+                         _lambda_moment_reducer, _u_reducer,
+                         _ux_pathwise_reducer, _ux_weighted_reducer,
+                         bachelier_provider, empirical_lambda_moment,
+                         estimate_u, estimate_ux_pathwise,
+                         estimate_ux_weighted, example1_provider,
+                         reconstruct_Z)
 from .model import (BUILTIN_MODELS, CoefficientModel, ProblemPoint,
                     builtin_model)
 from .oracles import Example1Params, example1_ux_at_zero
@@ -42,6 +45,13 @@ from .sde_sim import SimulationError, TimeGrid, simulate_batch, simulate_path
 
 __all__ = ["ConfigError", "NumericalFailure", "ExperimentResult",
            "run_experiment", "main"]
+
+# The public estimators stay attributes of this module, where
+# ``perfbench/tracer.py`` wraps them by name, although the runners that
+# need several estimates at a point feed their reducers from one stream
+# through ``_estimate`` instead.
+_PUBLIC_ESTIMATORS = (estimate_u, estimate_ux_pathwise, estimate_ux_weighted,
+                      empirical_lambda_moment, reconstruct_Z)
 
 
 class ConfigError(ValueError):
@@ -361,14 +371,14 @@ def _run_weight_crossval(cfg, model, out_dir):
     _positive(cfg, "n_paths", "n_steps")
     point = ProblemPoint(cfg["t0"], cfg["x0"])
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
-    common = (model, point, grid, cfg["seed"], cfg["n_paths"])
-    pw = estimate_ux_pathwise(*common)
-    nd = estimate_ux_weighted(*common, weight_kind="nondegenerate",
-                              eps_sigma=cfg["eps_sigma"],
-                              lambda_floor=cfg["lambda_floor"])
-    dg = estimate_ux_weighted(*common, weight_kind="degenerate",
-                              eps_sigma=cfg["eps_sigma"],
-                              lambda_floor=cfg["lambda_floor"])
+    floors = {"eps_sigma": cfg["eps_sigma"],
+              "lambda_floor": cfg["lambda_floor"]}
+    pw, nd, dg = _estimate(model, point, grid, cfg["seed"], cfg["n_paths"], [
+        _ux_pathwise_reducer(model, point, grid),
+        _ux_weighted_reducer(model, point, grid, weight_kind="nondegenerate",
+                             **floors),
+        _ux_weighted_reducer(model, point, grid, weight_kind="degenerate",
+                             **floors)])
     z_pw_nd = _zscore(pw, nd)
     z_pw_dg = _zscore(pw, dg)
     z_nd_dg = _zscore(nd, dg)
@@ -421,13 +431,17 @@ def _run_lambda_moment(cfg, model, out_dir):
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
     sizes = sorted({max(1, cfg["n_paths"] >> k)
                     for k in range(cfg["n_doublings"] + 1)})
+    reducers = [_lambda_moment_reducer(model, point, grid, p,
+                                       eps_sigma=cfg["eps_sigma"],
+                                       lambda_floor=cfg["lambda_floor"])
+                for p in p_values]
+    by_size = {n: _estimate(model, point, grid, cfg["seed"], n, reducers)
+               for n in sizes}
     rows = []
     last_pair = {}
-    for p in p_values:
+    for i, p in enumerate(p_values):
         for n in sizes:
-            est = empirical_lambda_moment(
-                model, point, grid, cfg["seed"], n, p,
-                eps_sigma=cfg["eps_sigma"], lambda_floor=cfg["lambda_floor"])
+            est = by_size[n][i]
             rows.append((p, n, est.mean, est.stderr, est.n_floored))
             last_pair.setdefault(p, []).append(est.mean)
     path = _write_csv(_out_path(cfg, out_dir),
@@ -520,11 +534,13 @@ def _run_pde_vs_mc(cfg, model, out_dir):
     for t, x in probes:
         grid = TimeGrid(t, model.horizon_T, cfg["n_steps"])
         point = ProblemPoint(t, x)
-        eu = estimate_u(model, point, grid, cfg["seed"], cfg["n_paths"])
-        eux = estimate_ux_weighted(
+        eu, eux = _estimate(
             model, point, grid, cfg["seed"], cfg["n_paths"],
-            weight_kind=cfg["weight_kind"], eps_sigma=cfg["eps_sigma"],
-            lambda_floor=cfg["lambda_floor"])
+            [_u_reducer(model, point, grid),
+             _ux_weighted_reducer(model, point, grid,
+                                  weight_kind=cfg["weight_kind"],
+                                  eps_sigma=cfg["eps_sigma"],
+                                  lambda_floor=cfg["lambda_floor"])])
         u_fd = float(sol.u(t, x))
         ux_fd = float(sol.ux(t, x))
         rows.append((t, x, u_fd, eu.mean, eu.stderr, ux_fd, eux.mean,

@@ -2,11 +2,18 @@
 martingale integrand.
 
 Every estimator first absorbs the linear-in-z cost into the drift, then
-streams paths in fixed-size chunks through the shared stepping kernel;
-one driver does this for all of them, each supplying its per-path value.
-Per-path results are deterministic functions of ``(seed, path_index)``,
-and the final mean is taken over the full per-path value vector, so the
-returned numbers do not depend on chunking or evaluation order.
+streams paths in fixed-size chunks through the shared stepping kernel.
+One driver, ``_estimate``, does this for all of them.  Each estimator is
+a *reducer*: a generator made per chunk as ``reducer(n)`` that receives
+the chunk's ``PathState`` one node at a time and answers ``(values,
+keep)`` at the end of the stream.  The driver feeds every state of one
+stream to any number of reducers, so a joint call -- several estimates
+at one point, as the ``weight-crossval``, ``pde-vs-mc`` and
+``lambda-moment`` experiments make -- simulates its paths once, and each
+of its estimates equals the one its estimator returns alone.  Per-path
+results are deterministic functions of ``(seed, path_index)``, and the
+final mean is taken over the full per-path value vector, so the returned
+numbers do not depend on chunking or evaluation order.
 
 Three gradient routes coexist:
 
@@ -37,7 +44,7 @@ import numpy as np
 from .degeneracy import DEFAULT_EPS_SIGMA, gamma_report, locate_tau
 from .model import CoefficientModel, ProblemPoint, transformed_drift
 from .oracles import Example1Params, bachelier_digital, example1_u
-from .sde_sim import PathBundle, TimeGrid, path_stream
+from .sde_sim import PathBundle, TimeGrid, _check_n_paths, path_stream
 from .weights import (default_lambda_floor, degenerate_weight_values,
                       nondegenerate_weight_values)
 
@@ -112,13 +119,6 @@ def _chunk_indices(n_paths: int) -> Iterator[np.ndarray]:
         yield np.arange(start, min(start + CHUNK_SIZE, n_paths), dtype=np.int64)
 
 
-def _check_n_paths(n_paths: int) -> int:
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    return n_paths
-
-
 def _finalize(parts: list, n_floored: int, n_paths: int) -> Estimate:
     values = np.concatenate(parts) if parts else np.empty(0)
     n_used = int(values.size)
@@ -171,29 +171,70 @@ def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
 
 
 def _estimate(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
-              seed: int, n_paths: int, per_path: Callable) -> Estimate:
-    """The one simulation-to-estimate loop behind every estimator.
+              seed: int, n_paths: int, reducers: list) -> list:
+    """The one simulation-to-estimate loop: one ``Estimate`` per reducer.
 
-    Streams the absorbed-drift paths chunk by chunk.  ``per_path(states, n)``
-    consumes one chunk's stream of ``PathState`` over ``n`` paths and
-    returns ``(values, keep)``; paths outside ``keep`` or with a non-finite
-    value are excluded and counted in ``n_floored``.
+    A reducer is a generator function; the driver makes one generator per
+    chunk as ``reducer(n)`` for the chunk's ``n`` paths, primes it with
+    ``next``, sends it every ``PathState`` of the chunk's absorbed-drift
+    stream, then sends ``None`` and receives ``(values, keep)``.  Paths
+    outside ``keep`` or with a non-finite value are excluded and counted
+    in ``n_floored``.  Every reducer reads the same stream, so a joint
+    call simulates each chunk once and returns, reducer for reducer, what
+    separate calls would.  Each estimator's ``_<name>_reducer`` builder
+    takes that estimator's arguments except ``seed`` and ``n_paths``.
+
+    Errors come in a fixed order.  Building a reducer validates its
+    inputs, so reducers built in call order raise their errors in that
+    order, before this driver checks ``n_paths`` and before any path is
+    drawn.  The reducers are then finalized in call order, and the first
+    ``EstimationError`` wins.  Floating-point warnings are silenced
+    throughout, since non-finite samples are excluded and counted instead.
     """
+    n_paths = _check_n_paths(n_paths)
     mt = transformed_drift(model)
-    parts: list = []
-    n_excluded = 0
-    for idx in _chunk_indices(n_paths):
-        vals, keep = per_path(path_stream(mt, point, grid, seed, idx),
-                              idx.size)
-        keep = keep & np.isfinite(vals)
-        n_excluded += int(np.count_nonzero(~keep))
-        parts.append(np.asarray(vals[keep], dtype=float))
-    return _finalize(parts, n_excluded, n_paths)
+    parts = [[] for _ in reducers]
+    n_excluded = [0] * len(reducers)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for idx in _chunk_indices(n_paths):
+            running = [reducer(idx.size) for reducer in reducers]
+            for r in running:
+                next(r)
+            for st in path_stream(mt, point, grid, seed, idx):
+                for r in running:
+                    r.send(st)
+            for j, r in enumerate(running):
+                vals, keep = r.send(None)
+                keep = keep & np.isfinite(vals)
+                n_excluded[j] += int(np.count_nonzero(~keep))
+                parts[j].append(np.asarray(vals[keep], dtype=float))
+    return [_finalize(p, n, n_paths) for p, n in zip(parts, n_excluded)]
 
 
 # ---------------------------------------------------------------------------
 # value estimator
 # ---------------------------------------------------------------------------
+
+
+def _u_reducer(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
+               provider: Optional[ValueProvider] = None) -> Callable:
+    _require_driver_inputs(model, provider)
+    need_driver = not model.f1_is_zero
+    dt = grid.dt
+
+    def reducer(n):
+        driver = 0.0
+        last = None
+        while (st := (yield)) is not None:
+            if need_driver and st.dW is not None:
+                y = _driver_y(model, provider, st.t, st.X)
+                driver = driver + np.asarray(
+                    model.f1(st.t, st.X, y), dtype=float) * dt
+            last = st
+        vals = np.asarray(model.g(last.X), dtype=float) + driver
+        yield np.broadcast_to(vals, last.X.shape), True
+
+    return reducer
 
 
 def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
@@ -202,29 +243,45 @@ def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     """Estimate the value function: mean of the terminal payoff plus the
     left-endpoint sum of the running cost along absorbed-drift paths.
     """
-    n_paths = _check_n_paths(n_paths)
-    _require_driver_inputs(model, provider)
-    need_driver = not model.f1_is_zero
-    dt = grid.dt
-
-    def per_path(states, n):
-        driver = 0.0
-        last = None
-        for st in states:
-            if need_driver and st.dW is not None:
-                y = _driver_y(model, provider, st.t, st.X)
-                driver = driver + np.asarray(
-                    model.f1(st.t, st.X, y), dtype=float) * dt
-            last = st
-        vals = np.asarray(model.g(last.X), dtype=float) + driver
-        return np.broadcast_to(vals, last.X.shape), True
-
-    return _estimate(model, point, grid, seed, n_paths, per_path)
+    return _estimate(model, point, grid, seed, n_paths,
+                     [_u_reducer(model, point, grid, provider)])[0]
 
 
 # ---------------------------------------------------------------------------
 # gradient estimators
 # ---------------------------------------------------------------------------
+
+
+def _ux_pathwise_reducer(model: CoefficientModel, point: ProblemPoint,
+                         grid: TimeGrid,
+                         provider: Optional[ValueProvider] = None) -> Callable:
+    if model.g_prime is None:
+        raise ValueError("pathwise gradient estimation needs model.g_prime")
+    need_driver = not model.f1_is_zero
+    if need_driver and model.f1_x is None:
+        raise ValueError("pathwise gradient estimation needs model.f1_x")
+    if need_driver and model.f1_depends_on_y and model.f1_y is None:
+        raise ValueError("pathwise gradient estimation needs model.f1_y")
+    _require_driver_inputs(model, provider, need_ux=True)
+    dt = grid.dt
+
+    def reducer(n):
+        acc = 0.0
+        last = None
+        while (st := (yield)) is not None:
+            if need_driver and st.dW is not None:
+                y = _driver_y(model, provider, st.t, st.X)
+                term = np.asarray(model.f1_x(st.t, st.X, y), dtype=float) * st.gradX
+                if model.f1_depends_on_y:
+                    term = term + np.asarray(
+                        model.f1_y(st.t, st.X, y), dtype=float) * (
+                        provider.ux_eval(st.t, st.X) * st.gradX)
+                acc = acc + term * dt
+            last = st
+        vals = np.asarray(model.g_prime(last.X), dtype=float) * last.gradX + acc
+        yield vals, True
+
+    return reducer
 
 
 def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
@@ -236,34 +293,57 @@ def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
     Requires a differentiable payoff (``g_prime``) and, when the cost is
     active, its partial derivatives.
     """
-    n_paths = _check_n_paths(n_paths)
-    if model.g_prime is None:
-        raise ValueError("pathwise gradient estimation needs model.g_prime")
+    return _estimate(model, point, grid, seed, n_paths,
+                     [_ux_pathwise_reducer(model, point, grid, provider)])[0]
+
+
+def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
+                         grid: TimeGrid,
+                         provider: Optional[ValueProvider] = None,
+                         weight_kind: str = "degenerate",
+                         eps_sigma: float = DEFAULT_EPS_SIGMA,
+                         lambda_floor: Optional[float] = None) -> Callable:
+    if weight_kind not in ("degenerate", "nondegenerate"):
+        raise ValueError(f"unknown weight_kind {weight_kind!r}")
+    _require_gamma0(model, point, eps_sigma)
+    _require_driver_inputs(model, provider)
     need_driver = not model.f1_is_zero
-    if need_driver and model.f1_x is None:
-        raise ValueError("pathwise gradient estimation needs model.f1_x")
-    if need_driver and model.f1_depends_on_y and model.f1_y is None:
-        raise ValueError("pathwise gradient estimation needs model.f1_y")
-    _require_driver_inputs(model, provider, need_ux=True)
     dt = grid.dt
+    if lambda_floor is None:
+        lambda_floor = default_lambda_floor(grid, eps_sigma)
+    degenerate = weight_kind == "degenerate"
 
-    def per_path(states, n):
-        acc = 0.0
+    def reducer(n):
+        driver = 0.0
+        snd = np.zeros(n)
+        ming = np.full(n, np.inf)
+        tacc = 0.0
         last = None
-        for st in states:
-            if need_driver and st.dW is not None:
-                y = _driver_y(model, provider, st.t, st.X)
-                term = np.asarray(model.f1_x(st.t, st.X, y), dtype=float) * st.gradX
-                if model.f1_depends_on_y:
-                    term = term + np.asarray(
-                        model.f1_y(st.t, st.X, y), dtype=float) * (
-                        provider.ux_eval(st.t, st.X) * st.gradX)
-                acc = acc + term * dt
-            last = st
-        vals = np.asarray(model.g_prime(last.X), dtype=float) * last.gradX + acc
-        return vals, True
 
-    return _estimate(model, point, grid, seed, n_paths, per_path)
+        def weight(st):
+            if degenerate:
+                return degenerate_weight_values(st.Lambda, st.S1, st.B,
+                                                lambda_floor)
+            return nondegenerate_weight_values(snd, tacc, ming, eps_sigma)
+
+        while (st := (yield)) is not None:
+            if need_driver and st.k >= 1:
+                # right-endpoint quadrature: the weight is undefined at
+                # the left endpoint where no volatility has accumulated
+                w_k, _ = weight(st)
+                y = _driver_y(model, provider, st.t, st.X)
+                driver = driver + np.asarray(
+                    model.f1(st.t, st.X, y), dtype=float) * w_k * dt
+            if st.dW is not None and not degenerate:
+                ming = np.minimum(ming, np.abs(st.gamma))
+                snd = snd + (st.gradX / st.gamma) * st.dW
+                tacc = tacc + dt
+            last = st
+        w_T, floored = weight(last)
+        vals = np.asarray(model.g(last.X), dtype=float) * w_T + driver
+        yield vals, ~floored
+
+    return reducer
 
 
 def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
@@ -282,49 +362,8 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
     The classical weight is floored where ``|sigma|`` fell below
     ``eps_sigma``.
     """
-    if weight_kind not in ("degenerate", "nondegenerate"):
-        raise ValueError(f"unknown weight_kind {weight_kind!r}")
-    n_paths = _check_n_paths(n_paths)
-    _require_gamma0(model, point, eps_sigma)
-    _require_driver_inputs(model, provider)
-    need_driver = not model.f1_is_zero
-    dt = grid.dt
-    if lambda_floor is None:
-        lambda_floor = default_lambda_floor(grid, eps_sigma)
-    degenerate = weight_kind == "degenerate"
-
-    def per_path(states, n):
-        driver = 0.0
-        snd = np.zeros(n)
-        ming = np.full(n, np.inf)
-        tacc = 0.0
-        last = None
-
-        def weight(st):
-            if degenerate:
-                return degenerate_weight_values(st.Lambda, st.S1, st.B,
-                                                lambda_floor)
-            return nondegenerate_weight_values(snd, tacc, ming, eps_sigma)
-
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for st in states:
-                if need_driver and st.k >= 1:
-                    # right-endpoint quadrature: the weight is undefined at
-                    # the left endpoint where no volatility has accumulated
-                    w_k, _ = weight(st)
-                    y = _driver_y(model, provider, st.t, st.X)
-                    driver = driver + np.asarray(
-                        model.f1(st.t, st.X, y), dtype=float) * w_k * dt
-                if st.dW is not None and not degenerate:
-                    ming = np.minimum(ming, np.abs(st.gamma))
-                    snd = snd + (st.gradX / st.gamma) * st.dW
-                    tacc = tacc + dt
-                last = st
-            w_T, floored = weight(last)
-            vals = np.asarray(model.g(last.X), dtype=float) * w_T + driver
-        return vals, ~floored
-
-    return _estimate(model, point, grid, seed, n_paths, per_path)
+    return _estimate(model, point, grid, seed, n_paths, [_ux_weighted_reducer(
+        model, point, grid, provider, weight_kind, eps_sigma, lambda_floor)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +397,28 @@ def reconstruct_Z(model: CoefficientModel, path: PathBundle,
     return out
 
 
+def _lambda_moment_reducer(model: CoefficientModel, point: ProblemPoint,
+                           grid: TimeGrid, p: float,
+                           eps_sigma: float = DEFAULT_EPS_SIGMA,
+                           lambda_floor: Optional[float] = None) -> Callable:
+    if not (p > 0.0):
+        raise ValueError(f"p must be positive, got {p}")
+    _require_gamma0(model, point, eps_sigma)
+    if lambda_floor is None:
+        lambda_floor = default_lambda_floor(grid, eps_sigma)
+
+    def reducer(n):
+        last = None
+        while (st := (yield)) is not None:
+            last = st
+        lam = last.Lambda
+        floored = ~(lam >= lambda_floor)
+        vals = np.where(floored, 1.0, lam) ** (-p)
+        yield vals, ~floored
+
+    return reducer
+
+
 def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, seed: int, n_paths: int, p: float,
                             eps_sigma: float = DEFAULT_EPS_SIGMA,
@@ -368,24 +429,8 @@ def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
     weight square-integrable; the estimate should stabilize as the sample
     grows for points inside the alive set.
     """
-    if not (p > 0.0):
-        raise ValueError(f"p must be positive, got {p}")
-    n_paths = _check_n_paths(n_paths)
-    _require_gamma0(model, point, eps_sigma)
-    if lambda_floor is None:
-        lambda_floor = default_lambda_floor(grid, eps_sigma)
-
-    def per_path(states, n):
-        last = None
-        for st in states:
-            last = st
-        lam = last.Lambda
-        floored = ~(lam >= lambda_floor)
-        with np.errstate(over="ignore"):
-            vals = np.where(floored, 1.0, lam) ** (-p)
-        return vals, ~floored
-
-    return _estimate(model, point, grid, seed, n_paths, per_path)
+    return _estimate(model, point, grid, seed, n_paths, [_lambda_moment_reducer(
+        model, point, grid, p, eps_sigma, lambda_floor)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,20 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_n_paths(n_paths: int) -> int:
+    """``n_paths`` as a positive integer; a count that is not an integer
+    (2.5, ``True``) raises ``TypeError`` naming ``n_paths``."""
+    try:
+        count = operator.index(n_paths)
+    except TypeError:
+        count = None
+    if count is None or isinstance(n_paths, bool):
+        raise TypeError(f"n_paths must be an integer, got {n_paths!r}")
+    if count < 1:
+        raise ValueError(f"n_paths must be >= 1, got {count}")
+    return count
+
+
 def _path_indices(path_indices) -> np.ndarray:
     """The indices as an int64 array; raises ``ValueError`` naming the first
     one that is not an integer in ``[0, 2**63)``."""
@@ -396,8 +410,7 @@ def simulate_batch(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     Memory scales with ``n_paths * n_steps``; use ``path_stream`` for
     estimation at large path counts.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = _check_n_paths(n_paths)
     _check_compatible(model, point, grid)
     dW = _increment_matrix(seed, np.arange(n_paths), grid.n_steps, grid.dt)
     batch = _materialize(model, point, grid, dW)

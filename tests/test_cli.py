@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import degenbsde.cli as cli
+import degenbsde.estimators as est_mod
 from degenbsde import OutsideGamma0Error, builtin_model_names
 from degenbsde.cli import ConfigError, main, run_experiment
 
@@ -254,6 +255,43 @@ def test_main_exit_1_on_config_problems(tmp_path, capsys):
         "dead.json")
     assert main(["run", "--config", dead, "--out-dir", str(tmp_path)]) == 1
     assert "alive set" in capsys.readouterr().err
+
+
+def _count_streams(monkeypatch):
+    """Count the path streams the estimators open from now on."""
+    calls = []
+    real = est_mod.path_stream
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(est_mod, "path_stream", counting)
+    return calls
+
+
+def test_weight_crossval_without_payoff_derivative_exits_1(tmp_path, capsys,
+                                                            monkeypatch):
+    streams = _count_streams(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": "weight-crossval", "model": "bachelier_digital",
+        "n_paths": 16, "n_steps": 8})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert "g_prime" in capsys.readouterr().err
+    assert streams == []
+
+
+def test_weight_crossval_validates_every_estimator_before_simulating(
+        tmp_path, capsys, monkeypatch):
+    # the pathwise estimator comes first and would run anywhere; the
+    # weighted ones refuse the point once eps_sigma exceeds the volatility
+    streams = _count_streams(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": "weight-crossval", "model": "tanh_smooth",
+        "n_paths": 16, "n_steps": 8, "eps_sigma": 2.0})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert "alive set" in capsys.readouterr().err
+    assert streams == []
 
 
 def test_main_exit_2_on_numerical_breakdown(tmp_path, capsys):

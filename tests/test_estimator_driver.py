@@ -1,7 +1,8 @@
 """Every public estimator runs through one simulation-to-estimate driver;
 each must return the same ``Estimate``, bit for bit, as its frozen
 one-loop-per-estimator reference in ``reference_estimators.py``, or raise
-the same exception type."""
+the same exception type.  So must each estimate of a joint call, where
+several reducers read one stream."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import degenbsde.estimators as est_mod
 import reference_estimators as ref_mod
-from degenbsde import ProblemPoint, TimeGrid, ValueProvider, builtin_model
+from degenbsde import (EstimationError, ProblemPoint, TimeGrid,
+                       ValueProvider, builtin_model)
 from degenbsde.model import CoefficientModel
 
 
@@ -77,6 +79,29 @@ _CASES = {
 }
 
 
+def _calls(provider, p, lambda_floor):
+    """Every estimator, as ``(name, keyword arguments)``."""
+    return [
+        ("estimate_u", {"provider": provider}),
+        ("estimate_ux_pathwise", {"provider": provider}),
+        ("estimate_ux_weighted", {"provider": provider,
+                                  "weight_kind": "degenerate",
+                                  "lambda_floor": lambda_floor}),
+        ("estimate_ux_weighted", {"provider": provider,
+                                  "weight_kind": "nondegenerate"}),
+        ("empirical_lambda_moment", {"p": p, "lambda_floor": lambda_floor}),
+    ]
+
+
+# the reducer builder behind each public estimator
+_REDUCERS = {
+    "estimate_u": est_mod._u_reducer,
+    "estimate_ux_pathwise": est_mod._ux_pathwise_reducer,
+    "estimate_ux_weighted": est_mod._ux_weighted_reducer,
+    "empirical_lambda_moment": est_mod._lambda_moment_reducer,
+}
+
+
 def _outcome(fn, *args, **kwargs):
     """The estimate, or the type of the exception the call raised."""
     try:
@@ -104,16 +129,7 @@ def test_driver_matches_frozen_reference(name, t_frac, x0, n_steps, seed,
     point = ProblemPoint(t0, x0)
     grid = TimeGrid(t0, model.horizon_T, n_steps)
     common = (model, point, grid, seed, n_paths)
-    calls = [
-        ("estimate_u", {"provider": provider}),
-        ("estimate_ux_pathwise", {"provider": provider}),
-        ("estimate_ux_weighted", {"provider": provider,
-                                  "weight_kind": "degenerate",
-                                  "lambda_floor": lambda_floor}),
-        ("estimate_ux_weighted", {"provider": provider,
-                                  "weight_kind": "nondegenerate"}),
-        ("empirical_lambda_moment", {"p": p, "lambda_floor": lambda_floor}),
-    ]
+    calls = _calls(provider, p, lambda_floor)
     saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
     est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = chunk
     try:
@@ -132,3 +148,53 @@ def test_nan_payoff_is_excluded_and_counted():
     assert 0 < e.n_floored < 64
     assert e.n_used + e.n_floored == 64
     assert e == ref_mod.estimate_u(model, ProblemPoint(0.0, 0.0), grid, 0, 64)
+
+
+def _joint_reference(outcomes):
+    """What a joint call of these estimators must give, from their
+    separate outcomes: the first validation error in call order, else
+    ``EstimationError`` if any estimate has no usable sample, else every
+    estimate."""
+    errors = [o for o in outcomes if isinstance(o, type)]
+    for err in errors:
+        if not issubclass(err, EstimationError):
+            return err
+    return EstimationError if errors else outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_CASES)),
+    picks=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+    t_frac=st.floats(0.0, 0.98),
+    x0=st.floats(-1.0, 1.0),
+    n_steps=st.integers(1, 30),
+    seed=st.integers(0, 2 ** 32),
+    n_paths=st.integers(1, 150),
+    chunk=st.sampled_from([7, 64, 8192]),
+    p=st.sampled_from([0.5, 1.0, 2.0]),
+    lambda_floor=st.sampled_from([None, 1e-3]),
+)
+def test_joint_call_matches_frozen_references(name, picks, t_frac, x0,
+                                              n_steps, seed, n_paths, chunk,
+                                              p, lambda_floor):
+    model, provider = _CASES[name]
+    t0 = t_frac * model.horizon_T
+    point = ProblemPoint(t0, x0)
+    grid = TimeGrid(t0, model.horizon_T, n_steps)
+    common = (model, point, grid, seed, n_paths)
+    calls = [_calls(provider, p, lambda_floor)[i] for i in picks]
+
+    def joint():
+        reducers = [_REDUCERS[fn](model, point, grid, **kwargs)
+                    for fn, kwargs in calls]
+        return est_mod._estimate(*common, reducers)
+
+    saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
+    est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = chunk
+    try:
+        want = _joint_reference([_outcome(getattr(ref_mod, fn), *common,
+                                          **kwargs) for fn, kwargs in calls])
+        assert _outcome(joint) == want, calls
+    finally:
+        est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved

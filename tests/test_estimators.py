@@ -136,6 +136,18 @@ def test_n_paths_must_be_positive():
                    seed=0, n_paths=0)
 
 
+@pytest.mark.parametrize("n_paths", [2.9, 2.5, True])
+def test_non_integer_n_paths_is_a_type_error(n_paths):
+    model = builtin_model("tanh_smooth")
+    point = ProblemPoint(0.0, 0.0)
+    grid = TimeGrid(0.0, 1.0, 8)
+    for fn, kwargs in ((estimate_u, {}), (estimate_ux_pathwise, {}),
+                       (estimate_ux_weighted, {}),
+                       (empirical_lambda_moment, {"p": 1.0})):
+        with pytest.raises(TypeError, match="n_paths must be an integer"):
+            fn(model, point, grid, seed=0, n_paths=n_paths, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # gradient estimation
 # ---------------------------------------------------------------------------

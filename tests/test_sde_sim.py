@@ -224,6 +224,14 @@ def test_bad_path_index_is_named(index):
         next(path_stream(m, pt, grid, 0, [index]))
 
 
+@pytest.mark.parametrize("n_paths", [2.9, 2.5, True])
+def test_non_integer_path_count_is_named(n_paths):
+    m = builtin_model("tanh_smooth")
+    with pytest.raises(TypeError, match="n_paths must be an integer"):
+        simulate_batch(m, ProblemPoint(0.0, 0.0), TimeGrid(0.0, 1.0, 4),
+                       seed=0, n_paths=n_paths)
+
+
 def test_high_seeds_do_not_alias():
     # the exact 64-bit seed is the key: no two seeds share a stream
     with warnings.catch_warnings():
