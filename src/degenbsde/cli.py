@@ -564,9 +564,17 @@ def _run_pde_vs_mc(cfg, model, out_dir):
     return ExperimentResult(cfg["experiment"], (path,), checks)
 
 
+# closed-form providers and the one model each is the exact solution of
+_CLOSED_FORM_MODEL = {"bachelier": "bachelier_digital", "example1": "example1"}
+
+
 def _zpath_provider(cfg, model):
     kind = cfg["provider"]
     params = cfg["params"] or {}
+    if kind in _CLOSED_FORM_MODEL and cfg["model"] != _CLOSED_FORM_MODEL[kind]:
+        raise ConfigError(f"key 'provider': {kind!r} is the closed form of "
+                          f"model {_CLOSED_FORM_MODEL[kind]!r}, not "
+                          f"{cfg['model']!r}; use 'pde'")
     if kind == "pde":
         fd_grid = make_grid(model, cfg["x_min"], cfg["x_max"], cfg["n_x"],
                             t_min=cfg["t0"])

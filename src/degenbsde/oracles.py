@@ -14,6 +14,12 @@ Two families admit exact answers:
 
 These functions deliberately share no code with the estimators they
 validate.
+
+SciPy is imported inside the two functions that need it, ``example1_u``
+(``hyp1f1``, only before the volatility dies) and ``bachelier_digital``
+(``ndtr``), not at module level: loading it takes longer than a typical
+run's computation, and most runs call neither function.
+``example1_ux_at_zero`` and the other helpers need only ``math``.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp1f1
-from scipy.stats import norm
 
 __all__ = [
     "Example1Params",
@@ -111,6 +115,8 @@ def example1_u(t: float, x, params: Example1Params):
     if t >= 1.0:
         out = _g_power(x, alpha)
     else:
+        from scipy.special import hyp1f1
+
         s0 = example1_sigma0(t, params)
         a = x / s0
         out = (s0 ** (1.0 - alpha) * gaussian_abs_moment(2.0 - alpha)
@@ -153,8 +159,12 @@ def bachelier_digital(t: float, x, sigma_bar: float, strike: float,
 
     Returns ``(u, ux)`` with ``u = Phi((x - strike) / s)`` and
     ``ux = phi((x - strike) / s) / s`` where ``s = sigma_bar
-    * sqrt(T - t)``.
+    * sqrt(T - t)``.  These are the expressions ``scipy.stats.norm``
+    evaluates for its cdf and pdf, so the results are equal to
+    ``norm.cdf(z)`` and ``norm.pdf(z) / s`` bit for bit.
     """
+    from scipy.special import ndtr
+
     t = float(t)
     if not (t < T):
         raise ValueError(f"need t < T, got t={t}, T={T}")
@@ -162,8 +172,8 @@ def bachelier_digital(t: float, x, sigma_bar: float, strike: float,
         raise ValueError(f"sigma_bar must be positive, got {sigma_bar}")
     s = sigma_bar * math.sqrt(T - t)
     z = (np.asarray(x, dtype=float) - strike) / s
-    u = norm.cdf(z)
-    ux = norm.pdf(z) / s
+    u = ndtr(z)
+    ux = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / s
     if np.ndim(x) == 0:
         return float(u), float(ux)
     return u, ux

@@ -105,7 +105,9 @@ def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
             if grid.t_min <= cand <= grid.t_max:
                 extra.append(float(cand))
     if extra:
-        ts = np.union1d(ts, np.asarray(extra))
+        # sorted and deduplicated, as np.union1d would give, without the
+        # lazy numpy.ma import np.unique makes
+        ts = np.array(sorted(set(ts.tolist()).union(extra)))
     max_sig_sq = 0.0
     max_drift = 0.0
     for t in ts:

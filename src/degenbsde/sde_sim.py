@@ -36,6 +36,9 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
+# a module-level import, so numpy.random loads with the package and not on
+# the first draw inside a run
+from numpy.random import Generator, Philox
 
 from .model import CoefficientModel, ProblemPoint
 
@@ -218,8 +221,8 @@ def _increment_matrix(seed: int, path_indices, n_steps: int,
     """
     key = np.array([_check_seed(seed), 0], dtype=np.uint64)
     idx = _path_indices(path_indices)
-    bit_gen = np.random.Philox(key=key)
-    gen = np.random.Generator(bit_gen)
+    bit_gen = Philox(key=key)
+    gen = Generator(bit_gen)
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,

@@ -133,7 +133,7 @@ def test_pde_vs_mc_crosses_within_tolerance(tmp_path):
 
 def test_z_path_rows_are_clamped_after_tau(tmp_path):
     cfg = {"experiment": "z-path", "model": "step_vol",
-           "provider": "bachelier", "params": {"sigma_bar": 1.0},
+           "provider": "pde", "params": {"sigma_bar": 1.0},
            "n_paths": 2, "n_steps": 20}
     res = run_experiment(cfg, out_dir=tmp_path)
     (path,) = res.outputs
@@ -144,6 +144,38 @@ def test_z_path_rows_are_clamped_after_tau(tmp_path):
     assert np.all(data[dead, 3] == 0.0)
     assert np.any(dead)
     assert res.ok
+
+
+@pytest.mark.parametrize("model, provider",
+                         [("bachelier_digital", "bachelier"),
+                          ("example1", "example1")])
+def test_z_path_closed_form_provider_on_its_own_model(tmp_path, model,
+                                                      provider):
+    cfg = {"experiment": "z-path", "model": model, "provider": provider,
+           "n_paths": 2, "n_steps": 20}
+    res = run_experiment(cfg, out_dir=tmp_path)
+    data = np.loadtxt(res.outputs[0], delimiter=",", skiprows=1)
+    assert data.shape == (2 * 21, 5)
+    assert res.ok
+
+
+@pytest.mark.parametrize("model, provider",
+                         [("tanh_smooth", "bachelier"),
+                          ("step_vol", "bachelier"),
+                          ("bachelier_digital", "example1"),
+                          ("step_vol", "example1")])
+def test_z_path_closed_form_provider_on_another_model_exits_1(
+        tmp_path, capsys, monkeypatch, model, provider):
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_path",
+                        lambda *args: simulated.append(args))
+    path = _write_config(tmp_path, {
+        "experiment": "z-path", "model": model, "provider": provider,
+        "n_paths": 2, "n_steps": 20})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert "'provider'" in capsys.readouterr().err
+    assert simulated == []
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_output_path_key_is_honored(tmp_path):

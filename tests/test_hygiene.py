@@ -1,6 +1,12 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and a run
+loads at import what it uses and nothing more while it runs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -24,3 +30,56 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _fresh_python(script, *args):
+    """Run ``script`` in a new interpreter that imports this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_SRC.parent), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script),
+                           *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# Scaled-down versions of the three benchmark workloads.
+_RUNS = (
+    {"experiment": "blowup-rate", "model": "example1", "n_paths": 64,
+     "n_steps": 50, "n_t_points": 3},
+    {"experiment": "weight-crossval", "model": "tanh_smooth", "n_paths": 64,
+     "n_steps": 20},
+    {"experiment": "z-path", "model": "girsanov_const", "provider": "pde",
+     "n_paths": 2, "n_steps": 20, "n_x": 41},
+)
+
+
+def test_import_loads_no_scipy_and_runs_load_no_module(tmp_path):
+    out = _fresh_python("""
+        import json, sys
+        import degenbsde, degenbsde.cli
+        loaded = set(sys.modules)
+        for i, cfg in enumerate(json.loads(sys.argv[1])):
+            degenbsde.cli.run_experiment(cfg, out_dir=f"{sys.argv[2]}/{i}")
+        print(json.dumps({
+            "scipy": sorted(m for m in loaded
+                            if m == "scipy" or m.startswith("scipy.")),
+            "numpy.random": "numpy.random" in loaded,
+            "gained": sorted(set(sys.modules) - loaded)}))
+        """, json.dumps(_RUNS), str(tmp_path))
+    report = json.loads(out)
+    assert report["scipy"] == []
+    assert report["numpy.random"]
+    assert report["gained"] == []
+
+
+def test_list_models_loads_no_scipy():
+    out = _fresh_python("""
+        import sys
+        from degenbsde.cli import main
+        assert main(["list-models"]) == 0
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+        """)
+    assert out.splitlines()[-1] == "[]"

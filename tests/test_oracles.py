@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 from degenbsde import (
@@ -162,6 +168,75 @@ def test_bachelier_digital_vectorizes_in_x():
     assert u.shape == xs.shape and ux.shape == xs.shape
     assert np.all(np.diff(u) > 0)
     np.testing.assert_allclose(u + u[::-1], np.ones_like(u), rtol=1e-13)
+
+
+_EDGES = [math.inf, -math.inf, 0.0, -0.0, math.nan, 5e-324, -5e-324,
+          1e308, -1e308]
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
+                       allow_subnormal=True)
+_DIGITAL_ARGS = dict(
+    t=st.floats(-5.0, 0.99), sigma_bar=st.floats(1e-3, 1e3),
+    strike=st.floats(-1e3, 1e3), T=st.just(1.0))
+
+
+def _scipy_digital(t, x, sigma_bar, strike, T):
+    s = sigma_bar * math.sqrt(T - float(t))
+    z = (np.asarray(x, dtype=float) - strike) / s
+    return stats.norm.cdf(z), stats.norm.pdf(z) / s
+
+
+# huge x overflows z**2 to inf, in scipy.stats as here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=6),
+                    elements=_ANY_FLOAT), **_DIGITAL_ARGS)
+@example(x=np.array(_EDGES), t=0.0, sigma_bar=1.0, strike=0.0, T=1.0)
+@example(x=np.array(_EDGES), t=0.75, sigma_bar=2.0, strike=0.1, T=1.0)
+def test_bachelier_digital_equals_scipy_norm_on_arrays(x, t, sigma_bar,
+                                                       strike, T):
+    u, ux = bachelier_digital(t, x, sigma_bar, strike, T)
+    ref_u, ref_ux = _scipy_digital(t, x, sigma_bar, strike, T)
+    assert type(u) is np.ndarray and type(ux) is np.ndarray
+    assert u.shape == ux.shape == x.shape
+    np.testing.assert_array_equal(u, ref_u)
+    np.testing.assert_array_equal(ux, ref_ux)
+
+
+# huge x overflows z**2 to inf, in scipy.stats as here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(_ANY_FLOAT, st.sampled_from(_EDGES)), **_DIGITAL_ARGS)
+def test_bachelier_digital_equals_scipy_norm_on_scalars(x, t, sigma_bar,
+                                                        strike, T):
+    u, ux = bachelier_digital(t, x, sigma_bar, strike, T)
+    ref_u, ref_ux = _scipy_digital(t, x, sigma_bar, strike, T)
+    assert type(u) is float and type(ux) is float
+    assert u == ref_u or (math.isnan(u) and np.isnan(ref_u))
+    assert ux == ref_ux or (math.isnan(ux) and np.isnan(ref_ux))
+
+
+def test_oracles_load_scipy_on_their_first_call():
+    # a fresh interpreter, so nothing has imported SciPy before the calls
+    script = textwrap.dedent("""
+        import sys
+        from degenbsde import Example1Params, bachelier_digital, example1_u
+        assert not any(m == "scipy" or m.startswith("scipy.")
+                       for m in sys.modules)
+        p = Example1Params(alpha=0.8, beta=0.5)
+        print(repr(example1_u(0.4, 0.3, p)))
+        print(repr(bachelier_digital(0.75, 0.3, 2.0, 0.1, 1.0)))
+        """)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    p = Example1Params(alpha=0.8, beta=0.5)
+    assert done.stdout.splitlines() == [
+        repr(example1_u(0.4, 0.3, p)),
+        repr(bachelier_digital(0.75, 0.3, 2.0, 0.1, 1.0))]
 
 
 @settings(max_examples=40, deadline=None)
