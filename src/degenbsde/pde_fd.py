@@ -105,8 +105,9 @@ def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
             if grid.t_min <= cand <= grid.t_max:
                 extra.append(float(cand))
     if extra:
-        # sorted and deduplicated, as np.union1d would give, without the
-        # lazy numpy.ma import np.unique makes
+        # the sorted, deduplicated union np.union1d gives, without the import
+        # of numpy.ma its unique() makes on first use; girsanov_const wraps
+        # step_vol and keeps its jump, so z-path runs reach this line
         ts = np.array(sorted(set(ts.tolist()).union(extra)))
     max_sig_sq = 0.0
     max_drift = 0.0

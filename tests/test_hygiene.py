@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and a run
-loads at import what it uses and nothing more while it runs."""
+"""Every name a package module imports is used in that module; importing
+the package loads no SciPy, and small runs of every experiment that call no
+closed-form oracle load no module while they run."""
 
 import ast
 import json
@@ -32,7 +33,7 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports unused names: {unused}"
 
 
-def _fresh_python(script, *args):
+def fresh_python(script, *args):
     """Run ``script`` in a new interpreter that imports this source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -44,7 +45,11 @@ def _fresh_python(script, *args):
     return done.stdout
 
 
-# Scaled-down versions of the three benchmark workloads.
+# Scaled-down versions of the three benchmark workloads (girsanov_const wraps
+# step_vol, so the z-path FD solve also samples its volatility jump), then one
+# small run of each other experiment. None calls example1_u or
+# bachelier_digital, the two oracles that import SciPy.
+_SMALL = {"n_paths": 64, "n_steps": 20}
 _RUNS = (
     {"experiment": "blowup-rate", "model": "example1", "n_paths": 64,
      "n_steps": 50, "n_t_points": 3},
@@ -52,11 +57,16 @@ _RUNS = (
      "n_steps": 20},
     {"experiment": "z-path", "model": "girsanov_const", "provider": "pde",
      "n_paths": 2, "n_steps": 20, "n_x": 41},
+    {"experiment": "tau-locate", "model": "step_vol", **_SMALL},
+    {"experiment": "lambda-moment", "model": "tanh_smooth", "n_doublings": 1,
+     **_SMALL},
+    {"experiment": "girsanov-equiv", "model": "girsanov_const", **_SMALL},
+    {"experiment": "pde-vs-mc", "model": "step_vol", **_SMALL},
 )
 
 
 def test_import_loads_no_scipy_and_runs_load_no_module(tmp_path):
-    out = _fresh_python("""
+    out = fresh_python("""
         import json, sys
         import degenbsde, degenbsde.cli
         loaded = set(sys.modules)
@@ -75,7 +85,7 @@ def test_import_loads_no_scipy_and_runs_load_no_module(tmp_path):
 
 
 def test_list_models_loads_no_scipy():
-    out = _fresh_python("""
+    out = fresh_python("""
         import sys
         from degenbsde.cli import main
         assert main(["list-models"]) == 0

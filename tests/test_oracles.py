@@ -1,9 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
+from test_hygiene import fresh_python
 
 from degenbsde import (
     Example1Params,
@@ -217,7 +213,7 @@ def test_bachelier_digital_equals_scipy_norm_on_scalars(x, t, sigma_bar,
 
 def test_oracles_load_scipy_on_their_first_call():
     # a fresh interpreter, so nothing has imported SciPy before the calls
-    script = textwrap.dedent("""
+    out = fresh_python("""
         import sys
         from degenbsde import Example1Params, bachelier_digital, example1_u
         assert not any(m == "scipy" or m.startswith("scipy.")
@@ -226,15 +222,8 @@ def test_oracles_load_scipy_on_their_first_call():
         print(repr(example1_u(0.4, 0.3, p)))
         print(repr(bachelier_digital(0.75, 0.3, 2.0, 0.1, 1.0)))
         """)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
     p = Example1Params(alpha=0.8, beta=0.5)
-    assert done.stdout.splitlines() == [
+    assert out.splitlines() == [
         repr(example1_u(0.4, 0.3, p)),
         repr(bachelier_digital(0.75, 0.3, 2.0, 0.1, 1.0))]
 
