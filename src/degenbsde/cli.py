@@ -6,11 +6,14 @@ same bytes out, no wall-clock seeding, no hidden state.
 
 Config schema: a single JSON object.  ``experiment`` and ``model`` are
 required everywhere; ``params`` (nested object) feeds the model factory;
-remaining keys are experiment-specific and validated up front -- an
-unknown or ill-typed key aborts with exit status 1 before any computation
-starts.  ``--check`` additionally evaluates the experiment's acceptance
-thresholds and exits with status 3 when one fails.  Numerical failures
-(all samples floored, unstable FD grid) exit with status 2.
+remaining keys are experiment-specific.  The ``_COMMON_KEYS`` and
+``_EXPERIMENT_KEYS`` tables declare each key's kind, default and bound;
+all of them, and the start times against the model's horizon, are checked
+before any computation starts.  Exit status 1 means a ``ConfigError``, a
+start point outside the alive set, or a missing value provider; 2 a
+numerical failure (all samples floored, unstable FD grid); 3, under
+``--check``, a failed acceptance threshold.  A ``ValueError`` from the
+library is a bug and shows as a traceback.
 
 Reals in CSV output carry 17 significant digits with ``.`` decimal and
 ``\\n`` line endings, so reruns are byte-comparable across platforms.
@@ -88,36 +91,46 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str  # "str" | "int" | "float" | "dict" | "list"
+    """One config key: its JSON kind, its default and the values it admits.
+
+    A ``float``, and each item of a ``numbers`` list, must be finite; a
+    ``points`` list holds finite ``[t, x]`` pairs; neither list may be empty.
+    """
+
+    kind: str  # "str" | "int" | "float" | "dict" | "numbers" | "points"
     required: bool = False
     default: object = None
+    least: int = 1  # an int lies in [least, 2**bits)
+    bits: int = 63
+    sign: str = ""  # a float or numbers item: "positive" or "nonnegative"
+    choices: tuple = ()  # the values a str may take, if limited
 
 
 _COMMON_KEYS = {
     "experiment": _Key("str", required=True),
     "model": _Key("str", required=True),
     "params": _Key("dict", default=None),
-    "seed": _Key("int", default=0),
+    "seed": _Key("int", default=0, least=0, bits=64),
     "output_path": _Key("str", default=None),
-    "eps_sigma": _Key("float", default=DEFAULT_EPS_SIGMA),
-    "lambda_floor": _Key("float", default=None),
+    "eps_sigma": _Key("float", default=DEFAULT_EPS_SIGMA, sign="positive"),
+    "lambda_floor": _Key("float", default=None, sign="positive"),
 }
 
 _EXPERIMENT_KEYS = {
     "blowup-rate": {
         "t_lo": _Key("float", default=0.5),
         "t_hi": _Key("float", default=0.95),
-        "n_t_points": _Key("int", default=8),
+        "n_t_points": _Key("int", default=8, least=2),
         "n_paths": _Key("int", default=100_000),
         "n_steps": _Key("int", default=2000),
-        "slope_tol": _Key("float", default=0.05),
+        "slope_tol": _Key("float", default=0.05, sign="nonnegative"),
     },
     "weight-crossval": {
         "t0": _Key("float", default=0.0),
         "x0": _Key("float", default=0.0),
         "n_paths": _Key("int", default=100_000),
         "n_steps": _Key("int", default=500),
-        "z_max": _Key("float", default=3.0),
+        "z_max": _Key("float", default=3.0, sign="nonnegative"),
     },
     "tau-locate": {
         "t0": _Key("float", default=0.0),
@@ -131,42 +144,46 @@ _EXPERIMENT_KEYS = {
         "x0": _Key("float", default=0.0),
         "n_paths": _Key("int", default=100_000),
         "n_steps": _Key("int", default=500),
-        "p_values": _Key("list", default=(1.0, 2.0)),
-        "n_doublings": _Key("int", default=3),
-        "rel_tol": _Key("float", default=0.05),
+        "p_values": _Key("numbers", default=(1.0, 2.0), sign="positive"),
+        # n_paths >> 63 is already 0: more doublings add no sample size
+        "n_doublings": _Key("int", default=3, bits=6),
+        "rel_tol": _Key("float", default=0.05, sign="nonnegative"),
     },
     "girsanov-equiv": {
         "t0": _Key("float", default=0.0),
-        "probes_x": _Key("list", default=(-0.5, -0.25, 0.0, 0.25, 0.5)),
+        "probes_x": _Key("numbers", default=(-0.5, -0.25, 0.0, 0.25, 0.5)),
         "n_paths": _Key("int", default=200_000),
         "n_steps": _Key("int", default=1000),
         "x_min": _Key("float", default=-3.0),
         "x_max": _Key("float", default=3.0),
-        "n_x": _Key("int", default=601),
+        "n_x": _Key("int", default=601, least=3),
         "equiv_n_t": _Key("int", default=20),
         "equiv_n_x": _Key("int", default=20),
-        "fd_tol": _Key("float", default=5e-3),
+        "fd_tol": _Key("float", default=5e-3, sign="nonnegative"),
     },
     "pde-vs-mc": {
-        "probes": _Key("list", default=((0.0, 0.0), (0.0, 0.5), (0.25, -0.5))),
+        "probes": _Key("points",
+                       default=((0.0, 0.0), (0.0, 0.5), (0.25, -0.5))),
         "n_paths": _Key("int", default=200_000),
         "n_steps": _Key("int", default=1000),
         "x_min": _Key("float", default=-3.0),
         "x_max": _Key("float", default=3.0),
-        "n_x": _Key("int", default=601),
-        "weight_kind": _Key("str", default="degenerate"),
-        "tol_u": _Key("float", default=1e-2),
-        "tol_ux": _Key("float", default=2e-2),
+        "n_x": _Key("int", default=601, least=3),
+        "weight_kind": _Key("str", default="degenerate",
+                            choices=("degenerate", "nondegenerate")),
+        "tol_u": _Key("float", default=1e-2, sign="nonnegative"),
+        "tol_ux": _Key("float", default=2e-2, sign="nonnegative"),
     },
     "z-path": {
         "t0": _Key("float", default=0.0),
         "x0": _Key("float", default=0.0),
         "n_paths": _Key("int", default=5),
         "n_steps": _Key("int", default=500),
-        "provider": _Key("str", default="pde"),
+        "provider": _Key("str", default="pde",
+                         choices=("pde", "bachelier", "example1")),
         "x_min": _Key("float", default=-4.0),
         "x_max": _Key("float", default=4.0),
-        "n_x": _Key("int", default=401),
+        "n_x": _Key("int", default=401, least=3),
     },
 }
 
@@ -188,36 +205,58 @@ _EXPERIMENT_DOC = {
 
 def _is_finite_number(value) -> bool:
     """A JSON number that converts to a finite float (booleans excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)  # exact, even for ints
 
 
-def _check_kind(key: str, value, kind: str):
+def _has_sign(value: float, sign: str) -> bool:
+    if sign == "positive":
+        return value > 0.0
+    return sign != "nonnegative" or value >= 0.0
+
+
+def _check_value(key: str, value, rule: _Key):
+    """``value`` as the run uses it, or ConfigError naming ``key``."""
+    kind = rule.kind
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"key {key!r} must be a string")
+        if rule.choices and value not in rule.choices:
+            raise ConfigError(f"key {key!r} must be one of: "
+                              + ", ".join(map(repr, rule.choices)))
         return value
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"key {key!r} must be an integer")
-        return int(value)
+        if not rule.least <= value < 2 ** rule.bits:
+            span = (f"be positive and below 2**{rule.bits}" if rule.least == 1
+                    else f"lie in [{rule.least}, 2**{rule.bits})")
+            raise ConfigError(f"key {key!r} must {span}, got {value}")
+        return value
     if kind == "float":
         if not _is_finite_number(value):
             raise ConfigError(f"key {key!r} must be a finite number")
+        if not _has_sign(value, rule.sign):
+            raise ConfigError(f"key {key!r} must be {rule.sign}, got {value}")
         return float(value)
     if kind == "dict":
         if not isinstance(value, dict):
             raise ConfigError(f"key {key!r} must be an object")
         return value
-    if kind == "list":
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"key {key!r} must be an array")
-        return list(value)
-    raise AssertionError(kind)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"key {key!r} must be an array")
+    if not value:
+        raise ConfigError(f"key {key!r} must be non-empty")
+    if kind == "points":
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2
+                   and all(map(_is_finite_number, p)) for p in value):
+            raise ConfigError(f"key {key!r} must hold finite [t, x] pairs")
+        return [(float(t), float(x)) for t, x in value]
+    if not all(map(_is_finite_number, value)):
+        raise ConfigError(f"key {key!r} must hold finite numbers")
+    if not all(_has_sign(v, rule.sign) for v in value):
+        raise ConfigError(f"key {key!r} must hold {rule.sign} numbers")
+    return [float(v) for v in value]
 
 
 def _validate_config(raw: dict) -> dict:
@@ -238,29 +277,39 @@ def _validate_config(raw: dict) -> dict:
     out = {}
     for key, rule in schema.items():
         if key in raw and raw[key] is not None:
-            out[key] = _check_kind(key, raw[key], rule.kind)
+            out[key] = _check_value(key, raw[key], rule)
         elif rule.required:
             raise ConfigError(f"key {key!r} is required")
         else:
             out[key] = rule.default
-    if not (0 <= out["seed"] < 2 ** 64):
-        raise ConfigError(f"key 'seed' must lie in [0, 2**64), got "
-                          f"{out['seed']}")
     return out
 
 
 def _build_model(cfg: dict) -> CoefficientModel:
+    """The model the config names, after the rules that need it: every
+    start time lies in ``[0, horizon)``, and ``x_min < x_max``."""
     params = cfg["params"] or {}
     try:
-        return builtin_model(cfg["model"], **params)
+        model = builtin_model(cfg["model"], **params)
     except ValueError as exc:
         raise ConfigError(f"key 'model'/'params': {exc}") from None
+    T = model.horizon_T
+    if "t0" in cfg and not 0.0 <= cfg["t0"] < T:
+        raise ConfigError(f"key 't0' must lie in [0, horizon {T:g}), got "
+                          f"{cfg['t0']}")
+    if "probes" in cfg and not all(0.0 <= t < T for t, _ in cfg["probes"]):
+        raise ConfigError(f"key 'probes' times must lie in [0, horizon "
+                          f"{T:g})")
+    if "x_min" in cfg and not cfg["x_min"] < cfg["x_max"]:
+        raise ConfigError("keys 'x_min'/'x_max' must satisfy x_min < x_max")
+    return model
 
 
-def _positive(cfg: dict, *keys) -> None:
-    for key in keys:
-        if not (cfg[key] > 0):
-            raise ConfigError(f"key {key!r} must be positive, got {cfg[key]}")
+def _example1_params(cfg: dict) -> Example1Params:
+    """The oracle parameters of model example1, with the model's defaults."""
+    params = cfg["params"] or {}
+    return Example1Params(alpha=float(params.get("alpha", 0.8)),
+                          beta=float(params.get("beta", 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +348,10 @@ def _out_path(cfg: dict, out_dir: Path, suffix: str = "") -> Path:
     return path
 
 
-def _solve(model: CoefficientModel, grid):
+def _solve(cfg: dict, model: CoefficientModel, t_min: float):
+    """The FD solution on the config's space grid, from ``t_min`` on."""
+    grid = make_grid(model, cfg["x_min"], cfg["x_max"], cfg["n_x"],
+                     t_min=t_min)
     try:
         return solve_fd(model, grid)
     except ValueError as exc:
@@ -325,15 +377,10 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
 def _run_blowup_rate(cfg, model, out_dir):
     if cfg["model"] != "example1":
         raise ConfigError("key 'model': blowup-rate requires 'example1'")
-    _positive(cfg, "n_paths", "n_steps")
-    if cfg["n_t_points"] < 2:
-        raise ConfigError("key 'n_t_points' must be >= 2 to fit a slope")
     if not (0.0 <= cfg["t_lo"] < cfg["t_hi"] < 1.0):
         raise ConfigError("keys 't_lo'/'t_hi' must satisfy "
                           "0 <= t_lo < t_hi < 1")
-    params = cfg["params"] or {}
-    orc = Example1Params(alpha=float(params.get("alpha", 0.8)),
-                         beta=float(params.get("beta", 0.5)))
+    orc = _example1_params(cfg)
     ts = np.linspace(cfg["t_lo"], cfg["t_hi"], cfg["n_t_points"])
     rows = []
     means = []
@@ -368,7 +415,10 @@ def _run_blowup_rate(cfg, model, out_dir):
 
 
 def _run_weight_crossval(cfg, model, out_dir):
-    _positive(cfg, "n_paths", "n_steps")
+    if model.g_prime is None:
+        raise ConfigError(f"key 'model': weight-crossval needs a payoff "
+                          f"derivative g_prime, which {cfg['model']!r} "
+                          f"lacks")
     point = ProblemPoint(cfg["t0"], cfg["x0"])
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
     floors = {"eps_sigma": cfg["eps_sigma"],
@@ -398,7 +448,6 @@ def _run_weight_crossval(cfg, model, out_dir):
 
 
 def _run_tau_locate(cfg, model, out_dir):
-    _positive(cfg, "n_paths", "n_steps")
     point = ProblemPoint(cfg["t0"], cfg["x0"])
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
     batch = simulate_batch(model, point, grid, cfg["seed"], cfg["n_paths"])
@@ -419,14 +468,7 @@ def _run_tau_locate(cfg, model, out_dir):
 
 
 def _run_lambda_moment(cfg, model, out_dir):
-    _positive(cfg, "n_paths", "n_steps")
-    if cfg["n_doublings"] < 1:
-        raise ConfigError("key 'n_doublings' must be >= 1")
-    p_values = []
-    for p in cfg["p_values"]:
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or p <= 0:
-            raise ConfigError("key 'p_values' must hold positive numbers")
-        p_values.append(float(p))
+    p_values = cfg["p_values"]
     point = ProblemPoint(cfg["t0"], cfg["x0"])
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
     sizes = sorted({max(1, cfg["n_paths"] >> k)
@@ -460,22 +502,12 @@ def _run_lambda_moment(cfg, model, out_dir):
 
 
 def _run_girsanov_equiv(cfg, model, out_dir):
-    _positive(cfg, "n_paths", "n_steps", "n_x", "equiv_n_t", "equiv_n_x")
-    if not cfg["probes_x"]:
-        raise ConfigError("key 'probes_x' must be non-empty")
-    if not all(_is_finite_number(x) for x in cfg["probes_x"]):
-        raise ConfigError("key 'probes_x' must hold finite numbers")
     t0 = cfg["t0"]
-    if not (0.0 <= t0 < model.horizon_T):
-        raise ConfigError("key 't0' must lie in [0, horizon)")
-    fd_grid = make_grid(model, cfg["x_min"], cfg["x_max"], cfg["n_x"],
-                        t_min=t0)
-    sol = _solve(model, fd_grid)
+    sol = _solve(cfg, model, t0)
     grid = TimeGrid(t0, model.horizon_T, cfg["n_steps"])
     rows = []
     breaches = 0
     for x in cfg["probes_x"]:
-        x = float(x)
         est = estimate_u(model, ProblemPoint(t0, x), grid, cfg["seed"],
                          cfg["n_paths"])
         u_fd = float(sol.u(t0, x))
@@ -509,25 +541,8 @@ def _run_girsanov_equiv(cfg, model, out_dir):
 
 
 def _run_pde_vs_mc(cfg, model, out_dir):
-    _positive(cfg, "n_paths", "n_steps", "n_x")
-    if cfg["weight_kind"] not in ("degenerate", "nondegenerate"):
-        raise ConfigError("key 'weight_kind' must be 'degenerate' or "
-                          "'nondegenerate'")
-    if not cfg["probes"]:
-        raise ConfigError("key 'probes' must be non-empty")
-    probes = []
-    for item in cfg["probes"]:
-        if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in item)):
-            raise ConfigError("key 'probes' must hold [t, x] pairs")
-        probes.append((float(item[0]), float(item[1])))
-    t_min = min(t for t, _ in probes)
-    if not (0.0 <= t_min and max(t for t, _ in probes) < model.horizon_T):
-        raise ConfigError("key 'probes' times must lie in [0, horizon)")
-    fd_grid = make_grid(model, cfg["x_min"], cfg["x_max"], cfg["n_x"],
-                        t_min=t_min)
-    sol = _solve(model, fd_grid)
+    probes = cfg["probes"]
+    sol = _solve(cfg, model, min(t for t, _ in probes))
     rows = []
     u_breaches = 0
     ux_breaches = 0
@@ -570,31 +585,21 @@ _CLOSED_FORM_MODEL = {"bachelier": "bachelier_digital", "example1": "example1"}
 
 def _zpath_provider(cfg, model):
     kind = cfg["provider"]
-    params = cfg["params"] or {}
-    if kind in _CLOSED_FORM_MODEL and cfg["model"] != _CLOSED_FORM_MODEL[kind]:
+    if kind == "pde":
+        return _solve(cfg, model, cfg["t0"]).provider()
+    if cfg["model"] != _CLOSED_FORM_MODEL[kind]:
         raise ConfigError(f"key 'provider': {kind!r} is the closed form of "
                           f"model {_CLOSED_FORM_MODEL[kind]!r}, not "
                           f"{cfg['model']!r}; use 'pde'")
-    if kind == "pde":
-        fd_grid = make_grid(model, cfg["x_min"], cfg["x_max"], cfg["n_x"],
-                            t_min=cfg["t0"])
-        return _solve(model, fd_grid).provider()
-    if kind == "bachelier":
-        return bachelier_provider(float(params.get("sigma_bar", 1.0)),
-                                  float(params.get("strike", 0.0)),
-                                  float(params.get("T", 1.0)))
     if kind == "example1":
-        return example1_provider(Example1Params(
-            alpha=float(params.get("alpha", 0.8)),
-            beta=float(params.get("beta", 0.5))))
-    raise ConfigError("key 'provider' must be 'pde', 'bachelier', or "
-                      "'example1'")
+        return example1_provider(_example1_params(cfg))
+    params = cfg["params"] or {}
+    return bachelier_provider(float(params.get("sigma_bar", 1.0)),
+                              float(params.get("strike", 0.0)),
+                              float(params.get("T", 1.0)))
 
 
 def _run_z_path(cfg, model, out_dir):
-    _positive(cfg, "n_paths", "n_steps", "n_x")
-    if not (0.0 <= cfg["t0"] < model.horizon_T):
-        raise ConfigError("key 't0' must lie in [0, horizon)")
     provider = _zpath_provider(cfg, model)
     point = ProblemPoint(cfg["t0"], cfg["x0"])
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
@@ -634,17 +639,13 @@ _RUNNERS = {
 def run_experiment(raw_config: dict, out_dir=".") -> ExperimentResult:
     """Validate, run, and write artifacts for one experiment config.
 
-    Raises ConfigError for schema problems, NumericalFailure (or
-    EstimationError/SimulationError) for runtime breakdowns.  Check
-    outcomes are always computed; main() turns failures into exit status
-    3 only under ``--check``.
+    Raises ConfigError (or OutsideGamma0Error/ProviderRequiredError) for
+    config problems, NumericalFailure (or EstimationError/SimulationError)
+    for runtime breakdowns.  Check outcomes are always computed; main()
+    turns failures into exit status 3 only under ``--check``.
     """
     cfg = _validate_config(raw_config)
     model = _build_model(cfg)
-    if cfg["eps_sigma"] <= 0.0:
-        raise ConfigError("key 'eps_sigma' must be positive")
-    if cfg["lambda_floor"] is not None and cfg["lambda_floor"] <= 0.0:
-        raise ConfigError("key 'lambda_floor' must be positive")
     return _RUNNERS[cfg["experiment"]](cfg, model, Path(out_dir))
 
 
@@ -694,18 +695,12 @@ def main(argv=None) -> int:
 
     try:
         result = run_experiment(raw, out_dir=args.out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (OutsideGamma0Error, ProviderRequiredError) as exc:
+    except (ConfigError, OutsideGamma0Error, ProviderRequiredError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailure, EstimationError, SimulationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
     for path in result.outputs:
         print(f"wrote {path}")

@@ -1,14 +1,21 @@
 import dataclasses
 import json
+import runpy
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degenbsde.cli as cli
 import degenbsde.estimators as est_mod
-from degenbsde import OutsideGamma0Error, builtin_model_names
+from degenbsde import (OutsideGamma0Error, ProviderRequiredError,
+                       builtin_model_names)
 from degenbsde.cli import ConfigError, main, run_experiment
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_config(tmp_path, cfg, name="cfg.json"):
@@ -406,13 +413,104 @@ def test_blowup_rate_needs_two_points_for_a_slope(tmp_path):
         run_experiment(cfg, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("experiment, model, key, value", [
+    ("pde-vs-mc", "bachelier_digital", "probes", [[10 ** 400, 0.0]]),
+    ("pde-vs-mc", "bachelier_digital", "probes", [[0.0, -10 ** 400]]),
+    ("pde-vs-mc", "bachelier_digital", "probes", [[0.0, float("nan")]]),
+    ("lambda-moment", "example1", "p_values", [10 ** 400]),
+    ("lambda-moment", "example1", "p_values", [float("inf")]),
+    ("lambda-moment", "example1", "p_values", [1.0, float("nan")]),
+    # the rules that need the model or a second key
+    ("tau-locate", "step_vol", "t0", 1.0),
+    ("z-path", "example1", "t0", 2.0),
+    ("pde-vs-mc", "bachelier_digital", "probes", [[0.0, 0.0], [1.0, 0.0]]),
+    ("pde-vs-mc", "bachelier_digital", "probes", [[-0.5, 0.0]]),
+    ("girsanov-equiv", "girsanov_const", "x_min", 3.0),
+], ids=["probes-huge-t", "probes-huge-x", "probes-nan", "p_values-huge",
+        "p_values-inf", "p_values-nan", "t0-at-horizon",
+        "z-path-t0-at-horizon", "probes-at-horizon", "probes-before-0",
+        "x_min-at-x_max"])
+def test_bad_list_item_or_start_point_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch, experiment, model, key, value):
+    solves = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
+    streams = _count_streams(monkeypatch)
+    path = _write_config(tmp_path, {"experiment": experiment, "model": model,
+                                    key: value})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key") and repr(key) in err
+    assert solves == [] and streams == []
+
+
+class _Reached(Exception):
+    """Raised where a run would start its first FD solve or path."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+# each fuzzed key gets a small value of its kind or a wild JSON value
+_WILD = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.sampled_from([2 ** 63, 2 ** 64, 10 ** 30, 10 ** 400, -10 ** 400,
+                       float("nan"), float("inf"), -float("inf")]),
+    lambda items: st.lists(items, max_size=3), max_leaves=6)
+_SMALL = st.integers(-1, 8) | st.floats(-2.0, 3.0)
+_OF_KIND = {
+    "int": st.integers(-1, 8),
+    "float": _SMALL,
+    "str": st.sampled_from(["pde", "bachelier", "example1", "degenerate",
+                            "nondegenerate", *builtin_model_names()]),
+    "dict": st.none(),
+    "numbers": st.lists(_SMALL, max_size=3),
+    "points": st.lists(st.lists(_SMALL, min_size=2, max_size=2), max_size=3),
+}
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    experiment = draw(st.sampled_from(sorted(cli._EXPERIMENT_KEYS)))
+    schema = {**cli._COMMON_KEYS, **cli._EXPERIMENT_KEYS[experiment]}
+    del schema["experiment"]
+    cfg = {"experiment": experiment,
+           "model": draw(st.sampled_from(builtin_model_names()))}
+    for key in draw(st.lists(st.sampled_from(sorted(schema)), max_size=4,
+                             unique=True)):
+        cfg[key] = draw(_OF_KIND[schema[key].kind] | _WILD)
+    return cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(cfg=_fuzzed_configs())
+def test_any_config_is_rejected_as_a_config_error_or_reaches_the_work(cfg):
+    # a bad config names itself before the first FD solve or path: the
+    # only exceptions main maps to exit 1, or the sentinel at that work
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as out_dir:
+        for name in ("_solve", "simulate_batch", "simulate_path"):
+            mp.setattr(cli, name, _reached)
+        mp.setattr(est_mod, "path_stream", _reached)
+        try:
+            run_experiment(cfg, out_dir=out_dir)
+        except (ConfigError, OutsideGamma0Error, ProviderRequiredError,
+                _Reached):
+            pass
+
+
 # ---------------------------------------------------------------------------
 # checked-in run configs
 # ---------------------------------------------------------------------------
 
 
-_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
-                  .glob("*.json"))
+_CONFIGS = sorted((_ROOT / "configs").glob("*.json"))
+# the benchmark's workloads, which it runs with the seed it is given
+_WORKLOADS = runpy.run_path(str(_ROOT / "perfbench" / "run.py"))["WORKLOADS"]
+_RUN_CONFIGS = (
+    [(p.stem, json.loads(p.read_text())) for p in _CONFIGS]
+    + [(f"perfbench-{name}", dict(wl.config, seed=0))
+       for name, wl in sorted(_WORKLOADS.items())])
 
 
 def test_configs_cover_every_experiment():
@@ -420,7 +518,8 @@ def test_configs_cover_every_experiment():
     assert names == set(cli._RUNNERS)
 
 
-@pytest.mark.parametrize("path", _CONFIGS, ids=lambda p: p.stem)
-def test_checked_in_config_is_valid(path):
-    cfg = cli._validate_config(json.loads(path.read_text()))
-    cli._build_model(cfg)
+@pytest.mark.parametrize("raw", [cfg for _, cfg in _RUN_CONFIGS],
+                         ids=[name for name, _ in _RUN_CONFIGS])
+def test_checked_in_config_is_valid(raw):
+    # _build_model also checks the start times against the model's horizon
+    cli._build_model(cli._validate_config(raw))
