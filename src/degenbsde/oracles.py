@@ -173,7 +173,9 @@ def bachelier_digital(t: float, x, sigma_bar: float, strike: float,
     s = sigma_bar * math.sqrt(T - t)
     z = (np.asarray(x, dtype=float) - strike) / s
     u = ndtr(z)
-    ux = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / s
+    # np.square, not z**2: on a NumPy scalar ``**`` calls C pow(), which can
+    # round z*z one ulp away from the array loop scipy.stats runs
+    ux = np.exp(-np.square(z) / 2.0) / np.sqrt(2 * np.pi) / s
     if np.ndim(x) == 0:
         return float(u), float(ux)
     return u, ux
