@@ -221,6 +221,8 @@ def _check_value(key: str, value, rule: _Key):
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"key {key!r} must be a string")
+        if "\0" in value:
+            raise ConfigError(f"key {key!r} must not hold a NUL byte")
         if rule.choices and value not in rule.choices:
             raise ConfigError(f"key {key!r} must be one of: "
                               + ", ".join(map(repr, rule.choices)))
@@ -287,7 +289,8 @@ def _validate_config(raw: dict) -> dict:
 
 def _build_model(cfg: dict) -> CoefficientModel:
     """The model the config names, after the rules that need it: every
-    start time lies in ``[0, horizon)``, and ``x_min < x_max``."""
+    start time lies in ``[0, horizon)``, and ``x_max - x_min`` is positive
+    and finite."""
     params = cfg["params"] or {}
     try:
         model = builtin_model(cfg["model"], **params)
@@ -300,8 +303,9 @@ def _build_model(cfg: dict) -> CoefficientModel:
     if "probes" in cfg and not all(0.0 <= t < T for t, _ in cfg["probes"]):
         raise ConfigError(f"key 'probes' times must lie in [0, horizon "
                           f"{T:g})")
-    if "x_min" in cfg and not cfg["x_min"] < cfg["x_max"]:
-        raise ConfigError("keys 'x_min'/'x_max' must satisfy x_min < x_max")
+    if "x_min" in cfg and not 0.0 < cfg["x_max"] - cfg["x_min"] < math.inf:
+        raise ConfigError("keys 'x_min'/'x_max' must satisfy x_min < x_max "
+                          "with a finite difference")
     return model
 
 
@@ -646,7 +650,11 @@ def run_experiment(raw_config: dict, out_dir=".") -> ExperimentResult:
     """
     cfg = _validate_config(raw_config)
     model = _build_model(cfg)
-    return _RUNNERS[cfg["experiment"]](cfg, model, Path(out_dir))
+    out_dir = Path(out_dir)
+    out = _out_path(cfg, out_dir)
+    if out.is_dir():
+        raise ConfigError(f"key 'output_path' names a directory: {out}")
+    return _RUNNERS[cfg["experiment"]](cfg, model, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +696,7 @@ def main(argv=None) -> int:
         print(f"config error: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long
         print(f"config error: invalid JSON in {args.config}: {exc}",
               file=sys.stderr)
         return 1

@@ -75,6 +75,15 @@ class CoefficientModel:
       random draws, and ``solve_fd`` copies the value levels past it
       instead of sweeping them (zero running cost only).  ``None`` (the
       default) claims nothing.
+    * ``x_flat``: ``sigma_x``, ``b_x`` and ``f2_x`` are identically zero,
+      so the tangent flow stays 1 and the weight's ``B`` sum stays 0.  The
+      stepping kernel then calls neither derivative and skips both
+      updates, which changes no value, bit for bit, while ``gamma`` and
+      ``Lambda`` are finite: ``sigma`` must be finite and obey
+      ``|sigma| <= lipschitz_K`` (``check_model_invariants`` checks both),
+      and the kernel keeps the full update when ``lipschitz_K**2`` times
+      the simulated span could overflow.  ``False`` (the default) claims
+      nothing.
     """
 
     sigma: Coefficient
@@ -99,6 +108,7 @@ class CoefficientModel:
     g_jumps: tuple = ()
     sigma_time_jumps: tuple = ()
     frozen_after: Optional[float] = None
+    x_flat: bool = False
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -192,7 +202,7 @@ def _make_indicator_zero_vol(T: float = 1.0) -> CoefficientModel:
         sigma=_zero2, sigma_x=_zero2, b=_zero2, b_x=_zero2,
         f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=float(T),
-        f1_is_zero=True, g_jumps=(0.0,), frozen_after=0.0,
+        f1_is_zero=True, g_jumps=(0.0,), frozen_after=0.0, x_flat=True,
         name="indicator_zero_vol",
     )
 
@@ -234,7 +244,8 @@ def _make_example1(alpha: float = 0.8, beta: float = 0.5) -> CoefficientModel:
         holder_alpha=min(beta, 1.0),
         holder_C=1.0 if beta <= 1.0 else beta,
         horizon_T=2.0,
-        f1_is_zero=True, g_jumps=(0.0,), frozen_after=1.0, name="example1",
+        f1_is_zero=True, g_jumps=(0.0,), frozen_after=1.0, x_flat=True,
+        name="example1",
     )
 
 
@@ -253,7 +264,7 @@ def _make_bachelier_digital(sigma_bar: float = 1.0, strike: float = 0.0,
         sigma=_const2(sigma_bar), sigma_x=_zero2, b=_zero2, b_x=_zero2,
         f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=max(sigma_bar, 1.0), holder_alpha=1.0, holder_C=1.0,
-        horizon_T=float(T), f1_is_zero=True, g_jumps=(strike,),
+        horizon_T=float(T), f1_is_zero=True, g_jumps=(strike,), x_flat=True,
         name="bachelier_digital",
     )
 
@@ -280,7 +291,7 @@ def _make_tanh_smooth(sigma_bar: float = 1.0, T: float = 1.0) -> CoefficientMode
         sigma=_const2(sigma_bar), sigma_x=_zero2, b=_zero2, b_x=_zero2,
         f1=_zero3, f2=_zero2, f2_x=_zero2, g=g, g_prime=g_prime,
         lipschitz_K=max(sigma_bar, 1.0), holder_alpha=1.0, holder_C=1.0,
-        horizon_T=float(T), f1_is_zero=True, name="tanh_smooth",
+        horizon_T=float(T), f1_is_zero=True, x_flat=True, name="tanh_smooth",
     )
 
 
@@ -312,7 +323,8 @@ def _make_step_vol(sigma_bar: float = 1.0, t_cut: float = 0.5,
         f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=max(sigma_bar, 1.0), holder_alpha=1.0, holder_C=1.0,
         horizon_T=T, f1_is_zero=True, g_jumps=(strike,),
-        sigma_time_jumps=(t_cut,), frozen_after=t_cut, name="step_vol",
+        sigma_time_jumps=(t_cut,), frozen_after=t_cut, x_flat=True,
+        name="step_vol",
     )
 
 
@@ -400,7 +412,9 @@ def transformed_drift(model: CoefficientModel) -> CoefficientModel:
     x-derivative) and ``f2 == 0``.  Applying it to a model whose ``f2``
     already vanishes reproduces the same drift values, so the operation
     is idempotent in value.  ``frozen_after`` carries over: the new drift
-    vanishes wherever ``b`` and ``sigma`` do.
+    vanishes wherever ``b`` and ``sigma`` do.  So does ``x_flat``: the new
+    drift's x-derivative ``b_x + f2_x * sigma + f2 * sigma_x`` is zero
+    when all three declared derivatives are.
     """
     b, b_x = model.b, model.b_x
     sigma, sigma_x = model.sigma, model.sigma_x
@@ -425,7 +439,9 @@ def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50
     relative); the time-Hölder modulus of sigma on sampled pairs not
     straddling a registered jump;
     exact zeros of ``sigma``, ``sigma_x``, ``b`` and ``b_x`` at sampled
-    ``t > frozen_after``; and the payoff growth bound ``|g| <= psi``.
+    ``t > frozen_after``; exact zeros of ``sigma_x``, ``b_x`` and ``f2_x``
+    everywhere when ``x_flat`` is declared; and the payoff growth bound
+    ``|g| <= psi``.
     Raises ``ModelInvariantError`` on the first violation.
     """
     ts = np.linspace(0.0, model.horizon_T, n_t)
@@ -458,6 +474,17 @@ def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50
                     raise ModelInvariantError(
                         f"{model.name}: {label} is not zero at t={t} > "
                         f"frozen_after={model.frozen_after}"
+                    )
+
+    if model.x_flat:
+        flat = [(model.sigma_x, "sigma_x"), (model.b_x, "b_x"),
+                (model.f2_x, "f2_x")]
+        for t in ts:
+            for fn, label in flat:
+                if np.any(np.asarray(fn(float(t), xs), dtype=float) != 0.0):
+                    raise ModelInvariantError(
+                        f"{model.name}: {label} is not zero at t={t} but the "
+                        f"model declares x_flat"
                     )
 
     # derivative closures vs central differences

@@ -25,6 +25,17 @@ stops computing there and ``path_stream`` draws only the increments of the
 steps before it (a Philox prefix draw equals the prefix of the full draw).
 The remaining nodes are still yielded, with the frozen state, zero
 ``gamma`` and zero ``dW``.
+
+x-flat: when the model declares ``x_flat`` (``sigma_x``, ``b_x`` and
+``f2_x`` identically zero), the tangent update multiplies by
+``exp(+0.0) = 1`` and the ``B`` update adds ``+-0.0``, so ``gradX`` stays
+exactly 1 and ``B`` exactly +0.0 while ``gamma`` and ``Lambda`` are finite.
+Once per stream, when the model's declared volatility bound keeps
+``Lambda`` finite, the kernel calls neither derivative and skips both
+updates; it still yields ``gradX`` (ones) and ``B`` (zeros), and ``S1``
+drops its ``* gradX`` factor, since ``x * 1.0 == x``.  An overflowing
+``Lambda`` would make the full update's ``B`` NaN (``inf * 0``), so such
+streams keep it.
 """
 
 from __future__ import annotations
@@ -282,6 +293,14 @@ def _live_steps(model: CoefficientModel, grid: TimeGrid) -> int:
     return min(k_star, grid.n_steps)
 
 
+def _x_flat_stream(model: CoefficientModel, grid: TimeGrid) -> bool:
+    """Whether the stream skips the tangent flow and ``B``: the model
+    declares ``x_flat``, and its bound ``|sigma| <= lipschitz_K`` keeps
+    ``Lambda <= K**2 * (T - t0)`` finite, with a factor 2 for rounding."""
+    K = model.lipschitz_K
+    return model.x_flat and math.isfinite(2.0 * K * K * (grid.T - grid.t0))
+
+
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, dW: np.ndarray) -> Iterator[PathState]:
     """Advance a path family driven by the given increment matrix.
@@ -307,6 +326,7 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     Lambda = np.zeros(shape, dtype=float)
     S1 = np.zeros(shape, dtype=float)
     B = np.zeros(shape, dtype=float)
+    tangent = not _x_flat_stream(model, grid)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, dWk in enumerate(steps):
@@ -315,16 +335,17 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                 np.asarray(model.sigma(t, X), dtype=float), shape)
             yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
 
-            sx = np.asarray(model.sigma_x(t, X), dtype=float)
-            bx = np.asarray(model.b_x(t, X), dtype=float)
+            if tangent:
+                sx = np.asarray(model.sigma_x(t, X), dtype=float)
+                bx = np.asarray(model.b_x(t, X), dtype=float)
+                S1 = S1 + gamma * gradX * dWk
+                B = B + Lambda * sx * gamma * gradX * dt
+                gradX = gradX * np.exp((bx - 0.5 * sx * sx) * dt + sx * dWk)
+            else:
+                S1 = S1 + gamma * dWk
             bv = np.asarray(model.b(t, X), dtype=float)
-
-            new_gradX = gradX * np.exp((bx - 0.5 * sx * sx) * dt + sx * dWk)
-            S1 = S1 + gamma * gradX * dWk
-            B = B + Lambda * sx * gamma * gradX * dt
             Lambda = Lambda + gamma * gamma * dt
             X = X + bv * dt + gamma * dWk
-            gradX = new_gradX
 
         for k in range(n_live + 1, n):  # the rest of a frozen tail
             yield PathState(k, float(times[k]), X, gradX, zeros, Lambda, S1,

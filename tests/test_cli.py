@@ -443,6 +443,44 @@ def test_bad_list_item_or_start_point_exits_1_before_any_work(
     assert solves == [] and streams == []
 
 
+@pytest.mark.parametrize("output_path", ["a\u0000b.csv", "sub", "."],
+                         ids=["nul-byte", "directory", "out-dir"])
+def test_bad_output_path_exits_1_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, output_path):
+    (tmp_path / "sub").mkdir()
+    streams = _count_streams(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": "weight-crossval", "model": "tanh_smooth",
+        "n_paths": 16, "n_steps": 8, "output_path": output_path})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: key 'output_path'")
+    assert streams == []
+
+
+def test_x_span_that_overflows_exits_1_before_any_work(tmp_path, capsys,
+                                                       monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
+    streams = _count_streams(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": "girsanov-equiv", "model": "girsanov_const",
+        "x_min": -1e308, "x_max": 1e308})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert "keys 'x_min'/'x_max'" in capsys.readouterr().err
+    assert solves == [] and streams == []
+
+
+def test_integer_too_long_to_parse_is_invalid_json(tmp_path, capsys):
+    # Python refuses to convert an int literal of more than 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"experiment": "tau-locate", "model": "step_vol", '
+                    '"seed": 1' + "0" * 5000 + "}")
+    assert main(["run", "--config", str(path), "--out-dir",
+                 str(tmp_path)]) == 1
+    assert "config error: invalid JSON" in capsys.readouterr().err
+
+
 class _Reached(Exception):
     """Raised where a run would start its first FD solve or path."""
 

@@ -4,6 +4,8 @@ one-loop-per-estimator reference in ``reference_estimators.py``, or raise
 the same exception type.  So must each estimate of a joint call, where
 several reducers read one stream."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ import degenbsde.estimators as est_mod
 import reference_estimators as ref_mod
 from degenbsde import (EstimationError, ProblemPoint, TimeGrid,
                        ValueProvider, builtin_model)
-from degenbsde.model import CoefficientModel
+from degenbsde.model import CoefficientModel, check_model_invariants
 
 
 def _zero2(t, x):
@@ -139,6 +141,27 @@ def test_driver_matches_frozen_reference(name, t_frac, x0, n_steps, seed,
             assert got == want, (fn, kwargs)
     finally:
         est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
+
+
+def test_value_cost_model_takes_the_general_path():
+    # sigma moves with x, so this case declares no x_flat: its streams run
+    # the tangent flow and the B sum, and still match the reference
+    model, provider = _CASES["value_cost"]
+    assert not model.x_flat
+    check_model_invariants(model)
+    calls = []
+
+    def sigma_x(t, x):
+        calls.append(t)
+        return model.sigma_x(t, x)
+
+    counted = dataclasses.replace(model, sigma_x=sigma_x)
+    point, grid = ProblemPoint(0.0, 0.2), TimeGrid(0.0, 1.0, 6)
+    got = est_mod.estimate_ux_weighted(counted, point, grid, 3, 20,
+                                       provider=provider)
+    assert len(calls) >= grid.n_steps
+    assert got == ref_mod.estimate_ux_weighted(model, point, grid, 3, 20,
+                                               provider=provider)
 
 
 def test_nan_payoff_is_excluded_and_counted():

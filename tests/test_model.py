@@ -92,6 +92,36 @@ def test_frozen_after_declarations():
     assert transformed_drift(gc).frozen_after == 0.3
 
 
+def test_x_flat_declarations():
+    bases = [n for n in builtin_model_names() if n != "girsanov_const"]
+    for name in bases:
+        assert builtin_model(name).x_flat
+        gc = builtin_model("girsanov_const", base=name)
+        assert gc.x_flat and transformed_drift(gc).x_flat
+
+
+def _sech2(x):
+    return 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
+
+
+@pytest.mark.parametrize("fields, label", [
+    ({"sigma": lambda t, x: 1.0 + 0.25 * np.tanh(np.asarray(x, dtype=float)),
+      "sigma_x": lambda t, x: 0.25 * _sech2(x)}, "sigma_x"),
+    ({"b": lambda t, x: 0.5 * np.tanh(np.asarray(x, dtype=float)),
+      "b_x": lambda t, x: 0.5 * _sech2(x)}, "b_x"),
+    ({"f2": lambda t, x: 0.5 * np.tanh(np.asarray(x, dtype=float)),
+      "f2_x": lambda t, x: 0.5 * _sech2(x)}, "f2_x"),
+], ids=["sigma", "b", "f2"])
+def test_invariant_check_catches_a_stale_x_flat_declaration(fields, label):
+    # replace() keeps the built-in's x_flat while a coefficient now moves
+    # with x; the derivative itself is right, only the declaration is stale
+    m = replace(builtin_model("tanh_smooth"), lipschitz_K=1.25, **fields)
+    assert m.x_flat
+    with pytest.raises(ModelInvariantError, match=f"{label} .*x_flat"):
+        check_model_invariants(m)
+    check_model_invariants(replace(m, x_flat=False))
+
+
 def test_invariant_check_catches_wrong_freeze_time():
     for m, wrong in ((builtin_model("example1"), 0.5),
                      (builtin_model("step_vol", t_cut=0.6), 0.4)):
