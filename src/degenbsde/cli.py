@@ -11,7 +11,8 @@ remaining keys are experiment-specific.  The ``_COMMON_KEYS`` and
 all of them, and the start times against the model's horizon, are checked
 before any computation starts.  Exit status 1 means a ``ConfigError``, a
 start point outside the alive set, or a missing value provider; 2 a
-numerical failure (all samples floored, unstable FD grid); 3, under
+numerical failure (all samples floored, an unstable FD grid or no finite
+FD step count); 3, under
 ``--check``, a failed acceptance threshold.  A ``ValueError`` from the
 library is a bug and shows as a traceback.
 
@@ -288,15 +289,22 @@ def _validate_config(raw: dict) -> dict:
 
 
 def _build_model(cfg: dict) -> CoefficientModel:
-    """The model the config names, after the rules that need it: every
-    start time lies in ``[0, horizon)``, and ``x_max - x_min`` is positive
-    and finite."""
+    """The model the config names, after the rules that need it:
+    ``lipschitz_K**2 * horizon`` is finite, every start time lies in
+    ``[0, horizon)``, and ``x_max - x_min`` is positive and finite."""
     params = cfg["params"] or {}
     try:
         model = builtin_model(cfg["model"], **params)
     except ValueError as exc:
         raise ConfigError(f"key 'model'/'params': {exc}") from None
+    K = model.lipschitz_K
     T = model.horizon_T
+    if not math.isfinite(K * K * T):
+        # the bound of the occupation integral Lambda and of the FD
+        # explicit limit's sigma^2 term
+        raise ConfigError(f"key 'params': lipschitz_K**2 * horizon "
+                          f"overflows for model {cfg['model']!r} "
+                          f"(lipschitz_K={K:g})")
     if "t0" in cfg and not 0.0 <= cfg["t0"] < T:
         raise ConfigError(f"key 't0' must lie in [0, horizon {T:g}), got "
                           f"{cfg['t0']}")
@@ -354,9 +362,9 @@ def _out_path(cfg: dict, out_dir: Path, suffix: str = "") -> Path:
 
 def _solve(cfg: dict, model: CoefficientModel, t_min: float):
     """The FD solution on the config's space grid, from ``t_min`` on."""
-    grid = make_grid(model, cfg["x_min"], cfg["x_max"], cfg["n_x"],
-                     t_min=t_min)
     try:
+        grid = make_grid(model, cfg["x_min"], cfg["x_max"], cfg["n_x"],
+                         t_min=t_min)
         return solve_fd(model, grid)
     except ValueError as exc:
         raise NumericalFailure(str(exc)) from None
@@ -629,6 +637,9 @@ def _run_z_path(cfg, model, out_dir):
     return ExperimentResult(cfg["experiment"], (out,), checks)
 
 
+# the suffixes of the CSVs a runner writes beside its main output
+_SIDE_OUTPUTS = {"tau-locate": ("_hist",), "girsanov-equiv": ("_gamma",)}
+
 _RUNNERS = {
     "blowup-rate": _run_blowup_rate,
     "weight-crossval": _run_weight_crossval,
@@ -651,9 +662,10 @@ def run_experiment(raw_config: dict, out_dir=".") -> ExperimentResult:
     cfg = _validate_config(raw_config)
     model = _build_model(cfg)
     out_dir = Path(out_dir)
-    out = _out_path(cfg, out_dir)
-    if out.is_dir():
-        raise ConfigError(f"key 'output_path' names a directory: {out}")
+    for suffix in ("",) + _SIDE_OUTPUTS.get(cfg["experiment"], ()):
+        out = _out_path(cfg, out_dir, suffix)
+        if out.is_dir():
+            raise ConfigError(f"key 'output_path': {out} is a directory")
     return _RUNNERS[cfg["experiment"]](cfg, model, out_dir)
 
 

@@ -405,6 +405,12 @@ def builtin_model(name: str, **params) -> CoefficientModel:
 # ---------------------------------------------------------------------------
 
 
+def _absorbed_drift(model: CoefficientModel, t, x, sig):
+    """``b(t, x) + f2(t, x) * sig``, the drift with the linear-in-z cost
+    absorbed, given ``sig = sigma(t, x)`` already evaluated."""
+    return model.b(t, x) + model.f2(t, x) * sig
+
+
 def transformed_drift(model: CoefficientModel) -> CoefficientModel:
     """Absorb the linear-in-z cost into the drift.
 
@@ -416,12 +422,12 @@ def transformed_drift(model: CoefficientModel) -> CoefficientModel:
     drift's x-derivative ``b_x + f2_x * sigma + f2 * sigma_x`` is zero
     when all three declared derivatives are.
     """
-    b, b_x = model.b, model.b_x
+    b_x = model.b_x
     sigma, sigma_x = model.sigma, model.sigma_x
     f2, f2_x = model.f2, model.f2_x
 
     def b_tilde(t, x):
-        return b(t, x) + f2(t, x) * sigma(t, x)
+        return _absorbed_drift(model, t, x, sigma(t, x))
 
     def b_tilde_x(t, x):
         return b_x(t, x) + f2_x(t, x) * sigma(t, x) + f2(t, x) * sigma_x(t, x)

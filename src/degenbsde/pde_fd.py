@@ -14,6 +14,13 @@ irregular data: the node lattice is shifted so the first payoff jump
 falls exactly midway between nodes (restoring second-order behavior for
 symmetric jumps), and the step count is rounded so volatility
 discontinuities in time land on grid levels.
+
+The sweep evaluates the coefficients once per level: one ``sigma`` call,
+whose array also gives the drift with the linear-in-z cost absorbed, and
+the difference buffers are allocated once per solve.  ``make_grid`` sizes
+the step count from the same sampled levels that ``solve_fd``'s stability
+check samples, and checks its final grid, so ``solve_fd`` accepts every
+grid ``make_grid`` returns.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .estimators import ValueProvider, grid_provider
-from .model import CoefficientModel, transformed_drift
+from .model import CoefficientModel, _absorbed_drift
 
 __all__ = [
     "PdeGrid",
@@ -95,7 +102,6 @@ class CflReport:
 
 def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
     """Sampled sup of sigma^2 and |drift| (with the z-cost absorbed)."""
-    mt = transformed_drift(model)
     xs = grid.xs()
     n_levels = min(grid.n_t + 1, _MAX_T_SAMPLES)
     ts = np.linspace(grid.t_min, grid.t_max, n_levels)
@@ -112,8 +118,10 @@ def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
     max_sig_sq = 0.0
     max_drift = 0.0
     for t in ts:
-        sig = np.asarray(mt.sigma(float(t), xs), dtype=float)
-        drf = np.asarray(mt.b(float(t), xs), dtype=float)
+        t = float(t)
+        raw = model.sigma(t, xs)
+        sig = np.asarray(raw, dtype=float)
+        drf = np.asarray(_absorbed_drift(model, t, xs, raw), dtype=float)
         max_sig_sq = max(max_sig_sq, float(np.max(sig * sig)))
         max_drift = max(max_drift, float(np.max(np.abs(drf))))
     return max_sig_sq, max_drift
@@ -166,23 +174,52 @@ def _level_aligned_n_t(model: CoefficientModel, t_min: float, t_max: float,
     return math.ceil(n_t / mult) * mult
 
 
-def make_grid(model: CoefficientModel, x_min: float, x_max: float, n_x: int,
-              t_min: float = 0.0, t_max: Optional[float] = None) -> PdeGrid:
-    """Build a stable grid: jump-aligned nodes, CFL-derived step count."""
-    if t_max is None:
-        t_max = model.horizon_T
-    x_min, x_max = _aligned_bounds(model, x_min, x_max, n_x)
-    probe = PdeGrid(x_min=x_min, x_max=x_max, n_x=n_x,
-                    t_min=t_min, t_max=t_max, n_t=1)
-    limit = cfl_check(model, probe).dt_limit
+def _stable_n_t(model: CoefficientModel, t_min: float, t_max: float,
+                limit: float) -> int:
+    """The fewest steps no longer than ``limit``, jump-aligned."""
     span = t_max - t_min
-    n_t = 1 if math.isinf(limit) else max(1, math.ceil(span / limit))
+    if math.isinf(limit):
+        return _level_aligned_n_t(model, t_min, t_max, 1)
+    steps = span / limit if limit > 0.0 else math.inf
+    if not math.isfinite(steps):
+        raise ValueError(
+            f"no finite step count on [{t_min}, {t_max}]: the explicit "
+            f"time-step limit is {limit:.3e}, since sup sigma^2 + dx * "
+            f"sup |drift| overflows or dwarfs dx^2"
+        )
+    n_t = max(1, math.ceil(steps))
     if span / n_t > limit:
         # span / limit rounded onto an integer, leaving dt one ulp too big
         n_t += 1
-    n_t = _level_aligned_n_t(model, t_min, t_max, n_t)
-    return PdeGrid(x_min=x_min, x_max=x_max, n_x=n_x,
-                   t_min=t_min, t_max=t_max, n_t=n_t)
+    return _level_aligned_n_t(model, t_min, t_max, n_t)
+
+
+def make_grid(model: CoefficientModel, x_min: float, x_max: float, n_x: int,
+              t_min: float = 0.0, t_max: Optional[float] = None) -> PdeGrid:
+    """Build a stable grid: jump-aligned nodes, CFL-derived step count.
+
+    Raises ValueError when the coefficients leave no finite step count.
+    """
+    if t_max is None:
+        t_max = model.horizon_T
+    x_min, x_max = _aligned_bounds(model, x_min, x_max, n_x)
+
+    def grid(n_t: int) -> PdeGrid:
+        return PdeGrid(x_min=x_min, x_max=x_max, n_x=n_x,
+                       t_min=t_min, t_max=t_max, n_t=n_t)
+
+    # the levels solve_fd's check samples on any grid of at least
+    # _MAX_T_SAMPLES levels
+    limit = cfl_check(model, grid(_MAX_T_SAMPLES - 1)).dt_limit
+    n_t = _stable_n_t(model, t_min, t_max, limit)
+    # a coarser grid samples other levels: refine it until it passes
+    while n_t + 1 < _MAX_T_SAMPLES:
+        report = cfl_check(model, grid(n_t))
+        if report.satisfied:
+            break
+        limit = min(limit, report.dt_limit)
+        n_t = max(n_t + 1, _stable_n_t(model, t_min, t_max, limit))
+    return grid(n_t)
 
 
 @dataclass(frozen=True)
@@ -255,7 +292,6 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
         )
     if max_stored_levels < 2:
         raise ValueError(f"max_stored_levels must be >= 2, got {max_stored_levels}")
-    mt = transformed_drift(model)
     xs = grid.xs()
     dx = grid.dx
     dt = grid.dt
@@ -271,8 +307,14 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     identity = False
 
     # u is rebound each step, never written in place, so stored levels may
-    # share it
+    # share it.  The difference buffers are rewritten in their interiors
+    # only, so their ends stay +0.0; fwd and bwd are views of one buffer,
+    # bwd[j] = fwd[j - 1].
     u = np.asarray(model.g(xs), dtype=float).copy()
+    d2 = np.zeros(grid.n_x)
+    diff = np.zeros(grid.n_x + 1)
+    fwd = diff[1:]
+    bwd = diff[:-1]
     stored = {n_t: u}
     for m in range(n_t - 1, -1, -1):
         t_up = grid.t_min + (m + 1) * dt
@@ -281,20 +323,15 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
             if m in keep_set:
                 stored[m] = u
             continue
-        sig = np.broadcast_to(np.asarray(mt.sigma(t_up, xs), dtype=float),
-                              xs.shape)
-        drf = np.broadcast_to(np.asarray(mt.b(t_up, xs), dtype=float),
-                              xs.shape)
-        d2 = np.zeros_like(u)
+        raw = model.sigma(t_up, xs)
+        sig = np.asarray(raw, dtype=float)
+        drf = np.asarray(_absorbed_drift(model, t_up, xs, raw), dtype=float)
         d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        fwd = np.zeros_like(u)
         fwd[:-1] = (u[1:] - u[:-1]) / dx
-        bwd = np.zeros_like(u)
-        bwd[1:] = (u[1:] - u[:-1]) / dx
         d1 = np.where(drf > 0.0, fwd, np.where(drf < 0.0, bwd, 0.0))
         rhs = 0.5 * sig * sig * d2 + drf * d1
         if has_cost:
-            rhs = rhs + np.asarray(mt.f1(t_up, xs, u), dtype=float)
+            rhs = rhs + np.asarray(model.f1(t_up, xs, u), dtype=float)
         u = u + dt * rhs
         if frozen:
             identity = (bool(np.all(rhs == 0.0))

@@ -458,6 +458,68 @@ def test_bad_output_path_exits_1_before_any_work(tmp_path, capsys,
     assert streams == []
 
 
+@pytest.mark.parametrize("experiment,model,suffix", [
+    ("tau-locate", "step_vol", "_hist"),
+    ("girsanov-equiv", "girsanov_const", "_gamma"),
+])
+def test_side_output_that_names_a_directory_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch, experiment, model, suffix):
+    (tmp_path / f"x{suffix}.csv").mkdir()
+    work = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: work.append(args))
+    monkeypatch.setattr(cli, "simulate_batch",
+                        lambda *args: work.append(args))
+    streams = _count_streams(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": experiment, "model": model, "n_paths": 16,
+        "n_steps": 8, "output_path": "x.csv"})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'output_path'")
+    assert f"x{suffix}.csv" in err
+    assert work == [] and streams == []
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("experiment,model", [
+    ("weight-crossval", "tanh_smooth"),
+    ("z-path", "bachelier_digital"),
+    ("pde-vs-mc", "bachelier_digital"),
+])
+def test_overflowing_volatility_exits_1_before_any_work(tmp_path, capsys,
+                                                        monkeypatch,
+                                                        experiment, model):
+    # sigma_bar**2 overflows: Lambda and the FD step limit are meaningless
+    solves = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
+    monkeypatch.setattr(cli, "simulate_path",
+                        lambda *args: solves.append(args))
+    streams = _count_streams(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": experiment, "model": model, "n_paths": 16,
+        "n_steps": 8, "params": {"sigma_bar": 1e160}})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'params'")
+    assert "lipschitz_K" in err
+    assert solves == [] and streams == []
+
+
+def test_volatility_without_a_finite_fd_step_count_is_a_numerical_failure(
+        tmp_path, capsys, monkeypatch):
+    # sigma_bar**2 is finite, but dx**2 / sigma_bar**2 underflows
+    paths = []
+    monkeypatch.setattr(cli, "simulate_path",
+                        lambda *args: paths.append(args))
+    streams = _count_streams(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": "z-path", "model": "bachelier_digital", "n_paths": 2,
+        "n_steps": 8, "params": {"sigma_bar": 1e154}})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert "no finite step count" in capsys.readouterr().err
+    assert paths == [] and streams == []
+
+
 def test_x_span_that_overflows_exits_1_before_any_work(tmp_path, capsys,
                                                        monkeypatch):
     solves = []

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -136,6 +136,37 @@ def test_make_grid_step_count_survives_rounding():
     grid = make_grid(model, -1.0, 0.0, 13)
     assert cfl_check(model, grid).satisfied
     solve_fd(model, grid)
+
+
+def _bump_vol(amp):
+    # bachelier_digital with sigma = 1 + amp * sin(pi t), whose peak at
+    # t = 1/2 lies strictly inside the time span
+    def sigma(t, x):
+        return (1.0 + amp * math.sin(math.pi * t)) * np.ones_like(
+            np.asarray(x, dtype=float))
+
+    return replace(builtin_model("bachelier_digital"), sigma=sigma,
+                   lipschitz_K=1.0 + amp, name="bump_vol")
+
+
+@settings(max_examples=40, deadline=None)
+@given(amp=st.floats(0.0, 3.0), t_min=st.floats(0.0, 0.9),
+       n_x=st.integers(3, 61))
+@example(amp=2.0, t_min=0.0, n_x=201)
+def test_solve_accepts_every_grid_make_grid_returns(amp, t_min, n_x):
+    # make_grid samples the levels solve_fd's check samples, so a
+    # volatility peak between the ends of the span cannot slip through
+    model = _bump_vol(amp)
+    grid = make_grid(model, -3.0, 3.0, n_x, t_min=t_min)
+    solve_fd(model, grid)
+
+
+@pytest.mark.parametrize("sigma_bar", [1e160, 1e154])
+def test_make_grid_names_a_volatility_that_leaves_no_step_count(sigma_bar):
+    # sigma^2 overflows (limit 0) or dwarfs dx^2 (span / limit overflows)
+    model = builtin_model("bachelier_digital", sigma_bar=sigma_bar)
+    with pytest.raises(ValueError, match="no finite step count"):
+        make_grid(model, -4.0, 4.0, 401)
 
 
 def test_solve_rejects_unstable_grid():
@@ -396,6 +427,68 @@ def _negative_zero_payoff():
     )
 
 
+def _signed_zero_drift():
+    # the absorbed drift b + f2 * sigma is > 0 right of 1/2, < 0 left of
+    # -1/2, +0.0 on [0, 1/2] and (-0.0) + (-0.0) * sigma = -0.0 on
+    # [-1/2, 0).  sigma vanishes on [-1/2, 1/2], and the payoff is -0.0 on
+    # [-1/5, 1/5] and negative outside, so at the plateau's left edge
+    # 0.5 * sigma**2 * d2 is -0.0 and the drift's zero sign decides the
+    # node's sign bit: it stays -0.0 there, and turns +0.0 at the right edge
+    def sigma(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) <= 0.5, 0.0, 1.0 + 0.5 * np.tanh(x))
+
+    def b(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, -0.0, 0.0)
+
+    def f2(t, x):
+        x = np.asarray(x, dtype=float)
+        inner = np.where(x < 0.0, -0.0, 0.0)
+        return (1.0 + t) * np.where(x > 0.5, 0.4,
+                                    np.where(x < -0.5, -0.4, inner))
+
+    def g(x):
+        return -np.maximum(np.abs(np.asarray(x, dtype=float)) - 0.2, 0.0) ** 2
+
+    return CoefficientModel(
+        sigma=sigma, sigma_x=_zero2, b=b, b_x=_zero2,
+        f1=_zero3, f2=f2, f2_x=_zero2, g=g,
+        lipschitz_K=1.5, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
+        f1_is_zero=True, psi_K=10.0, name="signed_zero_drift",
+    )
+
+
+def _scalar_coefficients(t_cut):
+    # sigma, b and f2 return 0-d values (a 0-d array, a float and a NumPy
+    # scalar), which the sweep must broadcast over the nodes
+    def sigma(t, x):
+        return np.asarray(0.8 if t <= t_cut else 0.0)
+
+    def b(t, x):
+        return 0.1 if t <= t_cut else 0.0
+
+    def f2(t, x):
+        return np.float64(-0.5)
+
+    return CoefficientModel(
+        sigma=sigma, sigma_x=_zero2, b=b, b_x=_zero2,
+        f1=_zero3, f2=f2, f2_x=_zero2,
+        g=lambda x: np.tanh(np.asarray(x, dtype=float)),
+        lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
+        f1_is_zero=True, sigma_time_jumps=(t_cut,), frozen_after=t_cut,
+        name="scalar_coefficients",
+    )
+
+
+def test_signed_zero_drift_takes_every_sign():
+    xs = np.linspace(-1.0, 1.0, 41)
+    drf = transformed_drift(_signed_zero_drift()).b(0.3, xs)
+    zero = drf == 0.0
+    assert np.any(drf > 0.0) and np.any(drf < 0.0)
+    assert np.any(zero & np.signbit(drf)) and np.any(zero & ~np.signbit(drf))
+
+
 def _infinite_payoff(t_cut):
     # the payoff is +inf right of 1.5: the frozen steps turn its
     # neighbors into NaN, so they are not identities and must be swept
@@ -408,6 +501,7 @@ def _infinite_payoff(t_cut):
 
 
 _FROZEN_FD_MODELS = {
+    "bachelier_digital": lambda t_cut: builtin_model("bachelier_digital"),
     "example1": lambda t_cut: builtin_model("example1"),
     "girsanov_const": lambda t_cut: builtin_model("girsanov_const",
                                                   t_cut=t_cut),
@@ -416,10 +510,13 @@ _FROZEN_FD_MODELS = {
     "step_vol_with_cost": _frozen_with_cost,
     "step_vol_infinite_payoff": _infinite_payoff,
     "negative_zero_payoff": lambda t_cut: _negative_zero_payoff(),
+    "scalar_coefficients": _scalar_coefficients,
+    "signed_zero_drift": lambda t_cut: _signed_zero_drift(),
+    "tanh_smooth": lambda t_cut: builtin_model("tanh_smooth"),
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     name=st.sampled_from(sorted(_FROZEN_FD_MODELS)),
     t_cut=st.floats(0.05, 0.95),
@@ -427,11 +524,14 @@ _FROZEN_FD_MODELS = {
     x_min=st.floats(-4.0, -0.5),
     width=st.floats(1.0, 6.0),
     max_stored_levels=st.sampled_from([2, 3, 17, MAX_STORED_LEVELS]),
+    t_frac=st.floats(0.0, 0.9),
 )
 def test_frozen_level_copy_matches_frozen_reference(name, t_cut, n_x, x_min,
-                                                    width, max_stored_levels):
+                                                    width, max_stored_levels,
+                                                    t_frac):
     model = _FROZEN_FD_MODELS[name](t_cut)
-    grid = make_grid(model, x_min, x_min + width, n_x)
+    grid = make_grid(model, x_min, x_min + width, n_x,
+                     t_min=t_frac * model.horizon_T)
     sol = solve_fd(model, grid, max_stored_levels=max_stored_levels)
     times, U = _reference_sweep(model, grid, max_stored_levels)
     np.testing.assert_array_equal(sol.times, times)
@@ -451,6 +551,36 @@ def test_negative_zero_nodes_keep_the_swept_sign_bits():
     early = ~np.signbit(sol.U[:, j]) & (sol.times > 0.4) & (sol.times <= 0.7)
     assert np.any(late) and np.any(early)
     assert np.all(sol.U[sol.times > 0.4, j] == 0.0)
+
+
+def _counted(fn, calls):
+    def inner(t, x):
+        calls.append(t)
+        return fn(t, x)
+    return inner
+
+
+@pytest.mark.parametrize("name", ["bachelier_digital", "girsanov_const"])
+def test_sweep_evaluates_the_coefficients_once_per_swept_level(name):
+    model = builtin_model(name)
+    grid = make_grid(model, -2.0, 2.0, 41)
+    calls = {"sigma": [], "b": [], "f2": []}
+    traced = replace(model, **{k: _counted(getattr(model, k), calls[k])
+                               for k in calls})
+    cfl_check(traced, grid)
+    n_samples = len(calls["sigma"])
+    for v in calls.values():
+        v.clear()
+    solve_fd(traced, grid)
+    if model.frozen_after is None:
+        n_swept = grid.n_t
+    else:
+        # the live levels, then the first frozen step, which is an identity
+        n_swept = 1 + sum(grid.t_min + (m + 1) * grid.dt <= model.frozen_after
+                          for m in range(grid.n_t))
+    assert n_swept < grid.n_t or model.frozen_after is None
+    for v in calls.values():
+        assert len(v) == n_samples + n_swept
 
 
 @settings(max_examples=30, deadline=None)
