@@ -51,9 +51,9 @@ __all__ = ["ConfigError", "NumericalFailure", "ExperimentResult",
            "run_experiment", "main"]
 
 # The public estimators stay attributes of this module, where
-# ``perfbench/tracer.py`` wraps them by name, although the runners that
-# need several estimates at a point feed their reducers from one stream
-# through ``_estimate`` instead.
+# ``perfbench/tracer.py`` wraps them by name, although the Monte Carlo
+# runners feed their reducers, at one or several start points, through
+# ``_estimate`` instead.
 _PUBLIC_ESTIMATORS = (estimate_u, estimate_ux_pathwise, estimate_ux_weighted,
                       empirical_lambda_moment, reconstruct_Z)
 
@@ -394,15 +394,18 @@ def _run_blowup_rate(cfg, model, out_dir):
                           "0 <= t_lo < t_hi < 1")
     orc = _example1_params(cfg)
     ts = np.linspace(cfg["t_lo"], cfg["t_hi"], cfg["n_t_points"])
+    jobs = []
+    for t in ts:
+        point = ProblemPoint(float(t), 0.0)
+        grid = TimeGrid(float(t), model.horizon_T, cfg["n_steps"])
+        jobs.append((point, grid, [_ux_weighted_reducer(
+            model, point, grid, weight_kind="degenerate",
+            eps_sigma=cfg["eps_sigma"], lambda_floor=cfg["lambda_floor"])]))
     rows = []
     means = []
     unusable = []
-    for t in ts:
-        grid = TimeGrid(float(t), model.horizon_T, cfg["n_steps"])
-        est = estimate_ux_weighted(
-            model, ProblemPoint(float(t), 0.0), grid, cfg["seed"],
-            cfg["n_paths"], weight_kind="degenerate",
-            eps_sigma=cfg["eps_sigma"], lambda_floor=cfg["lambda_floor"])
+    for t, (est,) in zip(ts, _estimate(model, cfg["seed"], cfg["n_paths"],
+                                       jobs)):
         oracle = example1_ux_at_zero(float(t), orc)
         rows.append((float(t), est.mean, est.stderr, oracle))
         means.append(est.mean)
@@ -435,12 +438,13 @@ def _run_weight_crossval(cfg, model, out_dir):
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
     floors = {"eps_sigma": cfg["eps_sigma"],
               "lambda_floor": cfg["lambda_floor"]}
-    pw, nd, dg = _estimate(model, point, grid, cfg["seed"], cfg["n_paths"], [
-        _ux_pathwise_reducer(model, point, grid),
-        _ux_weighted_reducer(model, point, grid, weight_kind="nondegenerate",
-                             **floors),
-        _ux_weighted_reducer(model, point, grid, weight_kind="degenerate",
-                             **floors)])
+    [(pw, nd, dg)] = _estimate(model, cfg["seed"], cfg["n_paths"], [(
+        point, grid, [
+            _ux_pathwise_reducer(model, point, grid),
+            _ux_weighted_reducer(model, point, grid,
+                                 weight_kind="nondegenerate", **floors),
+            _ux_weighted_reducer(model, point, grid, weight_kind="degenerate",
+                                 **floors)])])
     z_pw_nd = _zscore(pw, nd)
     z_pw_dg = _zscore(pw, dg)
     z_nd_dg = _zscore(nd, dg)
@@ -489,7 +493,8 @@ def _run_lambda_moment(cfg, model, out_dir):
                                        eps_sigma=cfg["eps_sigma"],
                                        lambda_floor=cfg["lambda_floor"])
                 for p in p_values]
-    by_size = {n: _estimate(model, point, grid, cfg["seed"], n, reducers)
+    by_size = {n: _estimate(model, cfg["seed"], n,
+                            [(point, grid, reducers)])[0]
                for n in sizes}
     rows = []
     last_pair = {}
@@ -517,11 +522,12 @@ def _run_girsanov_equiv(cfg, model, out_dir):
     t0 = cfg["t0"]
     sol = _solve(cfg, model, t0)
     grid = TimeGrid(t0, model.horizon_T, cfg["n_steps"])
+    points = [ProblemPoint(t0, x) for x in cfg["probes_x"]]
+    estimates = _estimate(model, cfg["seed"], cfg["n_paths"], [
+        (point, grid, [_u_reducer(model, point, grid)]) for point in points])
     rows = []
     breaches = 0
-    for x in cfg["probes_x"]:
-        est = estimate_u(model, ProblemPoint(t0, x), grid, cfg["seed"],
-                         cfg["n_paths"])
+    for x, (est,) in zip(cfg["probes_x"], estimates):
         u_fd = float(sol.u(t0, x))
         diff = abs(est.mean - u_fd)
         rows.append((t0, x, est.mean, est.stderr, u_fd, diff))
@@ -555,19 +561,21 @@ def _run_girsanov_equiv(cfg, model, out_dir):
 def _run_pde_vs_mc(cfg, model, out_dir):
     probes = cfg["probes"]
     sol = _solve(cfg, model, min(t for t, _ in probes))
-    rows = []
-    u_breaches = 0
-    ux_breaches = 0
+    jobs = []
     for t, x in probes:
         grid = TimeGrid(t, model.horizon_T, cfg["n_steps"])
         point = ProblemPoint(t, x)
-        eu, eux = _estimate(
-            model, point, grid, cfg["seed"], cfg["n_paths"],
-            [_u_reducer(model, point, grid),
-             _ux_weighted_reducer(model, point, grid,
-                                  weight_kind=cfg["weight_kind"],
-                                  eps_sigma=cfg["eps_sigma"],
-                                  lambda_floor=cfg["lambda_floor"])])
+        jobs.append((point, grid, [
+            _u_reducer(model, point, grid),
+            _ux_weighted_reducer(model, point, grid,
+                                 weight_kind=cfg["weight_kind"],
+                                 eps_sigma=cfg["eps_sigma"],
+                                 lambda_floor=cfg["lambda_floor"])]))
+    rows = []
+    u_breaches = 0
+    ux_breaches = 0
+    for (t, x), (eu, eux) in zip(probes, _estimate(
+            model, cfg["seed"], cfg["n_paths"], jobs)):
         u_fd = float(sol.u(t, x))
         ux_fd = float(sol.ux(t, x))
         rows.append((t, x, u_fd, eu.mean, eu.stderr, ux_fd, eux.mean,

@@ -8,12 +8,15 @@ a *reducer*: a generator made per chunk as ``reducer(n)`` that receives
 the chunk's ``PathState`` one node at a time and answers ``(values,
 keep)`` at the end of the stream.  The driver feeds every state of one
 stream to any number of reducers, so a joint call -- several estimates
-at one point, as the ``weight-crossval``, ``pde-vs-mc`` and
-``lambda-moment`` experiments make -- simulates its paths once, and each
-of its estimates equals the one its estimator returns alone.  Per-path
-results are deterministic functions of ``(seed, path_index)``, and the
-final mean is taken over the full per-path value vector, so the returned
-numbers do not depend on chunking or evaluation order.
+at one point, as the ``weight-crossval`` experiment makes -- simulates
+its paths once.  It also serves several start points in one call, as
+``blowup-rate``, ``girsanov-equiv`` and ``pde-vs-mc`` make: per chunk it
+draws the standard normals once, for every start point, and each point's
+stream scales its own column of that draw at each step.  Each estimate
+equals the one its estimator returns alone.  Per-path results are
+deterministic functions of ``(seed, path_index)``, and the final mean is
+taken over the full per-path value vector, so the returned numbers do not
+depend on chunking or evaluation order.
 
 Three gradient routes coexist:
 
@@ -44,7 +47,9 @@ import numpy as np
 from .degeneracy import DEFAULT_EPS_SIGMA, gamma_report, locate_tau
 from .model import CoefficientModel, ProblemPoint, transformed_drift
 from .oracles import Example1Params, bachelier_digital, example1_u
-from .sde_sim import PathBundle, TimeGrid, _check_n_paths, path_stream
+from .sde_sim import (PathBundle, TimeGrid, _check_compatible, _check_n_paths,
+                      _live_steps, _normal_matrix, _stream_from_increments,
+                      path_stream)
 from .weights import (default_lambda_floor, degenerate_weight_values,
                       nondegenerate_weight_values)
 
@@ -66,6 +71,12 @@ __all__ = [
 
 CHUNK_SIZE = 8192
 UNRELIABLE_FLOOR_FRACTION = 0.05
+
+# ``path_stream`` stays an attribute of this module, where
+# ``perfbench/tracer.py`` wraps it by name, although ``_estimate`` now
+# draws once per chunk for all of its start points and streams each of
+# them from that draw.
+_TRACED_STREAM = path_stream
 
 
 class OutsideGamma0Error(ValueError):
@@ -170,45 +181,70 @@ def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
         )
 
 
-def _estimate(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
-              seed: int, n_paths: int, reducers: list) -> list:
-    """The one simulation-to-estimate loop: one ``Estimate`` per reducer.
+def _estimate(model: CoefficientModel, seed: int, n_paths: int,
+              jobs: list) -> list:
+    """The one simulation-to-estimate loop, for several start points.
 
-    A reducer is a generator function; the driver makes one generator per
-    chunk as ``reducer(n)`` for the chunk's ``n`` paths, primes it with
-    ``next``, sends it every ``PathState`` of the chunk's absorbed-drift
-    stream, then sends ``None`` and receives ``(values, keep)``.  Paths
-    outside ``keep`` or with a non-finite value are excluded and counted
-    in ``n_floored``.  Every reducer reads the same stream, so a joint
-    call simulates each chunk once and returns, reducer for reducer, what
-    separate calls would.  Each estimator's ``_<name>_reducer`` builder
-    takes that estimator's arguments except ``seed`` and ``n_paths``.
+    ``jobs`` is a list of ``(point, grid, reducers)``; the result holds one
+    list of ``Estimate``s per job, one per reducer.  A reducer is a
+    generator function; the driver makes one generator per chunk as
+    ``reducer(n)`` for the chunk's ``n`` paths, primes it with ``next``,
+    sends it every ``PathState`` of its job's absorbed-drift stream, then
+    sends ``None`` and receives ``(values, keep)``.  Paths outside
+    ``keep`` or with a non-finite value are excluded and counted in
+    ``n_floored``.  Each estimator's ``_<name>_reducer`` builder takes that
+    estimator's arguments except ``seed`` and ``n_paths``.
+
+    Per chunk, the standard normals are drawn once, as many per path as
+    the job with the most steps before a frozen tail reads, and every
+    job's stream takes its steps from the first columns of that draw,
+    scaled by its own ``sqrt(dt)``.  A Philox prefix draw is the prefix of
+    the full draw, so each job, and each of its reducers, gets what a call
+    of its own would: every ``Estimate`` is ``==`` to that of a separate
+    call.  The draw is released before the next chunk's.
 
     Errors come in a fixed order.  Building a reducer validates its
-    inputs, so reducers built in call order raise their errors in that
-    order, before this driver checks ``n_paths`` and before any path is
-    drawn.  The reducers are then finalized in call order, and the first
-    ``EstimationError`` wins.  Floating-point warnings are silenced
-    throughout, since non-finite samples are excluded and counted instead.
+    inputs, so reducers built in job-then-reducer order raise their errors
+    in that order, before this driver checks ``n_paths`` and each job's
+    grid, and before any path is drawn.  The estimates are then finalized
+    in the same order, and the first ``EstimationError`` wins.
+    Floating-point warnings are silenced throughout, since non-finite
+    samples are excluded and counted instead.
     """
     n_paths = _check_n_paths(n_paths)
     mt = transformed_drift(model)
-    parts = [[] for _ in reducers]
-    n_excluded = [0] * len(reducers)
+    for point, grid, _ in jobs:
+        _check_compatible(mt, point, grid)
+    n_draw = max(_live_steps(mt, grid) for _, grid, _ in jobs)
+    parts = [[[] for _ in reducers] for _, _, reducers in jobs]
+    n_excluded = [[0] * len(reducers) for _, _, reducers in jobs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for idx in _chunk_indices(n_paths):
-            running = [reducer(idx.size) for reducer in reducers]
-            for r in running:
-                next(r)
-            for st in path_stream(mt, point, grid, seed, idx):
+            normals = _normal_matrix(seed, idx, n_draw)
+            for (point, grid, reducers), job_parts, job_excluded in zip(
+                    jobs, parts, n_excluded):
+                running = [reducer(idx.size) for reducer in reducers]
                 for r in running:
-                    r.send(st)
-            for j, r in enumerate(running):
-                vals, keep = r.send(None)
-                keep = keep & np.isfinite(vals)
-                n_excluded[j] += int(np.count_nonzero(~keep))
-                parts[j].append(np.asarray(vals[keep], dtype=float))
-    return [_finalize(p, n, n_paths) for p, n in zip(parts, n_excluded)]
+                    next(r)
+                for st in _stream_from_increments(mt, point, grid, normals,
+                                                  math.sqrt(grid.dt)):
+                    for r in running:
+                        r.send(st)
+                for j, r in enumerate(running):
+                    vals, keep = r.send(None)
+                    keep = keep & np.isfinite(vals)
+                    job_excluded[j] += int(np.count_nonzero(~keep))
+                    job_parts[j].append(np.asarray(vals[keep], dtype=float))
+            del normals  # before the next chunk's draw, not after it
+    return [[_finalize(p, n, n_paths) for p, n in zip(job_parts, job_excluded)]
+            for job_parts, job_excluded in zip(parts, n_excluded)]
+
+
+def _estimate_one(model: CoefficientModel, point: ProblemPoint,
+                  grid: TimeGrid, seed: int, n_paths: int,
+                  reducer: Callable) -> Estimate:
+    """``_estimate`` for one reducer at one start point."""
+    return _estimate(model, seed, n_paths, [(point, grid, [reducer])])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +279,8 @@ def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     """Estimate the value function: mean of the terminal payoff plus the
     left-endpoint sum of the running cost along absorbed-drift paths.
     """
-    return _estimate(model, point, grid, seed, n_paths,
-                     [_u_reducer(model, point, grid, provider)])[0]
+    return _estimate_one(model, point, grid, seed, n_paths,
+                         _u_reducer(model, point, grid, provider))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +329,8 @@ def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
     Requires a differentiable payoff (``g_prime``) and, when the cost is
     active, its partial derivatives.
     """
-    return _estimate(model, point, grid, seed, n_paths,
-                     [_ux_pathwise_reducer(model, point, grid, provider)])[0]
+    return _estimate_one(model, point, grid, seed, n_paths,
+                         _ux_pathwise_reducer(model, point, grid, provider))
 
 
 def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
@@ -362,8 +398,8 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
     The classical weight is floored where ``|sigma|`` fell below
     ``eps_sigma``.
     """
-    return _estimate(model, point, grid, seed, n_paths, [_ux_weighted_reducer(
-        model, point, grid, provider, weight_kind, eps_sigma, lambda_floor)])[0]
+    return _estimate_one(model, point, grid, seed, n_paths, _ux_weighted_reducer(
+        model, point, grid, provider, weight_kind, eps_sigma, lambda_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +465,8 @@ def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
     weight square-integrable; the estimate should stabilize as the sample
     grows for points inside the alive set.
     """
-    return _estimate(model, point, grid, seed, n_paths, [_lambda_moment_reducer(
-        model, point, grid, p, eps_sigma, lambda_floor)])[0]
+    return _estimate_one(model, point, grid, seed, n_paths, _lambda_moment_reducer(
+        model, point, grid, p, eps_sigma, lambda_floor))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ MAX_STORED_LEVELS = 2001
 _MAX_T_SAMPLES = 1025
 _MAX_JUMP_DENOMINATOR = 10000
 _MAX_LEVEL_MULTIPLE = 1_000_000
+_MAX_N_T = 2 ** 63  # step counts must fit an int64
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,11 @@ class CflReport:
 
 
 def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
-    """Sampled sup of sigma^2 and |drift| (with the z-cost absorbed)."""
+    """Sampled sup of sigma^2 and |drift| (with the z-cost absorbed).
+
+    Raises ValueError naming the coefficient when a sample is not finite:
+    a NaN would otherwise drop out of the running sup.
+    """
     xs = grid.xs()
     n_levels = min(grid.n_t + 1, _MAX_T_SAMPLES)
     ts = np.linspace(grid.t_min, grid.t_max, n_levels)
@@ -122,8 +127,16 @@ def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
         raw = model.sigma(t, xs)
         sig = np.asarray(raw, dtype=float)
         drf = np.asarray(_absorbed_drift(model, t, xs, raw), dtype=float)
-        max_sig_sq = max(max_sig_sq, float(np.max(sig * sig)))
-        max_drift = max(max_drift, float(np.max(np.abs(drf))))
+        # max(sig**2) == max(|sig|)**2 exactly, since rounding is monotone
+        sig_max = float(np.max(np.abs(sig)))
+        drf_max = float(np.max(np.abs(drf)))
+        for name, value in (("sigma", sig_max),
+                            ("drift b + f2 * sigma", drf_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is not finite at t={t} on "
+                                 f"[{grid.x_min}, {grid.x_max}]")
+        max_sig_sq = max(max_sig_sq, sig_max * sig_max)
+        max_drift = max(max_drift, drf_max)
     return max_sig_sq, max_drift
 
 
@@ -131,7 +144,8 @@ def cfl_check(model: CoefficientModel, grid: PdeGrid) -> CflReport:
     """Check ``dt <= 0.9 * dx^2 / (sup sigma^2 + dx * sup |drift|)``.
 
     The sup runs over all space nodes and up to 1025 time levels, plus the
-    instants where the volatility jumps in time.
+    instants where the volatility jumps in time.  A sample of ``sigma`` or
+    of the absorbed drift that is not finite raises ValueError naming it.
     """
     max_sig_sq, max_drift = _coefficient_samples(model, grid)
     dx = grid.dx
@@ -191,14 +205,21 @@ def _stable_n_t(model: CoefficientModel, t_min: float, t_max: float,
     if span / n_t > limit:
         # span / limit rounded onto an integer, leaving dt one ulp too big
         n_t += 1
-    return _level_aligned_n_t(model, t_min, t_max, n_t)
+    n_t = _level_aligned_n_t(model, t_min, t_max, n_t)
+    if n_t >= _MAX_N_T:
+        raise ValueError(
+            f"no int64 step count on [{t_min}, {t_max}]: the explicit "
+            f"time-step limit {limit:.3e} needs {n_t:.3e} steps"
+        )
+    return n_t
 
 
 def make_grid(model: CoefficientModel, x_min: float, x_max: float, n_x: int,
               t_min: float = 0.0, t_max: Optional[float] = None) -> PdeGrid:
     """Build a stable grid: jump-aligned nodes, CFL-derived step count.
 
-    Raises ValueError when the coefficients leave no finite step count.
+    Raises ValueError when a sampled coefficient is not finite, or when
+    the coefficients leave no step count that is finite and below 2**63.
     """
     if t_max is None:
         t_max = model.horizon_T

@@ -18,13 +18,18 @@ Randomness is counter-based: path ``i`` under seed ``s`` always draws its
 increments from the Philox stream whose 128-bit key is the exact pair
 ``(s, i)`` of 64-bit words, with ``s`` in ``[0, 2**64)`` and ``i`` in
 ``[0, 2**63)``, independent of batch layout, chunking, or evaluation order.
+Step ``k`` of a path takes the ``k``-th standard normal of its stream
+times ``sqrt(dt)``.  So paths started at several points under one seed
+can share one draw of standard normals: the estimators draw once per
+chunk of paths, as many normals per path as the longest of their streams
+reads, and each stream scales its own column at each step.
 
 Frozen tail: when the model declares ``frozen_after``, every step from the
 first grid node past that time leaves the state unchanged, so the kernel
-stops computing there and ``path_stream`` draws only the increments of the
-steps before it (a Philox prefix draw equals the prefix of the full draw).
-The remaining nodes are still yielded, with the frozen state, zero
-``gamma`` and zero ``dW``.
+stops computing there and only the normals of the steps before it are
+drawn (a Philox prefix draw equals the prefix of the full draw).  The
+remaining nodes are still yielded, with the frozen state, zero ``gamma``
+and zero ``dW``.
 
 x-flat: when the model declares ``x_flat`` (``sigma_x``, ``b_x`` and
 ``f2_x`` identically zero), the tangent update multiplies by
@@ -220,15 +225,15 @@ def _path_indices(path_indices) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def _increment_matrix(seed: int, path_indices, n_steps: int,
-                      dt: float) -> np.ndarray:
-    """Gaussian increments, one row per path index.
+def _normal_matrix(seed: int, path_indices, n_steps: int) -> np.ndarray:
+    """Standard normals, one row of ``n_steps`` per path index.
 
     The row of index ``i`` is the start of the Philox stream keyed by the
     exact 128-bit pair ``(seed, i)``, with ``seed`` in ``[0, 2**64)`` and
     ``i`` in ``[0, 2**63)``.  One generator is reset to that key, a zero
     counter and an empty buffer per row, so each row holds what a generator
-    freshly built on that key would draw.
+    freshly built on that key would draw, and a shorter draw is a prefix
+    of a longer one.
     """
     key = np.array([_check_seed(seed), 0], dtype=np.uint64)
     idx = _path_indices(path_indices)
@@ -243,6 +248,14 @@ def _increment_matrix(seed: int, path_indices, n_steps: int,
         key[1] = i
         bit_gen.state = state
         gen.standard_normal(out=out[row])
+    return out
+
+
+def _increment_matrix(seed: int, path_indices, n_steps: int,
+                      dt: float) -> np.ndarray:
+    """Gaussian increments N(0, dt), one row per path index: the rows of
+    ``_normal_matrix`` scaled by ``sqrt(dt)``."""
+    out = _normal_matrix(seed, path_indices, n_steps)
     out *= math.sqrt(dt)
     return out
 
@@ -302,10 +315,15 @@ def _x_flat_stream(model: CoefficientModel, grid: TimeGrid) -> bool:
 
 
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
-                            grid: TimeGrid, dW: np.ndarray) -> Iterator[PathState]:
-    """Advance a path family driven by the given increment matrix.
+                            grid: TimeGrid, dW: np.ndarray,
+                            scale: Optional[float] = None
+                            ) -> Iterator[PathState]:
+    """Advance a path family driven by the given matrix, one row per path.
 
-    Only the first ``_live_steps`` columns of ``dW`` are read.
+    Only the first ``_live_steps`` columns of ``dW`` are read.  Column
+    ``k`` is step ``k``'s increment, or, with ``scale``, a column of
+    standard normals that the step multiplies by ``scale`` (``sqrt(dt)``)
+    itself, with the bits ``dW * scale`` would give.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -314,6 +332,8 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     n_live = _live_steps(model, grid)
     zeros = np.zeros(shape)
     steps = dW.T[:n_live]
+    if scale is not None:
+        steps = (z * scale for z in steps)
     if n_live < n:
         # The first frozen step still runs, on a zero increment.  With dead
         # coefficients its only effect is the one a full run has on its

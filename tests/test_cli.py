@@ -52,15 +52,15 @@ def test_blowup_rate_writes_slope_footer(tmp_path):
 
 @pytest.mark.parametrize("bad", [0.0, float("nan"), -1.0])
 def test_blowup_rate_fails_on_an_unusable_mean(tmp_path, monkeypatch, bad):
-    real = cli.estimate_ux_weighted
+    real = cli._estimate
 
-    def spoiled(model, point, *args, **kwargs):
-        est = real(model, point, *args, **kwargs)
-        if abs(point.t0 - 0.6) < 1e-12:
-            est = dataclasses.replace(est, mean=bad * abs(est.mean))
-        return est
+    def spoiled(model, seed, n_paths, jobs):
+        out = real(model, seed, n_paths, jobs)
+        return [[dataclasses.replace(est, mean=bad * abs(est.mean))
+                 if abs(point.t0 - 0.6) < 1e-12 else est for est in ests]
+                for (point, _, _), ests in zip(jobs, out)]
 
-    monkeypatch.setattr(cli, "estimate_ux_weighted", spoiled)
+    monkeypatch.setattr(cli, "_estimate", spoiled)
     cfg = {"experiment": "blowup-rate", "model": "example1",
            "t_lo": 0.5, "t_hi": 0.7, "n_t_points": 3,
            "n_paths": 400, "n_steps": 100}
@@ -68,6 +68,33 @@ def test_blowup_rate_fails_on_an_unusable_mean(tmp_path, monkeypatch, bad):
     assert check.name == "blowup-slope"
     assert not check.passed
     assert "t=0.6" in check.measured
+
+
+def test_blowup_rate_draws_once_per_chunk_for_all_its_points(tmp_path,
+                                                              monkeypatch):
+    draws = _count_draws(monkeypatch)
+    cfg = {"experiment": "blowup-rate", "model": "example1",
+           "t_lo": 0.5, "t_hi": 0.7, "n_t_points": 3,
+           "n_paths": 400, "n_steps": 100}
+    run_experiment(cfg, out_dir=tmp_path)
+    # one chunk; the earliest point's grid has the most steps before
+    # example1 freezes at t = 1
+    assert len(draws) == 1
+    _, idx, n_steps = draws[0]
+    assert idx.size == 400 and n_steps == 34
+
+
+def test_later_dead_probe_exits_1_before_any_draw(tmp_path, capsys,
+                                                  monkeypatch):
+    # step_vol dies at 0.5: the second probe is outside the alive set
+    draws = _count_draws(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": "pde-vs-mc", "model": "step_vol",
+        "probes": [[0.0, 0.0], [0.7, 0.0]], "n_paths": 16, "n_steps": 8,
+        "n_x": 21})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert "alive set" in capsys.readouterr().err
+    assert draws == []
 
 
 def test_blowup_rate_requires_the_dying_model(tmp_path):
@@ -296,41 +323,42 @@ def test_main_exit_1_on_config_problems(tmp_path, capsys):
     assert "alive set" in capsys.readouterr().err
 
 
-def _count_streams(monkeypatch):
-    """Count the path streams the estimators open from now on."""
+def _count_draws(monkeypatch):
+    """Count the normal draws the estimators make from now on, one per
+    chunk of paths for all of a call's start points."""
     calls = []
-    real = est_mod.path_stream
+    real = est_mod._normal_matrix
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(est_mod, "path_stream", counting)
+    monkeypatch.setattr(est_mod, "_normal_matrix", counting)
     return calls
 
 
 def test_weight_crossval_without_payoff_derivative_exits_1(tmp_path, capsys,
                                                             monkeypatch):
-    streams = _count_streams(monkeypatch)
+    draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
         "experiment": "weight-crossval", "model": "bachelier_digital",
         "n_paths": 16, "n_steps": 8})
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
     assert "g_prime" in capsys.readouterr().err
-    assert streams == []
+    assert draws == []
 
 
 def test_weight_crossval_validates_every_estimator_before_simulating(
         tmp_path, capsys, monkeypatch):
     # the pathwise estimator comes first and would run anywhere; the
     # weighted ones refuse the point once eps_sigma exceeds the volatility
-    streams = _count_streams(monkeypatch)
+    draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
         "experiment": "weight-crossval", "model": "tanh_smooth",
         "n_paths": 16, "n_steps": 8, "eps_sigma": 2.0})
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
     assert "alive set" in capsys.readouterr().err
-    assert streams == []
+    assert draws == []
 
 
 def test_main_exit_2_on_numerical_breakdown(tmp_path, capsys):
@@ -434,13 +462,13 @@ def test_bad_list_item_or_start_point_exits_1_before_any_work(
         tmp_path, capsys, monkeypatch, experiment, model, key, value):
     solves = []
     monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
-    streams = _count_streams(monkeypatch)
+    draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {"experiment": experiment, "model": model,
                                     key: value})
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: key") and repr(key) in err
-    assert solves == [] and streams == []
+    assert solves == [] and draws == []
 
 
 @pytest.mark.parametrize("output_path", ["a\u0000b.csv", "sub", "."],
@@ -448,14 +476,14 @@ def test_bad_list_item_or_start_point_exits_1_before_any_work(
 def test_bad_output_path_exits_1_before_any_work(tmp_path, capsys,
                                                  monkeypatch, output_path):
     (tmp_path / "sub").mkdir()
-    streams = _count_streams(monkeypatch)
+    draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
         "experiment": "weight-crossval", "model": "tanh_smooth",
         "n_paths": 16, "n_steps": 8, "output_path": output_path})
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(
         "config error: key 'output_path'")
-    assert streams == []
+    assert draws == []
 
 
 @pytest.mark.parametrize("experiment,model,suffix", [
@@ -469,7 +497,7 @@ def test_side_output_that_names_a_directory_exits_1_before_any_work(
     monkeypatch.setattr(cli, "_solve", lambda *args: work.append(args))
     monkeypatch.setattr(cli, "simulate_batch",
                         lambda *args: work.append(args))
-    streams = _count_streams(monkeypatch)
+    draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
         "experiment": experiment, "model": model, "n_paths": 16,
         "n_steps": 8, "output_path": "x.csv"})
@@ -477,7 +505,7 @@ def test_side_output_that_names_a_directory_exits_1_before_any_work(
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'output_path'")
     assert f"x{suffix}.csv" in err
-    assert work == [] and streams == []
+    assert work == [] and draws == []
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -494,7 +522,7 @@ def test_overflowing_volatility_exits_1_before_any_work(tmp_path, capsys,
     monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
     monkeypatch.setattr(cli, "simulate_path",
                         lambda *args: solves.append(args))
-    streams = _count_streams(monkeypatch)
+    draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
         "experiment": experiment, "model": model, "n_paths": 16,
         "n_steps": 8, "params": {"sigma_bar": 1e160}})
@@ -502,7 +530,7 @@ def test_overflowing_volatility_exits_1_before_any_work(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'params'")
     assert "lipschitz_K" in err
-    assert solves == [] and streams == []
+    assert solves == [] and draws == []
 
 
 def test_volatility_without_a_finite_fd_step_count_is_a_numerical_failure(
@@ -511,26 +539,43 @@ def test_volatility_without_a_finite_fd_step_count_is_a_numerical_failure(
     paths = []
     monkeypatch.setattr(cli, "simulate_path",
                         lambda *args: paths.append(args))
-    streams = _count_streams(monkeypatch)
+    draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
         "experiment": "z-path", "model": "bachelier_digital", "n_paths": 2,
         "n_steps": 8, "params": {"sigma_bar": 1e154}})
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
     assert "no finite step count" in capsys.readouterr().err
-    assert paths == [] and streams == []
+    assert paths == [] and draws == []
+
+
+@pytest.mark.parametrize("experiment", ["z-path", "pde-vs-mc"])
+def test_step_count_beyond_int64_is_a_numerical_failure(tmp_path, capsys,
+                                                        monkeypatch,
+                                                        experiment):
+    # the explicit limit is positive and finite, but needs ~2.8e303 steps
+    paths = []
+    monkeypatch.setattr(cli, "simulate_path",
+                        lambda *args: paths.append(args))
+    draws = _count_draws(monkeypatch)
+    path = _write_config(tmp_path, {
+        "experiment": experiment, "model": "bachelier_digital",
+        "n_paths": 2, "n_steps": 8, "params": {"sigma_bar": 1e150}})
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert "no int64 step count" in capsys.readouterr().err
+    assert paths == [] and draws == []
 
 
 def test_x_span_that_overflows_exits_1_before_any_work(tmp_path, capsys,
                                                        monkeypatch):
     solves = []
     monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
-    streams = _count_streams(monkeypatch)
+    draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
         "experiment": "girsanov-equiv", "model": "girsanov_const",
         "x_min": -1e308, "x_max": 1e308})
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
     assert "keys 'x_min'/'x_max'" in capsys.readouterr().err
-    assert solves == [] and streams == []
+    assert solves == [] and draws == []
 
 
 def test_integer_too_long_to_parse_is_invalid_json(tmp_path, capsys):
@@ -591,7 +636,7 @@ def test_any_config_is_rejected_as_a_config_error_or_reaches_the_work(cfg):
             tempfile.TemporaryDirectory() as out_dir:
         for name in ("_solve", "simulate_batch", "simulate_path"):
             mp.setattr(cli, name, _reached)
-        mp.setattr(est_mod, "path_stream", _reached)
+        mp.setattr(est_mod, "_normal_matrix", _reached)
         try:
             run_experiment(cfg, out_dir=out_dir)
         except (ConfigError, OutsideGamma0Error, ProviderRequiredError,

@@ -2,12 +2,15 @@
 each must return the same ``Estimate``, bit for bit, as its frozen
 one-loop-per-estimator reference in ``reference_estimators.py``, or raise
 the same exception type.  So must each estimate of a joint call, where
-several reducers read one stream."""
+several reducers read one stream, and of a call at several start points,
+whose streams share one draw per chunk."""
 
 import dataclasses
+import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degenbsde.estimators as est_mod
@@ -211,7 +214,8 @@ def test_joint_call_matches_frozen_references(name, picks, t_frac, x0,
     def joint():
         reducers = [_REDUCERS[fn](model, point, grid, **kwargs)
                     for fn, kwargs in calls]
-        return est_mod._estimate(*common, reducers)
+        return est_mod._estimate(model, seed, n_paths,
+                                 [(point, grid, reducers)])[0]
 
     saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
     est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = chunk
@@ -221,3 +225,85 @@ def test_joint_call_matches_frozen_references(name, picks, t_frac, x0,
         assert _outcome(joint) == want, calls
     finally:
         est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
+
+
+def _count_draws(monkeypatch):
+    """Count the per-chunk normal draws the driver makes from now on."""
+    calls = []
+    real = est_mod._normal_matrix
+
+    def counting(seed, idx, n_steps):
+        calls.append((idx.size, n_steps))
+        return real(seed, idx, n_steps)
+
+    monkeypatch.setattr(est_mod, "_normal_matrix", counting)
+    return calls
+
+
+_JOB_STARTS = st.lists(st.tuples(st.floats(0.0, 0.98), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=4,
+                       unique_by=(lambda s: s[0], lambda s: s[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_CASES)),
+    starts=_JOB_STARTS,
+    picks=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=5,
+                            unique=True), min_size=4, max_size=4),
+    n_steps=st.integers(1, 30),
+    seed=st.integers(0, 2 ** 32),
+    n_paths=st.integers(1, 150),
+    chunk=st.sampled_from([7, 64, 8192]),
+    p=st.sampled_from([0.5, 1.0, 2.0]),
+    lambda_floor=st.sampled_from([None, 1e-3]),
+)
+# example1 freezes at t = 1 of its horizon 2, step_vol at 0.5 of 1: these
+# jobs read the first 5, 3 and 1 of the shared normals, each with its own
+# dt (the classical weight and, lacking g_prime, the pathwise estimator
+# would fail on both models)
+@example(name="example1", starts=[(0.0, 0.1), (0.25, -0.2), (0.45, 0.3)],
+         picks=[[2, 0], [4], [0, 2], [0]], n_steps=8, seed=5, n_paths=20,
+         chunk=7, p=1.0, lambda_floor=None)
+@example(name="step_vol", starts=[(0.0, 0.1), (0.25, -0.2), (0.45, 0.3)],
+         picks=[[2, 0], [4], [0, 2], [0]], n_steps=8, seed=5, n_paths=20,
+         chunk=7, p=1.0, lambda_floor=None)
+def test_call_at_several_start_points_matches_separate_calls(
+        name, starts, picks, n_steps, seed, n_paths, chunk, p, lambda_floor):
+    model, provider = _CASES[name]
+    calls = _calls(provider, p, lambda_floor)
+    jobs = []
+    for (t_frac, x0), job_picks in zip(starts, picks):
+        t0 = t_frac * model.horizon_T
+        jobs.append((ProblemPoint(t0, x0),
+                     TimeGrid(t0, model.horizon_T, n_steps),
+                     [calls[i] for i in job_picks]))
+
+    def several():
+        built = [(point, grid, [_REDUCERS[fn](model, point, grid, **kwargs)
+                                for fn, kwargs in job_calls])
+                 for point, grid, job_calls in jobs]
+        return est_mod._estimate(model, seed, n_paths, built)
+
+    saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
+    est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = chunk
+    try:
+        separate = [[_outcome(getattr(ref_mod, fn), model, point, grid, seed,
+                              n_paths, **kwargs) for fn, kwargs in job_calls]
+                    for point, grid, job_calls in jobs]
+        # the first validation error in job-then-reducer order, else
+        # EstimationError, else every job's estimates
+        want = _joint_reference([o for job in separate for o in job])
+        if not isinstance(want, type):
+            want = separate
+        with pytest.MonkeyPatch.context() as mp:
+            draws = _count_draws(mp)
+            got = _outcome(several)
+        assert got == want, (name, starts, picks)
+        if isinstance(want, type) and not issubclass(want, EstimationError):
+            assert draws == []
+        else:
+            assert len(draws) == math.ceil(n_paths / chunk)
+    finally:
+        est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
+

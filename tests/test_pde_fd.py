@@ -169,6 +169,38 @@ def test_make_grid_names_a_volatility_that_leaves_no_step_count(sigma_bar):
         make_grid(model, -4.0, 4.0, 401)
 
 
+def test_make_grid_refuses_a_step_count_beyond_int64():
+    # the limit 3.6e-304 is positive and span / limit finite, but it asks
+    # for about 2.8e303 steps
+    model = builtin_model("bachelier_digital", sigma_bar=1e150)
+    with pytest.raises(ValueError, match="no int64 step count"):
+        make_grid(model, -4.0, 4.0, 401)
+
+
+def _nan_on_the_middle(fn):
+    def patched(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) < 0.5, np.nan, fn(t, x))
+    return patched
+
+
+@pytest.mark.parametrize("field, name", [("sigma", "sigma"),
+                                         ("b", "drift b \\+ f2 \\* sigma")])
+def test_non_finite_coefficient_is_named(field, name):
+    # a NaN used to drop out of the running sup: make_grid then gave one
+    # step and solve_fd NaN levels
+    base = builtin_model("bachelier_digital")
+    model = replace(base, **{field: _nan_on_the_middle(getattr(base, field))})
+    grid = PdeGrid(-2.0, 2.0, 41, 0.0, 1.0, 10)
+    match = f"{name} is not finite at t="
+    with pytest.raises(ValueError, match=match):
+        cfl_check(model, grid)
+    with pytest.raises(ValueError, match=match):
+        make_grid(model, -2.0, 2.0, 41)
+    with pytest.raises(ValueError, match=match):
+        solve_fd(model, grid)
+
+
 def test_solve_rejects_unstable_grid():
     model = builtin_model("bachelier_digital")
     grid = PdeGrid(-2.0, 2.0, 101, 0.0, 1.0, 10)
