@@ -140,20 +140,31 @@ def _max_sigma_batch(model: CoefficientModel, t0: float,
     return mx
 
 
-def gamma_report(model: CoefficientModel, point: ProblemPoint,
-                 eps_sigma: float = DEFAULT_EPS_SIGMA) -> DegeneracyReport:
-    """Classify a starting point against the degeneracy sets."""
+def _check_classifiable(model: CoefficientModel, point: ProblemPoint,
+                        eps_sigma: float) -> None:
+    """The input checks of ``gamma_report``, in its order."""
     if not (eps_sigma > 0.0):
         raise ValueError(f"eps_sigma must be positive, got {eps_sigma}")
     if point.t0 > model.horizon_T:
         raise ValueError(
             f"t0={point.t0} lies beyond the horizon {model.horizon_T}"
         )
-    mx = float(_max_sigma_batch(model, float(point.t0),
-                                np.asarray([float(point.x0)]))[0])
-    here = float(np.abs(np.asarray(
+
+
+def _abs_sigma_at(model: CoefficientModel, point: ProblemPoint) -> float:
+    """``|sigma(t0, x0)|``, the start of the characteristic's running max."""
+    return float(np.abs(np.asarray(
         model.sigma(float(point.t0), np.asarray(point.x0, dtype=float)),
         dtype=float)))
+
+
+def gamma_report(model: CoefficientModel, point: ProblemPoint,
+                 eps_sigma: float = DEFAULT_EPS_SIGMA) -> DegeneracyReport:
+    """Classify a starting point against the degeneracy sets."""
+    _check_classifiable(model, point, eps_sigma)
+    mx = float(_max_sigma_batch(model, float(point.t0),
+                                np.asarray([float(point.x0)]))[0])
+    here = _abs_sigma_at(model, point)
     in_gamma = here > eps_sigma
     in_gamma0 = mx > eps_sigma
     n_index = int(np.ceil(1.0 / mx)) if in_gamma0 else None

@@ -1,9 +1,11 @@
 """Monte Carlo estimators for the value function, its gradient, and the
 martingale integrand.
 
-Every estimator first absorbs the linear-in-z cost into the drift, then
-streams paths in fixed-size chunks through the shared stepping kernel.
-One driver, ``_estimate``, does this for all of them.  Each estimator is
+Every estimator streams paths in fixed-size chunks through the shared
+stepping kernel, with the linear-in-z cost absorbed into the drift; the
+kernel forms that drift from the ``sigma`` values each step has already
+evaluated, so each computed node calls ``sigma`` once.  One driver,
+``_estimate``, does this for all of them.  Each estimator is
 a *reducer*: a generator made per chunk as ``reducer(n)`` that receives
 the chunk's ``PathState`` one node at a time and answers ``(values,
 keep)`` at the end of the stream.  The driver feeds every state of one
@@ -11,12 +13,12 @@ stream to any number of reducers, so a joint call -- several estimates
 at one point, as the ``weight-crossval`` experiment makes -- simulates
 its paths once.  It also serves several start points in one call, as
 ``blowup-rate``, ``girsanov-equiv`` and ``pde-vs-mc`` make: per chunk it
-draws the standard normals once, for every start point, and each point's
-stream scales its own column of that draw at each step.  Each estimate
-equals the one its estimator returns alone.  Per-path results are
-deterministic functions of ``(seed, path_index)``, and the final mean is
-taken over the full per-path value vector, so the returned numbers do not
-depend on chunking or evaluation order.
+draws the standard normals once, for every start point, step-major, and
+each point's stream scales its own contiguous row of that draw at each
+step.  Each estimate equals the one its estimator returns alone.
+Per-path results are deterministic functions of ``(seed, path_index)``,
+and the final mean is taken over the full per-path value vector, so the
+returned numbers do not depend on chunking or evaluation order.
 
 Three gradient routes coexist:
 
@@ -25,7 +27,9 @@ Three gradient routes coexist:
 * ``estimate_ux_weighted`` multiplies the raw payoff by an
   integration-by-parts weight and works for irregular payoffs -- with the
   occupation-normalized weight it remains valid under degenerate
-  volatility, as long as the starting point lies in the alive set;
+  volatility, as long as the starting point lies in the alive set (a
+  start with ``|sigma| > eps_sigma`` where it stands is in it, and only
+  the other starts sweep their drift characteristic to find out);
 * ``reconstruct_Z`` evaluates ``u_x * sigma`` along a path from an
   external value provider and clamps it to zero once the path leaves the
   alive set.
@@ -44,8 +48,9 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .degeneracy import DEFAULT_EPS_SIGMA, gamma_report, locate_tau
-from .model import CoefficientModel, ProblemPoint, transformed_drift
+from .degeneracy import (DEFAULT_EPS_SIGMA, _abs_sigma_at,
+                         _check_classifiable, gamma_report, locate_tau)
+from .model import CoefficientModel, ProblemPoint
 from .oracles import Example1Params, bachelier_digital, example1_u
 from .sde_sim import (PathBundle, TimeGrid, _check_compatible, _check_n_paths,
                       _live_steps, _normal_matrix, _stream_from_increments,
@@ -172,6 +177,14 @@ def _driver_y(model: CoefficientModel, provider: Optional[ValueProvider],
 
 def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
                     eps_sigma: float) -> None:
+    """Refuse a start outside the alive set, after ``gamma_report``'s input
+    checks.  A start with ``|sigma| > eps_sigma`` where it stands is alive,
+    since the characteristic's running max starts there; only the other
+    starts sweep the characteristic.  As in ``locate_tau``, a start alive
+    pointwise stays alive even if ``sigma`` turns NaN further along."""
+    _check_classifiable(model, point, eps_sigma)
+    if _abs_sigma_at(model, point) > eps_sigma:
+        return
     report = gamma_report(model, point, eps_sigma=eps_sigma)
     if not report.in_Gamma0:
         raise OutsideGamma0Error(
@@ -189,7 +202,8 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     list of ``Estimate``s per job, one per reducer.  A reducer is a
     generator function; the driver makes one generator per chunk as
     ``reducer(n)`` for the chunk's ``n`` paths, primes it with ``next``,
-    sends it every ``PathState`` of its job's absorbed-drift stream, then
+    sends it every ``PathState`` of its job's absorbed-drift stream
+    (``_stream_from_increments`` with ``absorb=True``), then
     sends ``None`` and receives ``(values, keep)``.  Paths outside
     ``keep`` or with a non-finite value are excluded and counted in
     ``n_floored``.  Each estimator's ``_<name>_reducer`` builder takes that
@@ -197,11 +211,11 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
 
     Per chunk, the standard normals are drawn once, as many per path as
     the job with the most steps before a frozen tail reads, and every
-    job's stream takes its steps from the first columns of that draw,
-    scaled by its own ``sqrt(dt)``.  A Philox prefix draw is the prefix of
-    the full draw, so each job, and each of its reducers, gets what a call
-    of its own would: every ``Estimate`` is ``==`` to that of a separate
-    call.  The draw is released before the next chunk's.
+    job's stream takes its steps from the first rows of that step-major
+    draw, scaled by its own ``sqrt(dt)``.  A Philox prefix draw is the
+    prefix of the full draw, so each job, and each of its reducers, gets
+    what a call of its own would: every ``Estimate`` is ``==`` to that of
+    a separate call.  The draw is released before the next chunk's.
 
     Errors come in a fixed order.  Building a reducer validates its
     inputs, so reducers built in job-then-reducer order raise their errors
@@ -212,10 +226,9 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     samples are excluded and counted instead.
     """
     n_paths = _check_n_paths(n_paths)
-    mt = transformed_drift(model)
     for point, grid, _ in jobs:
-        _check_compatible(mt, point, grid)
-    n_draw = max(_live_steps(mt, grid) for _, grid, _ in jobs)
+        _check_compatible(model, point, grid)
+    n_draw = max(_live_steps(model, grid) for _, grid, _ in jobs)
     parts = [[[] for _ in reducers] for _, _, reducers in jobs]
     n_excluded = [[0] * len(reducers) for _, _, reducers in jobs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -226,8 +239,9 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
                 running = [reducer(idx.size) for reducer in reducers]
                 for r in running:
                     next(r)
-                for st in _stream_from_increments(mt, point, grid, normals,
-                                                  math.sqrt(grid.dt)):
+                for st in _stream_from_increments(model, point, grid,
+                                                  normals, math.sqrt(grid.dt),
+                                                  absorb=True):
                     for r in running:
                         r.send(st)
                 for j, r in enumerate(running):
@@ -394,7 +408,9 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
 
     Refuses to run when the starting point lies outside the alive set
     (no weight with finite variance exists there); the integrand being
-    estimated is identically zero past the exit from that set anyway.
+    estimated is identically zero past the exit from that set anyway.  A
+    start with ``|sigma| > eps_sigma`` is alive without a
+    characteristic sweep (see ``_require_gamma0``).
     The classical weight is floored where ``|sigma|`` fell below
     ``eps_sigma``.
     """

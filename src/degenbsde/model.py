@@ -411,6 +411,14 @@ def _absorbed_drift(model: CoefficientModel, t, x, sig):
     return model.b(t, x) + model.f2(t, x) * sig
 
 
+def _absorbed_drift_x(model: CoefficientModel, t, x, sig, sig_x):
+    """``b_x + f2_x * sig + f2 * sig_x``, the x-derivative of the absorbed
+    drift, given ``sig = sigma(t, x)`` and ``sig_x = sigma_x(t, x)``
+    already evaluated."""
+    return (model.b_x(t, x) + model.f2_x(t, x) * sig
+            + model.f2(t, x) * sig_x)
+
+
 def transformed_drift(model: CoefficientModel) -> CoefficientModel:
     """Absorb the linear-in-z cost into the drift.
 
@@ -422,15 +430,13 @@ def transformed_drift(model: CoefficientModel) -> CoefficientModel:
     drift's x-derivative ``b_x + f2_x * sigma + f2 * sigma_x`` is zero
     when all three declared derivatives are.
     """
-    b_x = model.b_x
     sigma, sigma_x = model.sigma, model.sigma_x
-    f2, f2_x = model.f2, model.f2_x
 
     def b_tilde(t, x):
         return _absorbed_drift(model, t, x, sigma(t, x))
 
     def b_tilde_x(t, x):
-        return b_x(t, x) + f2_x(t, x) * sigma(t, x) + f2(t, x) * sigma_x(t, x)
+        return _absorbed_drift_x(model, t, x, sigma(t, x), sigma_x(t, x))
 
     return replace(model, b=b_tilde, b_x=b_tilde_x, f2=_zero2, f2_x=_zero2)
 

@@ -22,7 +22,15 @@ Step ``k`` of a path takes the ``k``-th standard normal of its stream
 times ``sqrt(dt)``.  So paths started at several points under one seed
 can share one draw of standard normals: the estimators draw once per
 chunk of paths, as many normals per path as the longest of their streams
-reads, and each stream scales its own column at each step.
+reads, and each stream scales its own row at each step.  That draw is
+step-major, ``(n_steps, n_paths)``, so step ``k``'s normals are one
+contiguous row; the materialized simulations keep their per-path rows.
+
+Coefficients: the estimators simulate the model with the linear-in-z cost
+absorbed into the drift (``transformed_drift``).  Their streams form
+that drift from the ``sigma`` array the step has already evaluated (and,
+for the tangent flow, its x-derivative from ``sigma`` and ``sigma_x``), so
+each computed node calls each coefficient once.
 
 Frozen tail: when the model declares ``frozen_after``, every step from the
 first grid node past that time leaves the state unchanged, so the kernel
@@ -56,7 +64,8 @@ import numpy as np
 # the first draw inside a run
 from numpy.random import Generator, Philox
 
-from .model import CoefficientModel, ProblemPoint
+from .model import (CoefficientModel, ProblemPoint, _absorbed_drift,
+                    _absorbed_drift_x)
 
 __all__ = [
     "TimeGrid",
@@ -225,15 +234,22 @@ def _path_indices(path_indices) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def _normal_matrix(seed: int, path_indices, n_steps: int) -> np.ndarray:
-    """Standard normals, one row of ``n_steps`` per path index.
+# Paths drawn per block of ``_normal_matrix``; the block buffer holds
+# ``_DRAW_BLOCK * n_steps`` normals (1 MB at 500 steps).
+_DRAW_BLOCK = 256
 
-    The row of index ``i`` is the start of the Philox stream keyed by the
-    exact 128-bit pair ``(seed, i)``, with ``seed`` in ``[0, 2**64)`` and
-    ``i`` in ``[0, 2**63)``.  One generator is reset to that key, a zero
-    counter and an empty buffer per row, so each row holds what a generator
-    freshly built on that key would draw, and a shorter draw is a prefix
-    of a longer one.
+
+def _path_generators(seed: int, path_indices) -> tuple:
+    """``(idx, gens)``: the validated indices as an int64 array, and an
+    iterator that yields, per index, a generator reset to the start of its
+    stream.
+
+    The stream of index ``i`` is the Philox stream keyed by the exact
+    128-bit pair ``(seed, i)``, with ``seed`` in ``[0, 2**64)`` and ``i``
+    in ``[0, 2**63)``.  One generator is reset to that key, a zero counter
+    and an empty buffer per index, so it draws what a generator freshly
+    built on that key would, and a shorter draw is a prefix of a longer
+    one.  Each yielded generator is valid until the next one is taken.
     """
     key = np.array([_check_seed(seed), 0], dtype=np.uint64)
     idx = _path_indices(path_indices)
@@ -243,19 +259,47 @@ def _normal_matrix(seed: int, path_indices, n_steps: int) -> np.ndarray:
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    out = np.empty((idx.size, n_steps), dtype=float)
-    for row, i in enumerate(idx.tolist()):
-        key[1] = i
-        bit_gen.state = state
-        gen.standard_normal(out=out[row])
+
+    def reset():
+        for i in idx.tolist():
+            key[1] = i
+            bit_gen.state = state
+            yield gen
+
+    return idx, reset()
+
+
+def _normal_matrix(seed: int, path_indices, n_steps: int) -> np.ndarray:
+    """Standard normals, step-major: shape ``(n_steps, n_paths)``.
+
+    Column ``j`` is the start of the stream of ``path_indices[j]`` (see
+    ``_path_generators``), so row ``k`` holds every path's normal for step
+    ``k`` contiguously.  Paths are drawn ``_DRAW_BLOCK`` at a time into a
+    small per-path-row buffer whose transpose is copied into the output;
+    no second full-size matrix is built.
+    """
+    idx, gens = _path_generators(seed, path_indices)
+    n_paths = idx.size
+    out = np.empty((n_steps, n_paths), dtype=float)
+    buf = np.empty((min(_DRAW_BLOCK, n_paths), n_steps), dtype=float)
+    for start in range(0, n_paths, _DRAW_BLOCK):
+        rows = buf[:min(_DRAW_BLOCK, n_paths - start)]
+        for row in rows:
+            next(gens).standard_normal(out=row)
+        out[:, start:start + rows.shape[0]] = rows.T
     return out
 
 
 def _increment_matrix(seed: int, path_indices, n_steps: int,
                       dt: float) -> np.ndarray:
-    """Gaussian increments N(0, dt), one row per path index: the rows of
-    ``_normal_matrix`` scaled by ``sqrt(dt)``."""
-    out = _normal_matrix(seed, path_indices, n_steps)
+    """Gaussian increments N(0, dt), one row per path index: the columns
+    of ``_normal_matrix`` scaled by ``sqrt(dt)``, drawn straight into the
+    C-contiguous ``(n_paths, n_steps)`` rows the materialized simulations
+    keep."""
+    idx, gens = _path_generators(seed, path_indices)
+    out = np.empty((idx.size, n_steps), dtype=float)
+    for row, gen in zip(out, gens):
+        gen.standard_normal(out=row)
     out *= math.sqrt(dt)
     return out
 
@@ -314,24 +358,39 @@ def _x_flat_stream(model: CoefficientModel, grid: TimeGrid) -> bool:
     return model.x_flat and math.isfinite(2.0 * K * K * (grid.T - grid.t0))
 
 
+def _full(values, shape: tuple) -> np.ndarray:
+    """A coefficient's values as a float array of ``shape``, broadcast only
+    when the coefficient returned another shape (a scalar, say)."""
+    arr = np.asarray(values, dtype=float)
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+
+
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, dW: np.ndarray,
-                            scale: Optional[float] = None
-                            ) -> Iterator[PathState]:
-    """Advance a path family driven by the given matrix, one row per path.
+                            scale: Optional[float] = None,
+                            absorb: bool = False) -> Iterator[PathState]:
+    """Advance a path family driven by the given step-major matrix: row
+    ``k`` is step ``k``, one column per path.
 
-    Only the first ``_live_steps`` columns of ``dW`` are read.  Column
-    ``k`` is step ``k``'s increment, or, with ``scale``, a column of
-    standard normals that the step multiplies by ``scale`` (``sqrt(dt)``)
-    itself, with the bits ``dW * scale`` would give.
+    Only the first ``_live_steps`` rows of ``dW`` are read.  Row ``k`` is
+    step ``k``'s increment, or, with ``scale``, a row of standard normals
+    that the step multiplies by ``scale`` (``sqrt(dt)``) itself, with the
+    bits ``dW * scale`` would give.
+
+    With ``absorb`` the drift is ``b + f2 * sigma`` (and its x-derivative
+    ``b_x + f2_x * sigma + f2 * sigma_x``), the drift of
+    ``transformed_drift(model)``, formed from the ``sigma`` and
+    ``sigma_x`` values the step has already evaluated; without it the
+    drift is ``model.b``.  Either way each computed node calls ``sigma``
+    once, and a step that runs the tangent flow calls ``sigma_x`` once.
     """
     n = grid.n_steps
     dt = grid.dt
     times = grid.times()
-    shape = (dW.shape[0],)
+    shape = (dW.shape[1],)
     n_live = _live_steps(model, grid)
     zeros = np.zeros(shape)
-    steps = dW.T[:n_live]
+    steps = dW[:n_live]
     if scale is not None:
         steps = (z * scale for z in steps)
     if n_live < n:
@@ -351,19 +410,23 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, dWk in enumerate(steps):
             t = float(times[k])
-            gamma = np.broadcast_to(
-                np.asarray(model.sigma(t, X), dtype=float), shape)
+            sig = model.sigma(t, X)
+            gamma = _full(sig, shape)
             yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
 
             if tangent:
-                sx = np.asarray(model.sigma_x(t, X), dtype=float)
-                bx = np.asarray(model.b_x(t, X), dtype=float)
+                sig_x = model.sigma_x(t, X)
+                sx = np.asarray(sig_x, dtype=float)
+                bx = np.asarray(
+                    _absorbed_drift_x(model, t, X, sig, sig_x) if absorb
+                    else model.b_x(t, X), dtype=float)
                 S1 = S1 + gamma * gradX * dWk
                 B = B + Lambda * sx * gamma * gradX * dt
                 gradX = gradX * np.exp((bx - 0.5 * sx * sx) * dt + sx * dWk)
             else:
                 S1 = S1 + gamma * dWk
-            bv = np.asarray(model.b(t, X), dtype=float)
+            bv = np.asarray(_absorbed_drift(model, t, X, sig) if absorb
+                            else model.b(t, X), dtype=float)
             Lambda = Lambda + gamma * gamma * dt
             X = X + bv * dt + gamma * dWk
 
@@ -372,8 +435,8 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                             B, zeros)
 
         t = float(times[n])
-        gamma = np.broadcast_to(np.asarray(model.sigma(t, X), dtype=float), shape)
-        yield PathState(n, t, X, gradX, gamma, Lambda, S1, B, None)
+        yield PathState(n, t, X, gradX, _full(model.sigma(t, X), shape),
+                        Lambda, S1, B, None)
 
 
 def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
@@ -385,9 +448,9 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     ``n_steps``.  Only the increments before a frozen tail are drawn.
     """
     _check_compatible(model, point, grid)
-    dW = _increment_matrix(seed, path_indices, _live_steps(model, grid),
-                           grid.dt)
-    yield from _stream_from_increments(model, point, grid, dW)
+    normals = _normal_matrix(seed, path_indices, _live_steps(model, grid))
+    yield from _stream_from_increments(model, point, grid, normals,
+                                       math.sqrt(grid.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +469,7 @@ def _materialize(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     S1 = np.empty_like(X)
     B = np.empty_like(X)
 
-    for st in _stream_from_increments(model, point, grid, dW):
+    for st in _stream_from_increments(model, point, grid, dW.T):
         X[:, st.k] = st.X
         gradX[:, st.k] = st.gradX
         gamma[:, st.k] = st.gamma

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import degenbsde.estimators as est_mod
 import reference_estimators as ref_mod
 from degenbsde import (EstimationError, ProblemPoint, TimeGrid,
-                       ValueProvider, builtin_model)
+                       ValueProvider, builtin_model, simulate_batch)
 from degenbsde.model import CoefficientModel, check_model_invariants
 
 
@@ -165,6 +165,79 @@ def test_value_cost_model_takes_the_general_path():
     assert len(calls) >= grid.n_steps
     assert got == ref_mod.estimate_ux_weighted(model, point, grid, 3, 20,
                                                provider=provider)
+
+
+def _counting(model, names):
+    """The model with the named coefficients counted into ``calls``."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(model, name)
+
+        def inner(t, x):
+            calls[name] += 1
+            return fn(t, x)
+        return inner
+
+    return dataclasses.replace(
+        model, **{name: counted(name) for name in names}), calls
+
+
+def test_stream_calls_each_coefficient_once_per_computed_node():
+    # example1 freezes at t = 1 of its horizon 2: on 8 steps a stream runs
+    # 5 live steps, one frozen step on a zero increment and the terminal
+    # node, 7 computed nodes per chunk; the absorbed drift reuses sigma
+    model = builtin_model("example1")
+    point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 2.0, 8)
+    counted, calls = _counting(model, ["sigma", "b"])
+    saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
+    est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = 7
+    try:
+        got = est_mod.estimate_u(counted, point, grid, 5, 20)
+        want = ref_mod.estimate_u(model, point, grid, 5, 20)
+    finally:
+        est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
+    assert got == want
+    assert calls == {"sigma": 3 * 7, "b": 3 * 6}
+
+
+@pytest.mark.parametrize("estimator", ["estimate_u", "estimate_ux_weighted"])
+def test_tangent_stream_calls_each_coefficient_once_per_computed_node(
+        estimator):
+    # value_cost is not x-flat, so its streams run the tangent flow with
+    # the absorbed drift's x-derivative: 6 steps and the terminal node per
+    # chunk; the weighted estimator also reads sigma once at the start to
+    # see that it is alive there
+    model, provider = _CASES["value_cost"]
+    point, grid = ProblemPoint(0.0, 0.2), TimeGrid(0.0, 1.0, 6)
+    names = ["sigma", "sigma_x", "b", "b_x", "f2", "f2_x"]
+    counted, calls = _counting(model, names)
+    saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
+    est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = 8
+    try:
+        got = getattr(est_mod, estimator)(counted, point, grid, 3, 20,
+                                          provider=provider)
+        want = getattr(ref_mod, estimator)(model, point, grid, 3, 20,
+                                           provider=provider)
+    finally:
+        est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
+    assert got == want
+    gate = estimator == "estimate_ux_weighted"
+    # 3 chunks; f2 is read by the drift and by its x-derivative
+    assert calls == {"sigma": 3 * 7 + gate, "sigma_x": 3 * 6, "b": 3 * 6,
+                     "b_x": 3 * 6, "f2": 3 * 12, "f2_x": 3 * 6}
+
+
+def test_simulations_keep_the_drift_without_the_cost():
+    # simulate_* step the model's own drift b: the z-cost f2 is absorbed
+    # only by the estimators
+    model, _ = _CASES["value_cost"]
+    point, grid = ProblemPoint(0.0, 0.2), TimeGrid(0.0, 1.0, 6)
+    got = simulate_batch(model, point, grid, 3, 5)
+    want = simulate_batch(dataclasses.replace(model, f2=_const(7.0)), point,
+                          grid, 3, 5)
+    for field in ("dW", "X", "gradX", "gamma", "Lambda", "S1", "B"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def test_nan_payoff_is_excluded_and_counted():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from degenbsde import (
     example1_provider,
     example1_u,
     example1_ux_at_zero,
+    gamma_report,
     grid_provider,
     locate_tau,
     reconstruct_Z,
@@ -412,6 +414,102 @@ def test_lambda_moment_validates_inputs():
     with pytest.raises(EstimationError):
         empirical_lambda_moment(model, ProblemPoint(0.0, 0.0), grid, seed=0,
                                 n_paths=8, p=1.0, lambda_floor=1e9)
+
+
+# ---------------------------------------------------------------------------
+# the alive-set gate of the weighted estimators
+# ---------------------------------------------------------------------------
+
+_GATED = [
+    (estimate_ux_weighted, {"weight_kind": "degenerate"}),
+    (estimate_ux_weighted, {"weight_kind": "nondegenerate"}),
+    (empirical_lambda_moment, {"p": 1.0}),
+]
+_GATED_IDS = ["degenerate", "nondegenerate", "lambda_moment"]
+
+
+def _time_vol_model(sigma_of_t) -> CoefficientModel:
+    """tanh payoff, zero drift, volatility ``sigma_of_t(t)`` in every x."""
+    def sigma(t, x):
+        return sigma_of_t(t) * np.ones_like(np.asarray(x, dtype=float))
+
+    return dataclasses.replace(_const_vol_model(np.tanh), sigma=sigma)
+
+
+def _count_gamma_reports(monkeypatch):
+    """The points ``gamma_report`` classifies from now on."""
+    points = []
+    real = est_mod.gamma_report
+
+    def counting(model, point, **kwargs):
+        points.append(point)
+        return real(model, point, **kwargs)
+
+    monkeypatch.setattr(est_mod, "gamma_report", counting)
+    return points
+
+
+@pytest.mark.parametrize("fn, kwargs", _GATED, ids=_GATED_IDS)
+def test_start_alive_where_it_stands_sweeps_no_characteristic(
+        monkeypatch, fn, kwargs):
+    reports = _count_gamma_reports(monkeypatch)
+    model = builtin_model("tanh_smooth")
+    e = fn(model, ProblemPoint(0.3, 0.2), TimeGrid(0.3, 1.0, 10), seed=0,
+           n_paths=32, **kwargs)
+    assert e.n_used == 32
+    assert reports == []
+
+
+@pytest.mark.parametrize("fn, kwargs", _GATED[::2], ids=_GATED_IDS[::2])
+def test_start_dead_where_it_stands_but_alive_later_is_swept(monkeypatch, fn,
+                                                            kwargs):
+    # sigma = 1{t >= 0.5}: dead at t0 = 0.2, alive further along
+    reports = _count_gamma_reports(monkeypatch)
+    model = _time_vol_model(lambda t: float(t >= 0.5))
+    point = ProblemPoint(0.2, 0.1)
+    e = fn(model, point, TimeGrid(0.2, 1.0, 16), seed=0, n_paths=32,
+           **kwargs)
+    assert e.n_used == 32
+    assert reports == [point]
+
+
+@pytest.mark.parametrize("fn, kwargs", _GATED, ids=_GATED_IDS)
+def test_gate_checks_its_inputs_before_any_sigma_or_draw(monkeypatch, fn,
+                                                        kwargs):
+    reports = _count_gamma_reports(monkeypatch)
+    draws = []
+    monkeypatch.setattr(est_mod, "_normal_matrix",
+                        lambda *args: draws.append(args))
+    sigma_calls = []
+    model = _time_vol_model(lambda t: sigma_calls.append(t) or 1.0)
+    grid = TimeGrid(0.0, 1.0, 8)
+    inside, beyond = ProblemPoint(0.0, 0.0), ProblemPoint(1.5, 0.0)
+    for point, eps_sigma, match in [
+            (inside, 0.0, "eps_sigma must be positive"),
+            (inside, -1.0, "eps_sigma must be positive"),
+            (beyond, 1e-8, "beyond the horizon"),
+            (beyond, 0.0, "eps_sigma must be positive")]:
+        with pytest.raises(ValueError, match=match):
+            fn(model, point, grid, seed=0, n_paths=8, eps_sigma=eps_sigma,
+               **kwargs)
+    assert (reports, draws, sigma_calls) == ([], [], [])
+
+
+@pytest.mark.parametrize("fn, kwargs", _GATED, ids=_GATED_IDS)
+def test_start_alive_where_it_stands_passes_the_gate_despite_a_later_nan(
+        monkeypatch, fn, kwargs):
+    # sigma is 1 up to t = 0.5 and NaN after: the characteristic's running
+    # max turns NaN, so gamma_report puts the start outside the alive set,
+    # but the start is alive where it stands, as locate_tau also counts it;
+    # every path then carries a NaN and no sample is usable
+    model = _time_vol_model(lambda t: 1.0 if t <= 0.5 else float("nan"))
+    point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 1.0, 8)
+    assert not gamma_report(model, point).in_Gamma0
+    assert locate_tau(model, simulate_path(model, point, grid, 0)) > 0.0
+    reports = _count_gamma_reports(monkeypatch)
+    with pytest.raises(EstimationError):
+        fn(model, point, grid, seed=0, n_paths=8, **kwargs)
+    assert reports == []
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from degenbsde import (
     simulate_path,
     simulate_path_with_increments,
 )
-from degenbsde.sde_sim import _increment_matrix
+from degenbsde.sde_sim import _DRAW_BLOCK, _increment_matrix, _normal_matrix
 
 
 def _zero2(t, x):
@@ -296,3 +296,33 @@ def test_increment_matrix_matches_per_path_generators(seed, indices, n_steps):
         old = _per_path_generators(seed, indices, n_steps,
                                    lambda s, i: [s, i])
         assert got.tobytes() == old.tobytes()
+
+
+# path counts on both sides of one and two draw blocks
+_BLOCK_COUNTS = [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                 2 * _DRAW_BLOCK + 3]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       n_paths=st.sampled_from(_BLOCK_COUNTS),
+       first=st.integers(0, 2 ** 63 - 2 * _DRAW_BLOCK - 4),
+       n_steps=st.integers(1, 40),
+       prefix=st.integers(0, 40))
+@example(seed=2 ** 64 - 1, n_paths=2 * _DRAW_BLOCK + 3,
+         first=2 ** 63 - 2 * _DRAW_BLOCK - 4, n_steps=1, prefix=1)
+@example(seed=0, n_paths=_DRAW_BLOCK + 1, first=0, n_steps=40, prefix=0)
+def test_normal_matrix_is_step_major_per_path_streams(seed, n_paths, first,
+                                                      n_steps, prefix):
+    # column j is the start of the stream (seed, first + j) and row k holds
+    # step k of every path, contiguously; a shorter draw is its first rows
+    indices = np.arange(first, first + n_paths, dtype=np.int64)
+    got = _normal_matrix(seed, indices, n_steps)
+    assert got.shape == (n_steps, n_paths)
+    assert got.flags.c_contiguous
+    for j, i in enumerate(indices.tolist()):
+        fresh = np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64))).standard_normal(n_steps)
+        assert got[:, j].tobytes() == fresh.tobytes()
+    k = min(prefix, n_steps)
+    assert _normal_matrix(seed, indices, k).tobytes() == got[:k].tobytes()
