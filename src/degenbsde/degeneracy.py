@@ -189,18 +189,26 @@ def _locate_tau_matrix(model: CoefficientModel, times: np.ndarray,
     max of ``|sigma|`` starts at the node itself, so a node with
     ``|sigma| > eps_sigma`` there is alive without solving the ODE; only
     the other active paths (a NaN ``sigma`` among them) go through
-    ``_max_sigma_batch``.  Where ``sigma`` is finite along the
-    characteristic this is the ``gamma_report`` classification.  A NaN
-    ``sigma`` further along a characteristic would make that running max
-    NaN and the node dead; a node alive pointwise stays alive here.
+    ``_max_sigma_batch``.  Past ``model.frozen_after``, ``sigma`` and ``b``
+    vanish, so the running max from any node there is exactly 0: with
+    ``eps_sigma >= 0``, every path still active dies at the first such
+    node, which is neither evaluated nor swept.  Where
+    ``sigma`` is finite along the characteristic this is the
+    ``gamma_report`` classification.  A NaN ``sigma`` further along a
+    characteristic would make that running max NaN and the node dead; a
+    node alive pointwise stays alive here.
     """
     n_paths = X.shape[0]
     taus = np.full(n_paths, float(times[-1]))
     active = np.arange(n_paths)
+    frozen_after = model.frozen_after if eps_sigma >= 0.0 else None
     for k in range(times.size):
         if active.size == 0:
             break
         t = float(times[k])
+        if frozen_after is not None and t > frozen_after:
+            taus[active] = t
+            break
         x = X[active, k]
         here = np.abs(np.broadcast_to(
             np.asarray(model.sigma(t, x), dtype=float), x.shape))

@@ -491,6 +491,8 @@ def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
 
 
 def _nearest_level(times: np.ndarray, t: float) -> int:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     i = int(np.searchsorted(times, t))
     if i <= 0:
         return 0
@@ -505,18 +507,25 @@ def grid_provider(times: np.ndarray, xs: np.ndarray,
 
     The gradient uses centered differences in x (one-sided at the ends)
     of the selected level; no averaging across levels is done, so sharp
-    features in time are not smeared.
+    features in time are not smeared.  A level is differentiated the
+    first time ``ux_eval`` selects it, and kept.  A time that is not
+    finite raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(xs, dtype=float)
     U = np.asarray(U, dtype=float)
-    D = np.gradient(U, xs, axis=1)
+    # at most one gradient per stored level
+    gradients: dict = {}
 
     def u_eval(t, x):
         return np.interp(x, xs, U[_nearest_level(times, float(t))])
 
     def ux_eval(t, x):
-        return np.interp(x, xs, D[_nearest_level(times, float(t))])
+        i = _nearest_level(times, float(t))
+        D = gradients.get(i)
+        if D is None:
+            D = gradients[i] = np.gradient(U[i], xs)
+        return np.interp(x, xs, D)
 
     return ValueProvider(u_eval=u_eval, ux_eval=ux_eval)
 

@@ -16,11 +16,15 @@ symmetric jumps), and the step count is rounded so volatility
 discontinuities in time land on grid levels.
 
 The sweep evaluates the coefficients once per level: one ``sigma`` call,
-whose array also gives the drift with the linear-in-z cost absorbed, and
-the difference buffers are allocated once per solve.  ``make_grid`` sizes
-the step count from the same sampled levels that ``solve_fd``'s stability
-check samples, and checks its final grid, so ``solve_fd`` accepts every
-grid ``make_grid`` returns.
+whose array also gives the drift with the linear-in-z cost absorbed.  It
+runs in place: the value, its differences and the right-hand side live in
+buffers allocated once per solve, and each kept level is copied straight
+into its row of the stored array.  ``make_grid`` sizes the step count from
+the same sampled levels that ``solve_fd``'s stability check samples, and
+checks its final grid, so ``solve_fd`` accepts every grid ``make_grid``
+returns.  Those levels are sampled once per model and lattice: the last
+sample is memoized, so on a grid of 1024 or more steps ``solve_fd`` reuses
+the probe ``make_grid`` just ran.
 """
 
 from __future__ import annotations
@@ -101,14 +105,30 @@ class CflReport:
     max_abs_drift: float
 
 
+# the last finished sample: (model, lattice key, (max_sig_sq, max_drift));
+# holding the model keeps the ``is`` test on it sound
+_last_sample = None
+
+
 def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
     """Sampled sup of sigma^2 and |drift| (with the z-cost absorbed).
 
     Raises ValueError naming the coefficient when a sample is not finite:
-    a NaN would otherwise drop out of the running sup.
+    a NaN would otherwise drop out of the running sup.  The last result is
+    memoized for its model object and sampled lattice, so the same model
+    on a grid that samples the same levels is not sampled again.
     """
-    xs = grid.xs()
+    global _last_sample
     n_levels = min(grid.n_t + 1, _MAX_T_SAMPLES)
+    # compared as hex, so that a -0.0 bound, which samples at -0.0, does
+    # not match a 0.0 one
+    key = (tuple(float(v).hex() for v in (grid.x_min, grid.x_max,
+                                          grid.t_min, grid.t_max)),
+           grid.n_x, n_levels)
+    if (_last_sample is not None and _last_sample[0] is model
+            and _last_sample[1] == key):
+        return _last_sample[2]
+    xs = grid.xs()
     ts = np.linspace(grid.t_min, grid.t_max, n_levels)
     extra = []
     for q in model.sigma_time_jumps:
@@ -137,6 +157,7 @@ def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
                                  f"[{grid.x_min}, {grid.x_max}]")
         max_sig_sq = max(max_sig_sq, sig_max * sig_max)
         max_drift = max(max_drift, drf_max)
+    _last_sample = (model, key, (max_sig_sq, max_drift))
     return max_sig_sq, max_drift
 
 
@@ -291,7 +312,8 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
 
     Refuses to run on a grid that fails the stability check (use
     ``make_grid`` to get a conforming one).  The running cost, when
-    present, is fed the current level as its y argument.  At most
+    present, is fed the current level as its y argument, a buffer the
+    sweep overwrites once the call returns.  At most
     ``max_stored_levels`` levels are retained, evenly thinned, with the
     initial and terminal levels always kept.
 
@@ -323,44 +345,64 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     keep = [m for m in range(0, n_t + 1, stride)]
     if keep[-1] != n_t:
         keep.append(n_t)
-    keep_set = set(keep)
+    row = {m: r for r, m in enumerate(keep)}
     frozen_after = None if has_cost else model.frozen_after
     identity = False
 
-    # u is rebound each step, never written in place, so stored levels may
-    # share it.  The difference buffers are rewritten in their interiors
-    # only, so their ends stay +0.0; fwd and bwd are views of one buffer,
+    # Every array is allocated here, once, and each kept level is copied
+    # into its row of U.  u is updated in place once the step's rhs is
+    # formed.  The difference buffers are rewritten in their interiors only,
+    # so their ends stay +0.0; fwd and bwd are views of one buffer,
     # bwd[j] = fwd[j - 1].
+    n_x = grid.n_x
     u = np.asarray(model.g(xs), dtype=float).copy()
-    d2 = np.zeros(grid.n_x)
-    diff = np.zeros(grid.n_x + 1)
+    U = np.empty((len(keep), n_x))
+    U[-1] = u
+    d2 = np.zeros(n_x)
+    diff = np.zeros(n_x + 1)
     fwd = diff[1:]
     bwd = diff[:-1]
-    stored = {n_t: u}
+    rhs = np.empty(n_x)
+    tmp = np.empty(n_x)
+    # the slices the differences read and write, taken once
+    d2_in, fwd_in = d2[1:-1], fwd[:-1]
+    u_mid, u_right, u_left, u_hi, u_lo = u[1:-1], u[2:], u[:-2], u[1:], u[:-1]
+    dx2 = dx * dx
     for m in range(n_t - 1, -1, -1):
         t_up = grid.t_min + (m + 1) * dt
         frozen = frozen_after is not None and t_up > frozen_after
         if frozen and identity:
-            if m in keep_set:
-                stored[m] = u
+            if m in row:
+                U[row[m]] = u
             continue
         raw = model.sigma(t_up, xs)
         sig = np.asarray(raw, dtype=float)
         drf = np.asarray(_absorbed_drift(model, t_up, xs, raw), dtype=float)
-        d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        fwd[:-1] = (u[1:] - u[:-1]) / dx
+        # d2 = (u[2:] - 2 u[1:-1] + u[:-2]) / dx^2, fwd = (u[1:] - u[:-1]) / dx
+        np.multiply(2.0, u_mid, d2_in)
+        np.subtract(u_right, d2_in, d2_in)
+        np.add(d2_in, u_left, d2_in)
+        np.divide(d2_in, dx2, d2_in)
+        np.subtract(u_hi, u_lo, fwd_in)
+        np.divide(fwd_in, dx, fwd_in)
+        # upwind: fwd where drf > 0, bwd where drf < 0, else 0.0; a fresh
+        # array, since np.where is faster than two masked copies
         d1 = np.where(drf > 0.0, fwd, np.where(drf < 0.0, bwd, 0.0))
-        rhs = 0.5 * sig * sig * d2 + drf * d1
+        # rhs = ((0.5 sig) sig) d2 + drf d1
+        np.multiply(0.5, sig, rhs)
+        np.multiply(rhs, sig, rhs)
+        np.multiply(rhs, d2, rhs)
+        np.multiply(drf, d1, tmp)
+        np.add(rhs, tmp, rhs)
         if has_cost:
-            rhs = rhs + np.asarray(model.f1(t_up, xs, u), dtype=float)
-        u = u + dt * rhs
+            np.add(rhs, np.asarray(model.f1(t_up, xs, u), dtype=float), rhs)
+        np.multiply(dt, rhs, tmp)
+        np.add(u, tmp, u)
         if frozen:
             identity = (bool(np.all(rhs == 0.0))
                         and not np.any((u == 0.0) & np.signbit(u)))
-        if m in keep_set:
-            stored[m] = u
+        if m in row:
+            U[row[m]] = u
 
-    levels = sorted(stored)
-    times = grid.t_min + dt * np.asarray(levels, dtype=float)
-    U = np.stack([stored[m] for m in levels])
+    times = grid.t_min + dt * np.asarray(keep, dtype=float)
     return PdeSolution(grid=grid, xs=xs, times=times, U=U)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenbsde import (
+    DEFAULT_EPS_SIGMA,
     CoefficientModel,
     ProblemPoint,
     TimeGrid,
@@ -23,6 +24,7 @@ from degenbsde import (
     transformed_drift,
 )
 from degenbsde.degeneracy import _locate_tau_matrix, _max_sigma_batch
+from test_pde_fd import _FROZEN_FD_MODELS
 
 
 def _zeros2(t, x):
@@ -275,3 +277,147 @@ def test_pointwise_alive_node_stays_alive_before_nan_sigma():
     X = np.zeros((1, 5))
     assert _locate_tau_matrix(model, times, X, 1e-8)[0] == 0.75
     assert _reference_locate_tau_matrix(model, times, X, 1e-8)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# nodes past frozen_after are dead without the characteristic sweep
+# ---------------------------------------------------------------------------
+
+
+def _pointwise_locate_tau_matrix(model, times, X, eps_sigma, sweeps=None):
+    # the classification before nodes past frozen_after were marked dead
+    # without a sweep, kept frozen: the pointwise shortcut, then the ODE.
+    # The sweep is looked up on ``sweeps`` when given, so that it can be
+    # counted.
+    sweep = _max_sigma_batch if sweeps is None else sweeps._max_sigma_batch
+    n_paths = X.shape[0]
+    taus = np.full(n_paths, float(times[-1]))
+    active = np.arange(n_paths)
+    for k in range(times.size):
+        if active.size == 0:
+            break
+        t = float(times[k])
+        x = X[active, k]
+        here = np.abs(np.broadcast_to(
+            np.asarray(model.sigma(t, x), dtype=float), x.shape))
+        check = ~(here > eps_sigma)
+        if not np.any(check):
+            continue
+        mx = sweep(model, t, x[check])
+        dead = np.zeros(active.size, dtype=bool)
+        dead[check] = ~(mx > eps_sigma)
+        if np.any(dead):
+            taus[active[dead]] = t
+            active = active[~dead]
+    return taus
+
+
+def _frozen_nan_sigma(t_cut):
+    # sigma is NaN right of x = 1 until the cut and 0 after it; the drift
+    # carries characteristics across x = 1 until the cut
+    def sigma(t, x):
+        x = np.asarray(x, dtype=float)
+        live = np.where(x > 1.0, np.nan, 1.0 + 0.5 * np.tanh(x))
+        return live if t <= t_cut else np.zeros_like(x)
+
+    def b(t, x):
+        return np.full_like(np.asarray(x, dtype=float),
+                            0.8 if t <= t_cut else 0.0)
+
+    return CoefficientModel(
+        sigma=sigma, sigma_x=_zeros2, b=b, b_x=_zeros2,
+        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f2=_zeros2, f2_x=_zeros2,
+        g=lambda x: np.tanh(np.asarray(x, dtype=float)),
+        lipschitz_K=2.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
+        f1_is_zero=True, sigma_time_jumps=(t_cut,), frozen_after=t_cut,
+        name="frozen_nan_sigma",
+    )
+
+
+def _frozen_negative_zero(t_cut):
+    # sigma and b turn -0.0 past the cut, and the volatility is alive only
+    # right of x = 0.5 before it, so some nodes reach the ODE early
+    def sigma(t, x):
+        x = np.asarray(x, dtype=float)
+        if t > t_cut:
+            return -np.zeros_like(x)
+        return np.where(x > 0.5, 1.0, -0.0)
+
+    def b(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.full_like(x, 0.6 if t <= t_cut else -0.0)
+
+    return CoefficientModel(
+        sigma=sigma, sigma_x=_zeros2, b=b, b_x=_zeros2,
+        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f2=_zeros2, f2_x=_zeros2,
+        g=lambda x: np.tanh(np.asarray(x, dtype=float)),
+        lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
+        f1_is_zero=True, sigma_time_jumps=(t_cut,), frozen_after=t_cut,
+        name="frozen_negative_zero",
+    )
+
+
+_TAU_FROZEN_MODELS = {**_FROZEN_FD_MODELS,
+                      "frozen_nan_sigma": _frozen_nan_sigma,
+                      "frozen_negative_zero": _frozen_negative_zero}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TAU_FROZEN_MODELS)),
+    t_cut=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2 ** 32),
+    n_paths=st.integers(1, 12),
+    n_steps=st.integers(1, 40),
+    t_frac=st.floats(0.0, 0.98),
+    x0=st.floats(-2.0, 2.0),
+    eps_sigma=st.sampled_from([-1.0, 0.0, 1e-8, 0.3, 0.9, 1.5]),
+    nan_frac=st.sampled_from([0.0, 0.1]),
+)
+def test_frozen_tail_taus_match_frozen_reference(name, t_cut, seed, n_paths,
+                                                 n_steps, t_frac, x0,
+                                                 eps_sigma, nan_frac):
+    model = _TAU_FROZEN_MODELS[name](t_cut)
+    T = model.horizon_T
+    times = np.linspace(t_frac * T, T, n_steps + 1)
+    rng = np.random.default_rng(seed)
+    X = x0 + np.cumsum(rng.standard_normal((n_paths, n_steps + 1)), axis=1)
+    X[rng.random(X.shape) < nan_frac] = np.nan
+    want = _pointwise_locate_tau_matrix(model, times, X, eps_sigma)
+    got = _locate_tau_matrix(model, times, X, eps_sigma)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["example1", "step_vol", "girsanov_const"])
+def test_no_characteristic_sweep_past_frozen_after(name, monkeypatch):
+    import degenbsde.degeneracy as deg
+
+    model = builtin_model(name)
+    swept = []
+
+    def counted(model, t0, x0):
+        swept.append(t0)
+        return _max_sigma_batch(model, t0, x0)
+
+    monkeypatch.setattr(deg, "_max_sigma_batch", counted)
+    t_start = 0.5 * model.frozen_after
+    point = ProblemPoint(t_start, 0.3)
+    grid = TimeGrid(t_start, model.horizon_T, 40)
+    batch = simulate_batch(model, point, grid, 7, 8)
+    taus = locate_tau_batch(model, batch)
+    # every path is alive until the freeze and dies at the first node past
+    # it, with no sweep anywhere
+    first_frozen = grid.times()[grid.times() > model.frozen_after][0]
+    assert np.all(taus == first_frozen)
+    assert swept == []
+    for i in range(batch.X.shape[0]):
+        path = simulate_path(model, point, grid, 7, i)
+        assert locate_tau(model, path) == taus[i]
+    assert swept == []
+    # the frozen reference sweeps there once per path, with the same taus
+    want = _pointwise_locate_tau_matrix(model, grid.times(), batch.X,
+                                        DEFAULT_EPS_SIGMA, deg)
+    assert taus.tobytes() == want.tobytes()
+    assert swept == [first_frozen]

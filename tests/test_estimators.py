@@ -28,8 +28,10 @@ from degenbsde import (
     gamma_report,
     grid_provider,
     locate_tau,
+    make_grid,
     reconstruct_Z,
     simulate_path,
+    solve_fd,
 )
 from degenbsde.model import CoefficientModel
 
@@ -332,6 +334,52 @@ def test_grid_provider_interpolates_and_differentiates():
     assert prov.ux_eval(0.0, 0.5) == pytest.approx(1.0, rel=1e-12)
     # below the time midpoint the first level is selected
     assert prov.u_eval(0.2, 0.3) == pytest.approx(0.09, rel=1e-12)
+
+
+def _levels_and_probes():
+    # levels whose midpoints are exact binary fractions, so the probes hit
+    # nearest-level ties exactly; a tie goes to the earlier level
+    times = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
+    probes = [(-1.0, 0), (0.0, 0), (0.1, 0), (0.125, 0), (0.13, 1),
+              (0.25, 1), (0.375, 1), (0.5, 2), (0.75, 2), (0.76, 3),
+              (1.0, 3), (1.25, 3), (1.3, 4), (1.5, 4), (9.0, 4)]
+    return times, probes
+
+
+def test_grid_provider_gradient_has_the_bits_of_the_full_gradient():
+    times, probes = _levels_and_probes()
+    xs = np.linspace(-1.3, 2.1, 37)
+    rng = np.random.default_rng(5)
+    U = np.cumsum(rng.standard_normal((times.size, xs.size)), axis=1)
+    D = np.gradient(U, xs, axis=1)
+    prov = grid_provider(times, xs, U)
+    x = np.concatenate([xs, rng.uniform(-1.5, 2.3, 50)])
+    for _ in range(2):  # the second pass reads the kept gradients
+        for t, i in probes:
+            assert prov.ux_eval(t, x).tobytes() == np.interp(
+                x, xs, D[i]).tobytes()
+            assert prov.u_eval(t, x).tobytes() == np.interp(
+                x, xs, U[i]).tobytes()
+
+
+def test_fd_provider_gradient_matches_at_every_stored_level():
+    model = builtin_model("girsanov_const")
+    sol = solve_fd(model, make_grid(model, -2.0, 2.0, 41))
+    D = np.gradient(sol.U, sol.xs, axis=1)
+    x = np.linspace(-2.5, 2.5, 23)
+    for i, t in enumerate(sol.times):
+        assert sol.ux(t, x).tobytes() == np.interp(x, sol.xs, D[i]).tobytes()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_grid_provider_rejects_a_time_that_is_not_finite(t):
+    # a NaN time used to select the terminal level
+    times, _ = _levels_and_probes()
+    xs = np.linspace(-1.0, 1.0, 5)
+    prov = grid_provider(times, xs, np.ones((times.size, xs.size)))
+    for lookup in (prov.u_eval, prov.ux_eval):
+        with pytest.raises(ValueError, match="t must be finite"):
+            lookup(t, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -592,27 +592,110 @@ def _counted(fn, calls):
     return inner
 
 
+def _counted_model(model):
+    calls = {"sigma": [], "b": [], "f2": []}
+    traced = replace(model, **{k: _counted(getattr(model, k), calls[k])
+                               for k in calls})
+    return traced, calls
+
+
+def _n_calls(calls):
+    # every sampled or swept level calls each coefficient once
+    counts = {len(v) for v in calls.values()}
+    assert len(counts) == 1
+    for v in calls.values():
+        v.clear()
+    return counts.pop()
+
+
+def _n_swept(model, grid):
+    if model.frozen_after is None:
+        return grid.n_t
+    # the live levels, then the first frozen step, which is an identity
+    return 1 + sum(grid.t_min + (m + 1) * grid.dt <= model.frozen_after
+                   for m in range(grid.n_t))
+
+
 @pytest.mark.parametrize("name", ["bachelier_digital", "girsanov_const"])
 def test_sweep_evaluates_the_coefficients_once_per_swept_level(name):
     model = builtin_model(name)
     grid = make_grid(model, -2.0, 2.0, 41)
-    calls = {"sigma": [], "b": [], "f2": []}
-    traced = replace(model, **{k: _counted(getattr(model, k), calls[k])
-                               for k in calls})
-    cfl_check(traced, grid)
-    n_samples = len(calls["sigma"])
-    for v in calls.values():
-        v.clear()
-    solve_fd(traced, grid)
-    if model.frozen_after is None:
-        n_swept = grid.n_t
-    else:
-        # the live levels, then the first frozen step, which is an identity
-        n_swept = 1 + sum(grid.t_min + (m + 1) * grid.dt <= model.frozen_after
-                          for m in range(grid.n_t))
+    n_swept = _n_swept(model, grid)
     assert n_swept < grid.n_t or model.frozen_after is None
-    for v in calls.values():
-        assert len(v) == n_samples + n_swept
+    traced, calls = _counted_model(model)
+    cfl_check(traced, grid)
+    n_samples = _n_calls(calls)
+    # the check inside solve_fd reuses the warm sample
+    solve_fd(traced, grid)
+    assert _n_calls(calls) == n_swept
+    # a fresh model object is sampled again
+    fresh, calls = _counted_model(model)
+    solve_fd(fresh, grid)
+    assert _n_calls(calls) == n_samples + n_swept
+
+
+@pytest.mark.parametrize("name", ["bachelier_digital", "girsanov_const"])
+def test_solve_after_make_grid_samples_the_probe_levels_once(name):
+    model, calls = _counted_model(builtin_model(name))
+    grid = make_grid(model, -2.0, 2.0, 161)
+    assert grid.n_t >= 1024
+    # each of the 1025 probe levels, and the instants next to a volatility
+    # jump, is sampled once
+    probed = list(calls["sigma"])
+    assert len(probed) == len(set(probed)) >= 1025
+    assert _n_calls(calls) == len(probed)
+    solve_fd(model, grid)
+    assert _n_calls(calls) == _n_swept(model, grid)
+
+
+def test_a_second_model_or_lattice_evicts_the_one_sample():
+    base = builtin_model("bachelier_digital")
+    a, calls_a = _counted_model(base)
+    b, calls_b = _counted_model(base)
+    g1 = PdeGrid(-2.0, 2.0, 41, 0.0, 1.0, 200)
+    g2 = PdeGrid(-2.0, 2.0, 43, 0.0, 1.0, 200)
+    # a finer grid samples the same 201 levels and nodes
+    g1_fine = replace(g1, n_t=400)
+    g1_capped = replace(g1, n_t=5000)
+    g1_capped_finer = replace(g1, n_t=6000)
+    assert cfl_check(a, g1).max_sigma_sq == 1.0
+    assert _n_calls(calls_a) == 201
+    cfl_check(a, g1)
+    assert _n_calls(calls_a) == 0
+    cfl_check(b, g1)
+    assert _n_calls(calls_b) == 201
+    cfl_check(a, g1)
+    assert _n_calls(calls_a) == 201
+    cfl_check(a, g2)
+    assert _n_calls(calls_a) == 201
+    cfl_check(a, g1)
+    assert _n_calls(calls_a) == 201
+    cfl_check(a, g1_fine)
+    assert _n_calls(calls_a) == 401
+    # from 1025 levels on, every step count samples the same levels
+    cfl_check(a, g1_capped)
+    assert _n_calls(calls_a) == 1025
+    cfl_check(a, g1_capped_finer)
+    assert _n_calls(calls_a) == 0
+    # a signed-zero bound is another lattice
+    cfl_check(a, replace(g1_capped, t_min=-0.0))
+    assert _n_calls(calls_a) == 1025
+
+
+def test_stored_levels_are_one_owned_array_and_reruns_are_equal():
+    model = builtin_model("girsanov_const")
+    grid = make_grid(model, -2.0, 2.0, 41)
+    first = solve_fd(model, grid)
+    before = first.U.tobytes()
+    second = solve_fd(model, grid)
+    for sol in (first, second):
+        assert sol.U.flags.c_contiguous and sol.U.flags.owndata
+        assert sol.U.base is None
+        assert sol.U.shape == (sol.times.size, grid.n_x)
+    assert not np.shares_memory(first.U, second.U)
+    # the second solve's scratch buffers wrote into none of the first's rows
+    assert first.U.tobytes() == before == second.U.tobytes()
+    assert len({r.tobytes() for r in first.U[first.times <= 0.5]}) > 1
 
 
 @settings(max_examples=30, deadline=None)
