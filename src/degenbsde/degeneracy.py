@@ -262,6 +262,8 @@ def check_gamma_equivalence(model: CoefficientModel,
     characteristics but must not change which points are classified
     alive.  Returns the agreement fraction and, over points alive under
     both drifts, the largest ratio between the two ``n_index`` values.
+    Starts past ``model.frozen_after`` are dead under both drifts, with a
+    running max of exactly 0, and sweep no characteristic.
     """
     points = list(sample_points)
     if not points:
@@ -276,8 +278,14 @@ def check_gamma_equivalence(model: CoefficientModel,
     n = len(points)
     mx_raw = np.empty(n)
     mx_new = np.empty(n)
+    frozen_after = model.frozen_after
     for t0, entries in by_t.items():
         idx = np.asarray([i for i, _ in entries])
+        if frozen_after is not None and t0 > frozen_after:
+            # sigma vanishes past frozen_after, under both drifts, so the
+            # running max from there is exactly +0.0: no sweep
+            mx_raw[idx] = mx_new[idx] = 0.0
+            continue
         xs = np.asarray([x for _, x in entries])
         mx_raw[idx] = _max_sigma_batch(model, t0, xs)
         mx_new[idx] = _max_sigma_batch(shifted, t0, xs)

@@ -75,15 +75,19 @@ class CoefficientModel:
       random draws, and ``solve_fd`` copies the value levels past it
       instead of sweeping them (zero running cost only).  ``None`` (the
       default) claims nothing.
-    * ``x_flat``: ``sigma_x``, ``b_x`` and ``f2_x`` are identically zero,
-      so the tangent flow stays 1 and the weight's ``B`` sum stays 0.  The
-      stepping kernel then calls neither derivative and skips both
-      updates, which changes no value, bit for bit, while ``gamma`` and
+    * ``x_flat``: ``sigma``, ``b`` and ``f2`` do not depend on ``x``, so
+      ``sigma_x``, ``b_x`` and ``f2_x`` are identically zero, the tangent
+      flow stays 1 and the weight's ``B`` sum stays 0.  The stepping kernel
+      then calls neither derivative, skips both updates, and evaluates
+      ``sigma`` and the drift once per step, on one path, for all paths;
+      ``solve_fd`` evaluates them once per level, on one node, for all
+      nodes.  This changes no value, bit for bit, while ``gamma`` and
       ``Lambda`` are finite: ``sigma`` must be finite and obey
-      ``|sigma| <= lipschitz_K`` (``check_model_invariants`` checks both),
-      and the kernel keeps the full update when ``lipschitz_K**2`` times
-      the simulated span could overflow.  ``False`` (the default) claims
-      nothing.
+      ``|sigma| <= lipschitz_K`` (``check_model_invariants`` checks both,
+      and that the sampled values are one per time), and the kernel keeps
+      the full update when ``lipschitz_K**2`` times the simulated span
+      could overflow.  A stale declaration gives every path and node the
+      values at one ``x``.  ``False`` (the default) claims nothing.
     """
 
     sigma: Coefficient
@@ -405,6 +409,19 @@ def builtin_model(name: str, **params) -> CoefficientModel:
 # ---------------------------------------------------------------------------
 
 
+def _one_value(values) -> float:
+    """A coefficient's value on a one-element ``x`` as a Python float, whose
+    arithmetic rounds as numpy's float64 ops do."""
+    return np.asarray(values, dtype=float).item()
+
+
+def _varies(values) -> bool:
+    """Whether a coefficient's values hold more than one float64, compared
+    by their bytes, so that ``-0.0`` and ``+0.0`` differ."""
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.uint64)
+    return bool(np.any(bits != bits[0]))
+
+
 def _absorbed_drift(model: CoefficientModel, t, x, sig):
     """``b(t, x) + f2(t, x) * sig``, the drift with the linear-in-z cost
     absorbed, given ``sig = sigma(t, x)`` already evaluated."""
@@ -451,8 +468,11 @@ def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50
     relative); the time-Hölder modulus of sigma on sampled pairs not
     straddling a registered jump;
     exact zeros of ``sigma``, ``sigma_x``, ``b`` and ``b_x`` at sampled
-    ``t > frozen_after``; exact zeros of ``sigma_x``, ``b_x`` and ``f2_x``
-    everywhere when ``x_flat`` is declared; and the payoff growth bound
+    ``t > frozen_after``; when ``x_flat`` is declared, exact zeros of
+    ``sigma_x``, ``b_x`` and ``f2_x`` everywhere, and one value of each of
+    ``sigma``, ``b`` and ``f2`` across the sampled ``x`` at each sampled
+    ``t`` (the same float64 bytes, so ``-0.0`` differs from ``+0.0``); and
+    the payoff growth bound
     ``|g| <= psi``.
     Raises ``ModelInvariantError`` on the first violation.
     """
@@ -491,11 +511,18 @@ def check_model_invariants(model: CoefficientModel, n_t: int = 50, n_x: int = 50
     if model.x_flat:
         flat = [(model.sigma_x, "sigma_x"), (model.b_x, "b_x"),
                 (model.f2_x, "f2_x")]
+        constant = [(model.sigma, "sigma"), (model.b, "b"), (model.f2, "f2")]
         for t in ts:
             for fn, label in flat:
                 if np.any(np.asarray(fn(float(t), xs), dtype=float) != 0.0):
                     raise ModelInvariantError(
                         f"{model.name}: {label} is not zero at t={t} but the "
+                        f"model declares x_flat"
+                    )
+            for fn, label in constant:
+                if _varies(fn(float(t), xs)):
+                    raise ModelInvariantError(
+                        f"{model.name}: {label} varies in x at t={t} but the "
                         f"model declares x_flat"
                     )
 

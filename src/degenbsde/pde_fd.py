@@ -16,15 +16,22 @@ symmetric jumps), and the step count is rounded so volatility
 discontinuities in time land on grid levels.
 
 The sweep evaluates the coefficients once per level: one ``sigma`` call,
-whose array also gives the drift with the linear-in-z cost absorbed.  It
-runs in place: the value, its differences and the right-hand side live in
-buffers allocated once per solve, and each kept level is copied straight
-into its row of the stored array.  ``make_grid`` sizes the step count from
-the same sampled levels that ``solve_fd``'s stability check samples, and
-checks its final grid, so ``solve_fd`` accepts every grid ``make_grid``
-returns.  Those levels are sampled once per model and lattice: the last
-sample is memoized, so on a grid of 1024 or more steps ``solve_fd`` reuses
-the probe ``make_grid`` just ran.
+whose values also give the drift with the linear-in-z cost absorbed.  For
+a model that declares ``x_flat`` that call, and the drift's, take the
+first node alone: the level's ``0.5 * sigma**2`` and drift are Python
+floats, and the drift's sign picks the forward, backward or zero
+difference for every node at once.  The stability check rejects such a
+declaration when a sampled level's ``sigma`` or drift varies across the
+lattice.
+
+The sweep runs in place: the value, its differences and the right-hand
+side live in buffers allocated once per solve, and each kept level is
+copied straight into its row of the stored array.  ``make_grid`` sizes
+the step count from the same sampled levels that ``solve_fd``'s stability
+check samples, and checks its final grid, so ``solve_fd`` accepts every
+grid ``make_grid`` returns.  Those levels are sampled once per model and
+lattice: the last sample is memoized, so on a grid of 1024 or more steps
+``solve_fd`` reuses the probe ``make_grid`` just ran.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .estimators import ValueProvider, grid_provider
-from .model import CoefficientModel, _absorbed_drift
+from .model import CoefficientModel, _absorbed_drift, _one_value, _varies
 
 __all__ = [
     "PdeGrid",
@@ -155,6 +162,14 @@ def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
             if not math.isfinite(value):
                 raise ValueError(f"{name} is not finite at t={t} on "
                                  f"[{grid.x_min}, {grid.x_max}]")
+        if model.x_flat:
+            # the sweep evaluates an x-flat model at one node per level
+            for name, values in (("sigma", sig),
+                                 ("drift b + f2 * sigma", drf)):
+                if _varies(values):
+                    raise ValueError(
+                        f"{name} varies in x at t={t} on [{grid.x_min}, "
+                        f"{grid.x_max}], but {model.name} declares x_flat")
         max_sig_sq = max(max_sig_sq, sig_max * sig_max)
         max_drift = max(max_drift, drf_max)
     _last_sample = (model, key, (max_sig_sq, max_drift))
@@ -362,12 +377,14 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     diff = np.zeros(n_x + 1)
     fwd = diff[1:]
     bwd = diff[:-1]
+    zeros = np.zeros(n_x)
     rhs = np.empty(n_x)
     tmp = np.empty(n_x)
     # the slices the differences read and write, taken once
     d2_in, fwd_in = d2[1:-1], fwd[:-1]
     u_mid, u_right, u_left, u_hi, u_lo = u[1:-1], u[2:], u[:-2], u[1:], u[:-1]
     dx2 = dx * dx
+    x_flat, x_first = model.x_flat, xs[:1]
     for m in range(n_t - 1, -1, -1):
         t_up = grid.t_min + (m + 1) * dt
         frozen = frozen_after is not None and t_up > frozen_after
@@ -375,9 +392,6 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
             if m in row:
                 U[row[m]] = u
             continue
-        raw = model.sigma(t_up, xs)
-        sig = np.asarray(raw, dtype=float)
-        drf = np.asarray(_absorbed_drift(model, t_up, xs, raw), dtype=float)
         # d2 = (u[2:] - 2 u[1:-1] + u[:-2]) / dx^2, fwd = (u[1:] - u[:-1]) / dx
         np.multiply(2.0, u_mid, d2_in)
         np.subtract(u_right, d2_in, d2_in)
@@ -385,13 +399,25 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
         np.divide(d2_in, dx2, d2_in)
         np.subtract(u_hi, u_lo, fwd_in)
         np.divide(fwd_in, dx, fwd_in)
-        # upwind: fwd where drf > 0, bwd where drf < 0, else 0.0; a fresh
-        # array, since np.where is faster than two masked copies
-        d1 = np.where(drf > 0.0, fwd, np.where(drf < 0.0, bwd, 0.0))
-        # rhs = ((0.5 sig) sig) d2 + drf d1
-        np.multiply(0.5, sig, rhs)
-        np.multiply(rhs, sig, rhs)
-        np.multiply(rhs, d2, rhs)
+        # c2 = (0.5 sig) sig; the upwind d1 is fwd where drf > 0, bwd where
+        # drf < 0, else 0.0
+        if x_flat:
+            raw = model.sigma(t_up, x_first)
+            sig = _one_value(raw)
+            drf = _one_value(_absorbed_drift(model, t_up, x_first, raw))
+            c2 = (0.5 * sig) * sig
+            d1 = fwd if drf > 0.0 else bwd if drf < 0.0 else zeros
+        else:
+            raw = model.sigma(t_up, xs)
+            sig = np.asarray(raw, dtype=float)
+            drf = np.asarray(_absorbed_drift(model, t_up, xs, raw),
+                             dtype=float)
+            c2 = np.multiply(0.5, sig, rhs)
+            np.multiply(c2, sig, c2)
+            # a fresh array, since np.where is faster than two masked copies
+            d1 = np.where(drf > 0.0, fwd, np.where(drf < 0.0, bwd, 0.0))
+        # rhs = c2 d2 + drf d1
+        np.multiply(c2, d2, rhs)
         np.multiply(drf, d1, tmp)
         np.add(rhs, tmp, rhs)
         if has_cost:

@@ -39,16 +39,22 @@ drawn (a Philox prefix draw equals the prefix of the full draw).  The
 remaining nodes are still yielded, with the frozen state, zero ``gamma``
 and zero ``dW``.
 
-x-flat: when the model declares ``x_flat`` (``sigma_x``, ``b_x`` and
-``f2_x`` identically zero), the tangent update multiplies by
-``exp(+0.0) = 1`` and the ``B`` update adds ``+-0.0``, so ``gradX`` stays
-exactly 1 and ``B`` exactly +0.0 while ``gamma`` and ``Lambda`` are finite.
-Once per stream, when the model's declared volatility bound keeps
-``Lambda`` finite, the kernel calls neither derivative and skips both
-updates; it still yields ``gradX`` (ones) and ``B`` (zeros), and ``S1``
-drops its ``* gradX`` factor, since ``x * 1.0 == x``.  An overflowing
-``Lambda`` would make the full update's ``B`` NaN (``inf * 0``), so such
-streams keep it.
+x-flat: a model that declares ``x_flat`` has ``sigma``, ``b`` and ``f2``
+independent of ``x`` (so ``sigma_x``, ``b_x`` and ``f2_x`` are identically
+zero).  The tangent update then multiplies by ``exp(+0.0) = 1`` and the
+``B`` update adds ``+-0.0``, so ``gradX`` stays exactly 1 and ``B`` exactly
++0.0 while ``gamma`` and ``Lambda`` are finite, and every path has the same
+``gamma``, drift and ``Lambda``.  Once per stream, when the model's
+declared volatility bound keeps ``Lambda`` finite, the kernel runs its
+x-flat loop: each step calls ``sigma`` and the drift once, on the first
+path's ``x``, and keeps ``gamma``, ``Lambda`` and the drift step as Python
+floats (IEEE doubles, which round as the float64 array ops do); only ``X``
+and ``S1`` are updated per path, and ``S1`` drops its ``* gradX`` factor,
+since ``x * 1.0 == x``.  It calls neither derivative, yields ``gradX``
+(ones) and ``B`` (zeros), and yields ``gamma`` and ``Lambda`` as read-only
+stride-0 rows.  An overflowing ``Lambda`` would make the full update's
+``B`` NaN (``inf * 0``), so such streams run the full update.  A stale
+declaration gives every path the first path's ``gamma`` and drift.
 """
 
 from __future__ import annotations
@@ -60,12 +66,13 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 # a module-level import, so numpy.random loads with the package and not on
 # the first draw inside a run
 from numpy.random import Generator, Philox
 
 from .model import (CoefficientModel, ProblemPoint, _absorbed_drift,
-                    _absorbed_drift_x)
+                    _absorbed_drift_x, _one_value)
 
 __all__ = [
     "TimeGrid",
@@ -117,6 +124,9 @@ class PathState(NamedTuple):
     the terminal node); in a frozen tail (see the module docstring) it is
     zero, since no increment can move the state there.  Accumulators are
     the left-endpoint sums over ``j < k``, so at ``k = 0`` they are zero.
+    An x-flat stream (see the module docstring) yields ``gamma`` and
+    ``Lambda`` as read-only rows whose entries are all one value (stride
+    0); copy them before writing.
     """
 
     k: int
@@ -384,10 +394,10 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     ``sigma_x`` values the step has already evaluated; without it the
     drift is ``model.b``.  Either way each computed node calls ``sigma``
     once, and a step that runs the tangent flow calls ``sigma_x`` once.
+    An x-flat stream (see the module docstring) makes those calls on the
+    first path's ``x`` alone.
     """
     n = grid.n_steps
-    dt = grid.dt
-    times = grid.times()
     shape = (dW.shape[1],)
     n_live = _live_steps(model, grid)
     zeros = np.zeros(shape)
@@ -400,44 +410,102 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
         # first tail step (0 * inf turning S1 or B into NaN, -0.0 into
         # +0.0); after it every further step is the identity.
         steps = itertools.chain(steps, (zeros,))
+    states = _x_flat_states if _x_flat_stream(model, grid) else _tangent_states
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        yield from states(model, point, grid, steps, n_live, zeros, absorb)
 
+
+def _tangent_states(model: CoefficientModel, point: ProblemPoint,
+                    grid: TimeGrid, steps, n_live: int, zeros: np.ndarray,
+                    absorb: bool) -> Iterator[PathState]:
+    """The full update: every coefficient on every path, the tangent flow
+    and ``B``."""
+    n = grid.n_steps
+    dt = grid.dt
+    times = grid.times()
+    shape = zeros.shape
     X = np.full(shape, point.x0, dtype=float)
     gradX = np.ones(shape, dtype=float)
     Lambda = np.zeros(shape, dtype=float)
     S1 = np.zeros(shape, dtype=float)
     B = np.zeros(shape, dtype=float)
-    tangent = not _x_flat_stream(model, grid)
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, dWk in enumerate(steps):
-            t = float(times[k])
-            sig = model.sigma(t, X)
-            gamma = _full(sig, shape)
-            yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
+    for k, dWk in enumerate(steps):
+        t = float(times[k])
+        sig = model.sigma(t, X)
+        gamma = _full(sig, shape)
+        yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
 
-            if tangent:
-                sig_x = model.sigma_x(t, X)
-                sx = np.asarray(sig_x, dtype=float)
-                bx = np.asarray(
-                    _absorbed_drift_x(model, t, X, sig, sig_x) if absorb
-                    else model.b_x(t, X), dtype=float)
-                S1 = S1 + gamma * gradX * dWk
-                B = B + Lambda * sx * gamma * gradX * dt
-                gradX = gradX * np.exp((bx - 0.5 * sx * sx) * dt + sx * dWk)
-            else:
-                S1 = S1 + gamma * dWk
-            bv = np.asarray(_absorbed_drift(model, t, X, sig) if absorb
-                            else model.b(t, X), dtype=float)
-            Lambda = Lambda + gamma * gamma * dt
-            X = X + bv * dt + gamma * dWk
+        sig_x = model.sigma_x(t, X)
+        sx = np.asarray(sig_x, dtype=float)
+        bx = np.asarray(
+            _absorbed_drift_x(model, t, X, sig, sig_x) if absorb
+            else model.b_x(t, X), dtype=float)
+        S1 = S1 + gamma * gradX * dWk
+        B = B + Lambda * sx * gamma * gradX * dt
+        gradX = gradX * np.exp((bx - 0.5 * sx * sx) * dt + sx * dWk)
+        bv = np.asarray(_absorbed_drift(model, t, X, sig) if absorb
+                        else model.b(t, X), dtype=float)
+        Lambda = Lambda + gamma * gamma * dt
+        X = X + bv * dt + gamma * dWk
 
-        for k in range(n_live + 1, n):  # the rest of a frozen tail
-            yield PathState(k, float(times[k]), X, gradX, zeros, Lambda, S1,
-                            B, zeros)
+    for k in range(n_live + 1, n):  # the rest of a frozen tail
+        yield PathState(k, float(times[k]), X, gradX, zeros, Lambda, S1, B,
+                        zeros)
 
-        t = float(times[n])
-        yield PathState(n, t, X, gradX, _full(model.sigma(t, X), shape),
-                        Lambda, S1, B, None)
+    t = float(times[n])
+    yield PathState(n, t, X, gradX, _full(model.sigma(t, X), shape), Lambda,
+                    S1, B, None)
+
+
+def _x_flat_states(model: CoefficientModel, point: ProblemPoint,
+                   grid: TimeGrid, steps, n_live: int, zeros: np.ndarray,
+                   absorb: bool) -> Iterator[PathState]:
+    """The x-flat update: ``sigma`` and the drift once per step, on the
+    first path, as Python floats; ``gamma`` and ``Lambda`` yielded as
+    read-only stride-0 rows."""
+    n = grid.n_steps
+    dt = grid.dt
+    times = grid.times()
+    shape = zeros.shape
+    X = np.full(shape, point.x0, dtype=float)
+    S1 = np.zeros(shape, dtype=float)
+    ones = np.ones(shape, dtype=float)
+    # node k's gamma and Lambda, written once, just before node k is yielded
+    gam = np.zeros(n + 1)
+    lam = np.zeros(n + 1)
+    gamma_rows, lambda_rows = (
+        as_strided(v, shape=(n + 1,) + shape, strides=(v.strides[0], 0),
+                   writeable=False)
+        for v in (gam, lam))
+    lam_k = 0.0
+
+    for k, dWk in enumerate(steps):
+        t = float(times[k])
+        x1 = X[:1]
+        sig = model.sigma(t, x1)
+        g = gam[k] = _one_value(sig)
+        lam[k] = lam_k
+        yield PathState(k, t, X, ones, gamma_rows[k], lambda_rows[k], S1,
+                        zeros, dWk)
+
+        bv = _one_value(_absorbed_drift(model, t, x1, sig) if absorb
+                        else model.b(t, x1))
+        g_dW = g * dWk
+        S1 = S1 + g_dW
+        lam_k = lam_k + g * g * dt
+        X = X + bv * dt + g_dW
+
+    for k in range(n_live + 1, n):  # the rest of a frozen tail; gam[k] = 0
+        lam[k] = lam_k
+        yield PathState(k, float(times[k]), X, ones, gamma_rows[k],
+                        lambda_rows[k], S1, zeros, zeros)
+
+    t = float(times[n])
+    gam[n] = _one_value(model.sigma(t, X[:1]))
+    lam[n] = lam_k
+    yield PathState(n, t, X, ones, gamma_rows[n], lambda_rows[n], S1, zeros,
+                    None)
 
 
 def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,

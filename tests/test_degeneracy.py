@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from degenbsde import (
     DEFAULT_EPS_SIGMA,
     CoefficientModel,
+    GammaEquivalenceReport,
     ProblemPoint,
     TimeGrid,
     builtin_model,
@@ -421,3 +423,106 @@ def test_no_characteristic_sweep_past_frozen_after(name, monkeypatch):
                                         DEFAULT_EPS_SIGMA, deg)
     assert taus.tobytes() == want.tobytes()
     assert swept == [first_frozen]
+
+
+# ---------------------------------------------------------------------------
+# starts past frozen_after sweep no characteristic in the equivalence check
+# ---------------------------------------------------------------------------
+
+
+def _reference_gamma_equivalence(model, sample_points, eps_sigma, sweeps):
+    # check_gamma_equivalence before starts past frozen_after skipped their
+    # sweeps, kept frozen; the sweep is looked up on ``sweeps``, so that it
+    # can be counted
+    points = list(sample_points)
+    shifted = transformed_drift(model)
+    by_t: dict = {}
+    for i, p in enumerate(points):
+        by_t.setdefault(float(p.t0), []).append((i, float(p.x0)))
+    n = len(points)
+    mx_raw = np.empty(n)
+    mx_new = np.empty(n)
+    for t0, entries in by_t.items():
+        idx = np.asarray([i for i, _ in entries])
+        xs = np.asarray([x for _, x in entries])
+        mx_raw[idx] = sweeps._max_sigma_batch(model, t0, xs)
+        mx_new[idx] = sweeps._max_sigma_batch(shifted, t0, xs)
+    alive_raw = mx_raw > eps_sigma
+    alive_new = mx_new > eps_sigma
+    agree = alive_raw == alive_new
+    both = alive_raw & alive_new
+    max_ratio = None
+    if np.any(both):
+        n_raw = np.maximum(np.ceil(1.0 / mx_raw[both]), 1.0)
+        n_new = np.maximum(np.ceil(1.0 / mx_new[both]), 1.0)
+        max_ratio = float(np.max(np.maximum(n_raw / n_new, n_new / n_raw)))
+    return GammaEquivalenceReport(
+        n_points=n, n_agree=int(np.count_nonzero(agree)),
+        agreement_fraction=float(np.count_nonzero(agree) / n),
+        n_in_both=int(np.count_nonzero(both)), max_index_ratio=max_ratio)
+
+
+def _counted_sweeps(monkeypatch):
+    """The start times ``_max_sigma_batch`` is called at, as a list that
+    grows with each call."""
+    import degenbsde.degeneracy as deg
+
+    swept = []
+
+    def counted(model, t0, x0):
+        swept.append(t0)
+        return _max_sigma_batch(model, t0, x0)
+
+    monkeypatch.setattr(deg, "_max_sigma_batch", counted)
+    return deg, swept
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TAU_FROZEN_MODELS)),
+    t_cut=st.floats(0.05, 0.95),
+    f2=st.sampled_from([0.0, -0.5, 0.5]),
+    n_t=st.integers(1, 8),
+    n_x=st.integers(1, 6),
+    eps_sigma=st.sampled_from([1e-8, 0.3, 0.9]),
+)
+def test_gamma_equivalence_matches_frozen_reference(name, t_cut, f2, n_t,
+                                                    n_x, eps_sigma):
+    base = _TAU_FROZEN_MODELS[name](t_cut)
+    model = dataclasses.replace(base, f2=lambda t, x: np.full_like(
+        np.asarray(x, dtype=float), f2))
+    T = model.horizon_T
+    ts = list(np.linspace(0.0, T, n_t + 1))
+    if model.frozen_after is not None:
+        ts.append(model.frozen_after)
+    points = [ProblemPoint(float(t), float(x)) for t in ts
+              for x in np.linspace(-2.0, 2.0, n_x)]
+    with pytest.MonkeyPatch.context() as mp:
+        deg, swept = _counted_sweeps(mp)
+        got = check_gamma_equivalence(model, points, eps_sigma=eps_sigma)
+        n_swept = len(swept)
+        want = _reference_gamma_equivalence(model, points, eps_sigma, deg)
+    assert got == want
+    frozen = model.frozen_after
+    assert all(frozen is None or t0 <= frozen for t0 in swept[:n_swept])
+    assert n_swept == sum(2 for t in set(map(float, ts))
+                          if frozen is None or t <= frozen)
+
+
+@pytest.mark.parametrize("name", ["example1", "girsanov_const",
+                                  "indicator_zero_vol"])
+def test_no_equivalence_sweep_past_frozen_after(name, monkeypatch):
+    model = builtin_model(name)
+    T, frozen = model.horizon_T, model.frozen_after
+    points = [ProblemPoint(float(t), float(x))
+              for t in np.linspace(0.0, T, 20, endpoint=False)
+              for x in np.linspace(-2.0, 2.0, 20)]
+    deg, swept = _counted_sweeps(monkeypatch)
+    got = check_gamma_equivalence(model, points)
+    # one sweep per drift at each start time up to the freeze, none past it
+    live = sorted({p.t0 for p in points if p.t0 <= frozen})
+    assert sorted(swept) == sorted(2 * live)
+    swept.clear()
+    want = _reference_gamma_equivalence(model, points, DEFAULT_EPS_SIGMA, deg)
+    assert got == want
+    assert len(swept) == 2 * len({p.t0 for p in points})

@@ -22,6 +22,8 @@ from degenbsde import (
 def test_all_builtins_pass_invariant_check():
     for name in builtin_model_names():
         check_model_invariants(builtin_model(name))
+        if name != "girsanov_const":
+            check_model_invariants(builtin_model("girsanov_const", base=name))
 
 
 def test_builtin_registry_is_consistent():
@@ -120,6 +122,34 @@ def test_invariant_check_catches_a_stale_x_flat_declaration(fields, label):
     with pytest.raises(ModelInvariantError, match=f"{label} .*x_flat"):
         check_model_invariants(m)
     check_model_invariants(replace(m, x_flat=False))
+
+
+def _step_at(level):
+    # 1{x > 0.1} times level: no sampled node, nor its derivative probe,
+    # straddles the step
+    def fn(t, x):
+        return level * (np.asarray(x, dtype=float) > 0.1)
+    return fn
+
+
+@pytest.mark.parametrize("field, values", [
+    ("sigma", lambda t, x: 1.0 + _step_at(0.5)(t, x)),
+    ("b", _step_at(0.5)),
+    ("f2", _step_at(0.5)),
+    # -0.0 left of 0 and +0.0 right of it: one value, but not one float64
+    ("b", lambda t, x: np.where(np.asarray(x, dtype=float) < 0.0, -0.0, 0.0)),
+], ids=["sigma", "b", "f2", "b-signed-zero"])
+def test_invariant_check_catches_a_coefficient_that_moves_with_x(field,
+                                                                  values):
+    # the declared derivatives are right (zero at every sampled node), so
+    # only the values across x show that the x_flat declaration is stale
+    m = replace(builtin_model("bachelier_digital"), lipschitz_K=1.5,
+                **{field: values})
+    assert m.x_flat
+    check_model_invariants(replace(m, x_flat=False))
+    with pytest.raises(ModelInvariantError,
+                       match=f": {field} varies in x at t=.*x_flat"):
+        check_model_invariants(m)
 
 
 def test_invariant_check_catches_wrong_freeze_time():

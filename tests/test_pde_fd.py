@@ -11,6 +11,7 @@ from degenbsde import (
     Example1Params,
     PdeGrid,
     builtin_model,
+    builtin_model_names,
     cfl_check,
     example1_u,
     make_grid,
@@ -714,3 +715,93 @@ def test_maximum_principle_holds_on_every_stored_level(name, t_cut, n_x,
     lo, hi = float(np.min(payoff)), float(np.max(payoff))
     assert np.all(sol.U >= lo - 1e-12)
     assert np.all(sol.U <= hi + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# x-flat models: one node per swept level
+# ---------------------------------------------------------------------------
+
+
+_X_FLAT_BASES = [n for n in builtin_model_names() if n != "girsanov_const"]
+_X_FLAT_MODELS = {
+    **{name: builtin_model(name) for name in _X_FLAT_BASES},
+    **{f"girsanov_const[{base}]": builtin_model("girsanov_const", base=base)
+       for base in _X_FLAT_BASES},
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_X_FLAT_MODELS)),
+    n_x=st.integers(3, 81),
+    x_min=st.floats(-4.0, -0.5),
+    width=st.floats(1.0, 6.0),
+    t_frac=st.floats(0.0, 0.95),
+)
+# grids that start before, at and just past the freeze
+@example(name="example1", n_x=41, x_min=-2.0, width=4.0, t_frac=0.0)
+@example(name="girsanov_const[step_vol]", n_x=41, x_min=-2.0, width=4.0,
+         t_frac=0.5)
+@example(name="girsanov_const[example1]", n_x=41, x_min=-2.0, width=4.0,
+         t_frac=0.51)
+def test_x_flat_sweep_equals_the_undeclared_sweep(name, n_x, x_min, width,
+                                                  t_frac):
+    model = _X_FLAT_MODELS[name]
+    assert model.x_flat
+    grid = make_grid(model, x_min, x_min + width, n_x,
+                     t_min=t_frac * model.horizon_T)
+    got = solve_fd(model, grid)
+    want = solve_fd(replace(model, x_flat=False), grid)
+    assert got.U.tobytes() == want.U.tobytes()
+
+
+@pytest.mark.parametrize("name", ["example1", "girsanov_const"])
+def test_x_flat_sweep_evaluates_one_node_per_swept_level(name):
+    model = builtin_model(name)
+    sizes = {"sigma": [], "b": [], "f2": []}
+
+    def sized(fn, record):
+        def inner(t, x):
+            record.append(np.size(x))
+            return fn(t, x)
+        return inner
+
+    traced = replace(model, **{k: sized(getattr(model, k), sizes[k])
+                               for k in sizes})
+    grid = make_grid(traced, -2.0, 2.0, 41)
+    # the stability check samples the whole lattice
+    assert {s for v in sizes.values() for s in v} == {grid.n_x}
+    for v in sizes.values():
+        v.clear()
+    solve_fd(traced, grid)
+    for v in sizes.values():
+        assert v == [1] * _n_swept(model, grid)
+
+
+@pytest.mark.parametrize("field, name", [
+    ("sigma", "sigma"),
+    ("b", "drift b \\+ f2 \\* sigma"),
+    ("f2", "drift b \\+ f2 \\* sigma"),
+])
+def test_stale_x_flat_declaration_is_refused_by_the_stability_check(field,
+                                                                    name):
+    # a coefficient that jumps at x = 0.1 while the model keeps x_flat: the
+    # sweep would give every node the first node's value
+    base = builtin_model("bachelier_digital")
+    step = getattr(base, field)
+
+    def moved(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(step(t, x), dtype=float) + 0.25 * (x > 0.1)
+
+    model = replace(base, lipschitz_K=1.5, **{field: moved})
+    grid = PdeGrid(-2.0, 2.0, 41, 0.0, 1.0, 1000)
+    match = f"{name} varies in x at t=0.0 on .* declares x_flat"
+    with pytest.raises(ValueError, match=match):
+        cfl_check(model, grid)
+    with pytest.raises(ValueError, match=match):
+        make_grid(model, -2.0, 2.0, 41)
+    with pytest.raises(ValueError, match=match):
+        solve_fd(model, grid)
+    undeclared = replace(model, x_flat=False)
+    solve_fd(undeclared, make_grid(undeclared, -2.0, 2.0, 41))
