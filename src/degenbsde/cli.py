@@ -377,6 +377,17 @@ def _zscore(a, b) -> float:
     return (a.mean - b.mean) / denom
 
 
+def _mc_match(name: str, diff: str, pairs: list, tol: float) -> CheckOutcome:
+    """Each ``(estimate, reference)`` pair must satisfy
+    ``|mc - ref| <= 3 * stderr + tol``; ``diff`` labels the difference in
+    the requirement text."""
+    breaches = sum(abs(est.mean - ref) > 3.0 * est.stderr + tol
+                   for est, ref in pairs)
+    return CheckOutcome(name, breaches == 0,
+                        f"breaches={breaches}/{len(pairs)}",
+                        f"|{diff}| <= 3*stderr + {tol}")
+
+
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
@@ -526,13 +537,11 @@ def _run_girsanov_equiv(cfg, model, out_dir):
     estimates = _estimate(model, cfg["seed"], cfg["n_paths"], [
         (point, grid, [_u_reducer(model, point, grid)]) for point in points])
     rows = []
-    breaches = 0
+    pairs = []
     for x, (est,) in zip(cfg["probes_x"], estimates):
         u_fd = float(sol.u(t0, x))
-        diff = abs(est.mean - u_fd)
-        rows.append((t0, x, est.mean, est.stderr, u_fd, diff))
-        if diff > 3.0 * est.stderr + cfg["fd_tol"]:
-            breaches += 1
+        rows.append((t0, x, est.mean, est.stderr, u_fd, abs(est.mean - u_fd)))
+        pairs.append((est, u_fd))
     path = _write_csv(
         _out_path(cfg, out_dir),
         ["t", "x", "u_mc", "u_stderr", "u_fd", "abs_diff"], rows)
@@ -548,9 +557,7 @@ def _run_girsanov_equiv(cfg, model, out_dir):
         [(rep.n_points, rep.n_agree, rep.agreement_fraction, rep.n_in_both,
           rep.max_index_ratio)])
     checks = (
-        CheckOutcome("girsanov-value-match", breaches == 0,
-                     f"breaches={breaches}/{len(rows)}",
-                     f"|u_mc-u_fd| <= 3*stderr + {cfg['fd_tol']}"),
+        _mc_match("girsanov-value-match", "u_mc-u_fd", pairs, cfg["fd_tol"]),
         CheckOutcome("alive-set-invariance",
                      rep.agreement_fraction == 1.0,
                      f"agreement={rep.agreement_fraction:.4f}", "== 1.0"),
@@ -572,29 +579,23 @@ def _run_pde_vs_mc(cfg, model, out_dir):
                                  eps_sigma=cfg["eps_sigma"],
                                  lambda_floor=cfg["lambda_floor"])]))
     rows = []
-    u_breaches = 0
-    ux_breaches = 0
+    u_pairs = []
+    ux_pairs = []
     for (t, x), (eu, eux) in zip(probes, _estimate(
             model, cfg["seed"], cfg["n_paths"], jobs)):
         u_fd = float(sol.u(t, x))
         ux_fd = float(sol.ux(t, x))
         rows.append((t, x, u_fd, eu.mean, eu.stderr, ux_fd, eux.mean,
                      eux.stderr))
-        if abs(u_fd - eu.mean) > 3.0 * eu.stderr + cfg["tol_u"]:
-            u_breaches += 1
-        if abs(ux_fd - eux.mean) > 3.0 * eux.stderr + cfg["tol_ux"]:
-            ux_breaches += 1
+        u_pairs.append((eu, u_fd))
+        ux_pairs.append((eux, ux_fd))
     path = _write_csv(
         _out_path(cfg, out_dir),
         ["t", "x", "u_fd", "u_mc", "u_mc_stderr", "ux_fd", "ux_mc",
          "ux_mc_stderr"], rows)
     checks = (
-        CheckOutcome("pde-mc-value", u_breaches == 0,
-                     f"breaches={u_breaches}/{len(rows)}",
-                     f"|u_fd-u_mc| <= 3*stderr + {cfg['tol_u']}"),
-        CheckOutcome("pde-mc-gradient", ux_breaches == 0,
-                     f"breaches={ux_breaches}/{len(rows)}",
-                     f"|ux_fd-ux_mc| <= 3*stderr + {cfg['tol_ux']}"),
+        _mc_match("pde-mc-value", "u_fd-u_mc", u_pairs, cfg["tol_u"]),
+        _mc_match("pde-mc-gradient", "ux_fd-ux_mc", ux_pairs, cfg["tol_ux"]),
     )
     return ExperimentResult(cfg["experiment"], (path,), checks)
 

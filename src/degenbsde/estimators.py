@@ -52,7 +52,7 @@ from .degeneracy import (DEFAULT_EPS_SIGMA, _abs_sigma_at,
                          _check_classifiable, gamma_report, locate_tau)
 from .model import CoefficientModel, ProblemPoint
 from .oracles import Example1Params, bachelier_digital, example1_u
-from .sde_sim import (PathBundle, TimeGrid, _check_compatible, _check_n_paths,
+from .sde_sim import (PathBundle, TimeGrid, _check_compatible, _check_count,
                       _live_steps, _normal_matrix, _stream_from_increments,
                       path_stream)
 from .weights import (default_lambda_floor, degenerate_weight_values,
@@ -225,7 +225,7 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     Floating-point warnings are silenced throughout, since non-finite
     samples are excluded and counted instead.
     """
-    n_paths = _check_n_paths(n_paths)
+    n_paths = _check_count(n_paths, "n_paths")
     for point, grid, _ in jobs:
         _check_compatible(model, point, grid)
     n_draw = max(_live_steps(model, grid) for _, grid, _ in jobs)

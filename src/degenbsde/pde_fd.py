@@ -40,12 +40,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .estimators import ValueProvider, grid_provider
 from .model import CoefficientModel, _absorbed_drift, _one_value, _varies
+from .sde_sim import _check_count, _check_ends
 
 __all__ = [
     "PdeGrid",
@@ -76,14 +76,13 @@ class PdeGrid:
     n_t: int
 
     def __post_init__(self) -> None:
+        _check_ends(self, "x_min", "x_max", "t_min", "t_max")
         if not (self.x_min < self.x_max):
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n_x < 3:
-            raise ValueError(f"n_x must be >= 3, got {self.n_x}")
+        _check_count(self.n_x, "n_x", 3)
         if not (self.t_min < self.t_max):
             raise ValueError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
-        if self.n_t < 1:
-            raise ValueError(f"n_t must be >= 1, got {self.n_t}")
+        _check_count(self.n_t, "n_t")
 
     @property
     def dx(self) -> float:
@@ -251,14 +250,16 @@ def _stable_n_t(model: CoefficientModel, t_min: float, t_max: float,
 
 
 def make_grid(model: CoefficientModel, x_min: float, x_max: float, n_x: int,
-              t_min: float = 0.0, t_max: Optional[float] = None) -> PdeGrid:
-    """Build a stable grid: jump-aligned nodes, CFL-derived step count.
+              t_min: float = 0.0) -> PdeGrid:
+    """Build a stable grid on ``[t_min, model.horizon_T]``: jump-aligned
+    nodes, CFL-derived step count.
 
     Raises ValueError when a sampled coefficient is not finite, or when
     the coefficients leave no step count that is finite and below 2**63.
     """
-    if t_max is None:
-        t_max = model.horizon_T
+    t_max = model.horizon_T
+    # the inputs' checks, before the alignment divides by n_x - 1
+    PdeGrid(x_min=x_min, x_max=x_max, n_x=n_x, t_min=t_min, t_max=t_max, n_t=1)
     x_min, x_max = _aligned_bounds(model, x_min, x_max, n_x)
 
     def grid(n_t: int) -> PdeGrid:

@@ -11,20 +11,20 @@ Riemann/Ito accumulators for the occupation integral ``Lambda`` of
 * ``B_k      = sum_{j<k} Lambda_j * sigma_x_j * gamma_j * gradX_j * dt``
 
 with ``gamma_j = sigma(t_j, X_j)``.  Single-path and batch entry points
-consume the same kernel, so a path simulated alone is bit-identical to the
-same path inside a batch.
+consume the same kernel and the same draw, so a path simulated alone is
+bit-identical to the same path inside a batch.
 
 Randomness is counter-based: path ``i`` under seed ``s`` always draws its
 increments from the Philox stream whose 128-bit key is the exact pair
 ``(s, i)`` of 64-bit words, with ``s`` in ``[0, 2**64)`` and ``i`` in
 ``[0, 2**63)``, independent of batch layout, chunking, or evaluation order.
 Step ``k`` of a path takes the ``k``-th standard normal of its stream
-times ``sqrt(dt)``.  So paths started at several points under one seed
-can share one draw of standard normals: the estimators draw once per
-chunk of paths, as many normals per path as the longest of their streams
-reads, and each stream scales its own row at each step.  That draw is
-step-major, ``(n_steps, n_paths)``, so step ``k``'s normals are one
-contiguous row; the materialized simulations keep their per-path rows.
+times ``sqrt(dt)``.  ``_normal_matrix`` draws those normals for every
+entry point, step-major, ``(n_steps, n_paths)``: step ``k``'s normals are
+one contiguous row.  The estimators draw once per chunk of paths, as many
+normals per path as the longest of their streams reads, and each stream
+scales its own row at each step; the materialized simulations scale the
+whole draw once, which gives the same bits.
 
 Coefficients: the estimators simulate the model with the linear-in-z cost
 absorbed into the drift (``transformed_drift``).  Their streams form
@@ -94,6 +94,27 @@ class SimulationError(RuntimeError):
     """Raised when too many paths produce non-finite values."""
 
 
+def _check_count(value: int, name: str, least: int = 1) -> int:
+    """``value`` as an integer of at least ``least``; a count that is not
+    an integer (2.5, ``True``) raises ``TypeError`` naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def _check_ends(grid, *names: str) -> None:
+    """Raise ``ValueError`` naming the first bound that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(grid, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(grid, name)}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid ``t0 = s_0 < ... < s_n = T`` with ``n = n_steps``."""
@@ -103,10 +124,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        _check_ends(self, "t0", "T")
         if not (self.T > self.t0):
             raise ValueError(f"need T > t0, got t0={self.t0}, T={self.T}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        _check_count(self.n_steps, "n_steps")
 
     @property
     def dt(self) -> float:
@@ -164,7 +185,7 @@ class BatchPaths:
     """A batch of paths backed by contiguous (n_paths, n_nodes) arrays.
 
     Behaves as a sequence of ``PathBundle`` views; no per-path copies are
-    made.
+    made.  ``dW``, the transposed step-major draw, is column-major.
     """
 
     grid: TimeGrid
@@ -211,20 +232,6 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _check_n_paths(n_paths: int) -> int:
-    """``n_paths`` as a positive integer; a count that is not an integer
-    (2.5, ``True``) raises ``TypeError`` naming ``n_paths``."""
-    try:
-        count = operator.index(n_paths)
-    except TypeError:
-        count = None
-    if count is None or isinstance(n_paths, bool):
-        raise TypeError(f"n_paths must be an integer, got {n_paths!r}")
-    if count < 1:
-        raise ValueError(f"n_paths must be >= 1, got {count}")
-    return count
-
-
 def _path_indices(path_indices) -> np.ndarray:
     """The indices as an int64 array; raises ``ValueError`` naming the first
     one that is not an integer in ``[0, 2**63)``."""
@@ -250,68 +257,36 @@ def _path_indices(path_indices) -> np.ndarray:
 _DRAW_BLOCK = 256
 
 
-def _path_generators(seed: int, path_indices) -> tuple:
-    """``(idx, gens)``: the validated indices as an int64 array, and an
-    iterator that yields, per index, a generator reset to the start of its
-    stream.
+def _normal_matrix(seed: int, path_indices, n_steps: int) -> np.ndarray:
+    """Standard normals, step-major: shape ``(n_steps, n_paths)``.
 
-    The stream of index ``i`` is the Philox stream keyed by the exact
-    128-bit pair ``(seed, i)``, with ``seed`` in ``[0, 2**64)`` and ``i``
-    in ``[0, 2**63)``.  One generator is reset to that key, a zero counter
-    and an empty buffer per index, so it draws what a generator freshly
-    built on that key would, and a shorter draw is a prefix of a longer
-    one.  Each yielded generator is valid until the next one is taken.
+    Column ``j`` is the start of the Philox stream keyed by the exact
+    128-bit pair ``(seed, path_indices[j])``.  One generator is reset to
+    that key, a zero counter and an empty buffer per index, so it draws
+    what a generator freshly built on that key would, and a shorter draw
+    is a prefix of a longer one.  Paths are drawn ``_DRAW_BLOCK`` at a
+    time into a small per-path-row buffer whose transpose is copied into
+    the output; no second full-size matrix is built.
     """
     key = np.array([_check_seed(seed), 0], dtype=np.uint64)
-    idx = _path_indices(path_indices)
+    idx = _path_indices(path_indices).tolist()
     bit_gen = Philox(key=key)
     gen = Generator(bit_gen)
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-
-    def reset():
-        for i in idx.tolist():
-            key[1] = i
-            bit_gen.state = state
-            yield gen
-
-    return idx, reset()
-
-
-def _normal_matrix(seed: int, path_indices, n_steps: int) -> np.ndarray:
-    """Standard normals, step-major: shape ``(n_steps, n_paths)``.
-
-    Column ``j`` is the start of the stream of ``path_indices[j]`` (see
-    ``_path_generators``), so row ``k`` holds every path's normal for step
-    ``k`` contiguously.  Paths are drawn ``_DRAW_BLOCK`` at a time into a
-    small per-path-row buffer whose transpose is copied into the output;
-    no second full-size matrix is built.
-    """
-    idx, gens = _path_generators(seed, path_indices)
-    n_paths = idx.size
+    n_paths = len(idx)
     out = np.empty((n_steps, n_paths), dtype=float)
     buf = np.empty((min(_DRAW_BLOCK, n_paths), n_steps), dtype=float)
     for start in range(0, n_paths, _DRAW_BLOCK):
-        rows = buf[:min(_DRAW_BLOCK, n_paths - start)]
-        for row in rows:
-            next(gens).standard_normal(out=row)
-        out[:, start:start + rows.shape[0]] = rows.T
-    return out
-
-
-def _increment_matrix(seed: int, path_indices, n_steps: int,
-                      dt: float) -> np.ndarray:
-    """Gaussian increments N(0, dt), one row per path index: the columns
-    of ``_normal_matrix`` scaled by ``sqrt(dt)``, drawn straight into the
-    C-contiguous ``(n_paths, n_steps)`` rows the materialized simulations
-    keep."""
-    idx, gens = _path_generators(seed, path_indices)
-    out = np.empty((idx.size, n_steps), dtype=float)
-    for row, gen in zip(out, gens):
-        gen.standard_normal(out=row)
-    out *= math.sqrt(dt)
+        block = idx[start:start + _DRAW_BLOCK]
+        rows = buf[:len(block)]
+        for row, i in zip(rows, block):
+            key[1] = i
+            bit_gen.state = state
+            gen.standard_normal(out=row)
+        out[:, start:start + len(block)] = rows.T
     return out
 
 
@@ -321,14 +296,14 @@ def brownian_increments(seed: int, path_index: int, n_steps: int,
 
     Deterministic in ``(seed, path_index)``, the exact 128-bit Philox key,
     with ``seed`` in ``[0, 2**64)`` and ``path_index`` in ``[0, 2**63)``;
-    distinct pairs give independent streams.  A seed that is not an
-    integer raises ``TypeError``, an index that is not one ``ValueError``.
+    distinct pairs give independent streams; ``simulate_path`` draws the
+    same.  A seed or step count that is not an integer raises
+    ``TypeError``, an index that is not one ``ValueError``.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = _check_count(n_steps, "n_steps")
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    return _increment_matrix(seed, [path_index], n_steps, dt)[0]
+    return _normal_matrix(seed, [path_index], n_steps)[:, 0] * math.sqrt(dt)
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +352,16 @@ def _full(values, shape: tuple) -> np.ndarray:
 
 
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
-                            grid: TimeGrid, dW: np.ndarray,
-                            scale: Optional[float] = None,
+                            grid: TimeGrid, rows: np.ndarray, scale: float,
                             absorb: bool = False) -> Iterator[PathState]:
     """Advance a path family driven by the given step-major matrix: row
-    ``k`` is step ``k``, one column per path.
+    ``k`` is step ``k``, one column per path, and step ``k``'s increment is
+    ``rows[k] * scale``.
 
-    Only the first ``_live_steps`` rows of ``dW`` are read.  Row ``k`` is
-    step ``k``'s increment, or, with ``scale``, a row of standard normals
-    that the step multiplies by ``scale`` (``sqrt(dt)``) itself, with the
-    bits ``dW * scale`` would give.
+    Only the first ``_live_steps`` rows are read.  The streams take
+    standard normals and ``scale = sqrt(dt)``; the materialized
+    simulations take their increments and ``scale = 1.0``, which leaves
+    them unchanged (``x * 1.0 == x``).
 
     With ``absorb`` the drift is ``b + f2 * sigma`` (and its x-derivative
     ``b_x + f2_x * sigma + f2 * sigma_x``), the drift of
@@ -397,14 +372,11 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     An x-flat stream (see the module docstring) makes those calls on the
     first path's ``x`` alone.
     """
-    n = grid.n_steps
-    shape = (dW.shape[1],)
+    shape = (rows.shape[1],)
     n_live = _live_steps(model, grid)
     zeros = np.zeros(shape)
-    steps = dW[:n_live]
-    if scale is not None:
-        steps = (z * scale for z in steps)
-    if n_live < n:
+    steps = (z * scale for z in rows[:n_live])
+    if n_live < grid.n_steps:
         # The first frozen step still runs, on a zero increment.  With dead
         # coefficients its only effect is the one a full run has on its
         # first tail step (0 * inf turning S1 or B into NaN, -0.0 into
@@ -530,15 +502,14 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
 def _materialize(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
                  dW: np.ndarray) -> BatchPaths:
     n_paths = dW.shape[0]
-    n_nodes = grid.n_steps + 1
-    X = np.empty((n_paths, n_nodes), dtype=float)
+    X = np.empty((n_paths, grid.n_steps + 1), dtype=float)
     gradX = np.empty_like(X)
     gamma = np.empty_like(X)
     Lambda = np.empty_like(X)
     S1 = np.empty_like(X)
     B = np.empty_like(X)
 
-    for st in _stream_from_increments(model, point, grid, dW.T):
+    for st in _stream_from_increments(model, point, grid, dW.T, 1.0):
         X[:, st.k] = st.X
         gradX[:, st.k] = st.gradX
         gamma[:, st.k] = st.gamma
@@ -557,7 +528,8 @@ def simulate_path(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
                   seed: int, path_index: int = 0) -> PathBundle:
     """Simulate a single path (bit-identical to the same index in a batch)."""
     _check_compatible(model, point, grid)
-    dW = _increment_matrix(seed, [path_index], grid.n_steps, grid.dt)
+    dW = _normal_matrix(seed, [path_index], grid.n_steps).T
+    dW *= math.sqrt(grid.dt)
     return _materialize(model, point, grid, dW)[0]
 
 
@@ -586,9 +558,10 @@ def simulate_batch(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     Memory scales with ``n_paths * n_steps``; use ``path_stream`` for
     estimation at large path counts.
     """
-    n_paths = _check_n_paths(n_paths)
+    n_paths = _check_count(n_paths, "n_paths")
     _check_compatible(model, point, grid)
-    dW = _increment_matrix(seed, np.arange(n_paths), grid.n_steps, grid.dt)
+    dW = _normal_matrix(seed, np.arange(n_paths), grid.n_steps).T
+    dW *= math.sqrt(grid.dt)
     batch = _materialize(model, point, grid, dW)
     if batch.n_invalid > _MAX_INVALID_FRACTION * n_paths:
         raise SimulationError(

@@ -22,7 +22,7 @@ from degenbsde import (
     path_stream,
     simulate_batch,
 )
-from degenbsde.sde_sim import _increment_matrix
+from degenbsde.sde_sim import _normal_matrix
 
 _MODELS = {name: builtin_model(name)
            for name in ("example1", "step_vol", "girsanov_const")}
@@ -40,10 +40,10 @@ def _outcome(fn, *args, **kwargs):
 
 def test_prefix_draw_equals_prefix_of_full_draw():
     idx = np.arange(200, dtype=np.int64)
-    full = _increment_matrix(12345, idx, 257, 0.01)
+    full = _normal_matrix(12345, idx, 257)
     for k in (0, 1, 7, 64, 256):
-        prefix = _increment_matrix(12345, idx, k, 0.01)
-        np.testing.assert_array_equal(prefix, full[:, :k])
+        prefix = _normal_matrix(12345, idx, k)
+        np.testing.assert_array_equal(prefix, full[:k])
 
 
 def test_stream_stops_drawing_at_the_first_node_past_the_freeze():

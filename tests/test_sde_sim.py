@@ -8,19 +8,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenbsde import (
+    BUILTIN_MODELS,
     CoefficientModel,
+    PdeGrid,
     ProblemPoint,
     SimulationError,
     TimeGrid,
     brownian_increments,
     builtin_model,
+    make_grid,
     path_stream,
     simulate_batch,
     simulate_path,
     simulate_path_with_increments,
 )
-from degenbsde.sde_sim import (_DRAW_BLOCK, _increment_matrix, _live_steps,
-                               _normal_matrix, _stream_from_increments)
+from degenbsde.sde_sim import (_DRAW_BLOCK, _live_steps, _normal_matrix,
+                               _stream_from_increments)
 
 
 def _zero2(t, x):
@@ -47,6 +50,41 @@ def _ou_model(rate: float = 1.0, T: float = 1.0) -> CoefficientModel:
     )
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: PdeGrid(-math.inf, 1.0, 11, 0.0, 1.0, 10), ValueError,
+     "x_min must be finite, got -inf"),
+    (lambda: PdeGrid(-1.0, 1.0, 11, 0.0, math.nan, 10), ValueError,
+     "t_max must be finite, got nan"),
+    (lambda: TimeGrid(0.0, math.inf, 4), ValueError,
+     "T must be finite, got inf"),
+    (lambda: TimeGrid(0.0, 1.0, 2.5), TypeError,
+     "n_steps must be an integer, got 2.5"),
+    (lambda: TimeGrid(0.0, 1.0, True), TypeError,
+     "n_steps must be an integer, got True"),
+    (lambda: PdeGrid(-1, 1, 11.0, 0, 1, 100), TypeError,
+     "n_x must be an integer, got 11.0"),
+    (lambda: PdeGrid(-1, 1, 11, 0, 1, 2.5), TypeError,
+     "n_t must be an integer, got 2.5"),
+    (lambda: brownian_increments(0, 0, 2.5, 0.1), TypeError,
+     "n_steps must be an integer, got 2.5"),
+    # make_grid checks before its jump alignment divides by n_x - 1
+    (lambda: make_grid(builtin_model("step_vol"), -math.inf, 1.0, 11),
+     ValueError, "x_min must be finite, got -inf"),
+    (lambda: make_grid(builtin_model("step_vol"), -1.0, 1.0, True),
+     TypeError, "n_x must be an integer, got True"),
+    (lambda: make_grid(builtin_model("step_vol"), -1.0, 1.0, 1),
+     ValueError, "n_x must be >= 3, got 1"),
+    # the messages for counts that are integers but too small are kept
+    (lambda: TimeGrid(0.0, 1.0, 0), ValueError, "n_steps must be >= 1, got 0"),
+    (lambda: PdeGrid(-1, 1, 2, 0, 1, 10), ValueError, "n_x must be >= 3, got 2"),
+    (lambda: PdeGrid(-1, 1, 11, 0, 1, 0), ValueError, "n_t must be >= 1, got 0"),
+])
+def test_grids_refuse_non_finite_ends_and_non_integer_counts(make, error,
+                                                             message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
 def test_time_grid_basics():
     g = TimeGrid(0.25, 1.0, 3)
     assert g.dt == pytest.approx(0.25)
@@ -68,18 +106,55 @@ def test_brownian_increments_reproducible_and_scaled():
     assert float(np.var(a)) == pytest.approx(0.01, rel=0.2)
 
 
-def test_single_path_matches_batch_row_bitwise():
-    m = builtin_model("step_vol")
-    pt = ProblemPoint(0.0, 0.3)
-    grid = TimeGrid(0.0, 1.0, 64)
-    batch = simulate_batch(m, pt, grid, seed=5, n_paths=8)
-    for i in (0, 3, 7):
-        single = simulate_path(m, pt, grid, seed=5, path_index=i)
-        np.testing.assert_array_equal(single.X, batch.X[i])
-        np.testing.assert_array_equal(single.gradX, batch.gradX[i])
-        np.testing.assert_array_equal(single.Lambda, batch.Lambda[i])
-        np.testing.assert_array_equal(single.S1, batch.S1[i])
-        np.testing.assert_array_equal(single.B, batch.B[i])
+_DRAW_MODELS = dict({name: builtin_model(name) for name in BUILTIN_MODELS},
+                    ou=_ou_model(rate=2.0))
+_PATH_FIELDS = ("dW", "X", "gradX", "gamma", "Lambda", "S1", "B", "valid")
+
+
+def _assert_same_path(a, b):
+    for field in _PATH_FIELDS:
+        assert (np.asarray(getattr(a, field)).tobytes()
+                == np.asarray(getattr(b, field)).tobytes()), field
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_DRAW_MODELS)),
+       seed=st.integers(0, 2 ** 64 - 1),
+       n_paths=st.sampled_from([1, _DRAW_BLOCK, _DRAW_BLOCK + 1]),
+       n_steps=st.integers(1, 24),
+       index=st.integers(0, _DRAW_BLOCK),
+       x0=st.floats(-1.0, 1.0))
+@example(name="step_vol", seed=5, n_paths=8, n_steps=64, index=3, x0=0.3)
+@example(name="ou", seed=2 ** 64 - 1, n_paths=_DRAW_BLOCK + 1, n_steps=5,
+         index=_DRAW_BLOCK - 1, x0=0.0)
+@example(name="example1", seed=2 ** 63, n_paths=_DRAW_BLOCK, n_steps=7,
+         index=1, x0=-0.2)
+def test_single_path_matches_batch_row_bitwise(name, seed, n_paths, n_steps,
+                                               index, x0):
+    # one draw behind every entry point: a path alone, its batch row, the
+    # streamed state and a replay of brownian_increments agree bit for bit
+    m = _DRAW_MODELS[name]
+    pt = ProblemPoint(0.0, x0)
+    grid = TimeGrid(0.0, m.horizon_T, n_steps)
+    batch = simulate_batch(m, pt, grid, seed=seed, n_paths=n_paths)
+    for i in sorted({0, index % n_paths, n_paths - 1}):
+        single = simulate_path(m, pt, grid, seed=seed, path_index=i)
+        _assert_same_path(single, batch[i])
+        replay = simulate_path_with_increments(
+            m, pt, grid, brownian_increments(seed, i, n_steps, grid.dt))
+        _assert_same_path(replay, single)
+    n_live = _live_steps(m, grid)
+    for s in path_stream(m, pt, grid, seed, np.arange(n_paths)):
+        for field in _PATH_FIELDS[1:-1]:
+            assert (getattr(s, field).tobytes()
+                    == np.ascontiguousarray(
+                        getattr(batch, field)[:, s.k]).tobytes()), field
+        if s.k == n_steps:
+            assert s.dW is None
+        else:
+            # a frozen tail streams zero increments; the batch keeps its draw
+            want = batch.dW[:, s.k] if s.k < n_live else np.zeros(n_paths)
+            assert s.dW.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_batch_view_roundtrip():
@@ -288,7 +363,8 @@ def _per_path_generators(seed, indices, n_steps, key_of):
 @example(seed=2 ** 63, indices=[5], n_steps=13)
 @example(seed=2 ** 64 - 1, indices=[0, 0], n_steps=3)
 def test_increment_matrix_matches_per_path_generators(seed, indices, n_steps):
-    got = _increment_matrix(seed, np.asarray(indices), n_steps, 0.5)
+    got = np.stack([brownian_increments(seed, i, n_steps, 0.5)
+                    for i in indices])
     exact = _per_path_generators(
         seed, indices, n_steps,
         lambda s, i: np.array([s, i], dtype=np.uint64))
