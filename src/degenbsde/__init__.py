@@ -9,9 +9,8 @@ cross-validates everything against an explicit finite-difference solver
 and closed-form oracles.
 """
 
-from .degeneracy import (DEFAULT_EPS_SIGMA, CharacteristicPath,
-                         DegeneracyReport, GammaEquivalenceReport,
-                         characteristic, check_gamma_equivalence,
+from .degeneracy import (DEFAULT_EPS_SIGMA, DegeneracyReport,
+                         GammaEquivalenceReport, check_gamma_equivalence,
                          gamma_report, locate_tau, locate_tau_batch)
 from .estimators import (Estimate, EstimationError, OutsideGamma0Error,
                          ProviderRequiredError, ValueProvider,
@@ -40,7 +39,6 @@ __all__ = [
     "BUILTIN_MODELS",
     "BatchPaths",
     "CflReport",
-    "CharacteristicPath",
     "CoefficientModel",
     "DEFAULT_EPS_SIGMA",
     "DegeneracyReport",
@@ -65,7 +63,6 @@ __all__ = [
     "builtin_model",
     "builtin_model_names",
     "cfl_check",
-    "characteristic",
     "check_gamma_equivalence",
     "check_model_invariants",
     "default_lambda_floor",

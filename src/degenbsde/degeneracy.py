@@ -4,7 +4,8 @@ The volatility may vanish on part of the domain.  What matters for the
 weight-based estimators is not whether ``sigma(t, x)`` is nonzero at the
 starting point, but whether the deterministic drift characteristic
 through ``(t, x)`` meets live volatility at some time before the horizon.
-This module classifies points accordingly:
+Everything here rests on one quantity, the running max of ``|sigma|``
+along that characteristic (``_max_sigma``):
 
 * ``in_Gamma``: ``|sigma(t, x)| > eps_sigma`` at the point itself;
 * ``in_Gamma0``: ``max_s |sigma(s, eta_s)| > eps_sigma`` along the
@@ -25,13 +26,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import CoefficientModel, ProblemPoint, transformed_drift
-from .sde_sim import BatchPaths, PathBundle, TimeGrid
+from .sde_sim import BatchPaths, PathBundle
 
 __all__ = [
-    "CharacteristicPath",
     "DegeneracyReport",
     "GammaEquivalenceReport",
-    "characteristic",
     "gamma_report",
     "locate_tau",
     "locate_tau_batch",
@@ -42,14 +41,6 @@ __all__ = [
 DEFAULT_EPS_SIGMA = 1e-8
 # RK4 steps per characteristic, from the start time to the horizon
 N_ODE_STEPS = 200
-
-
-@dataclass(frozen=True)
-class CharacteristicPath:
-    """Drift characteristic sampled on a uniform grid."""
-
-    grid: TimeGrid
-    eta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,32 +69,27 @@ class GammaEquivalenceReport:
 
 
 # ---------------------------------------------------------------------------
-# characteristic ODE (classical 4-stage Runge-Kutta, vectorized over starts)
+# running max of |sigma| along the characteristic
 # ---------------------------------------------------------------------------
 
 
-def _rk4_sweep(model: CoefficientModel, t0: float, x0: np.ndarray, T: float,
-               keep_path: bool):
-    """Integrate the drift ODE from (t0, x0) to T.
-
-    Returns ``(eta_path or None, running max of |sigma| along the way)``.
-    The max always includes the starting node.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    eta = x0.copy()
+def _max_sigma_batch(model: CoefficientModel, t0: float,
+                     x0: np.ndarray) -> np.ndarray:
+    """Running max of ``|sigma|`` along the drift characteristics from
+    ``(t0, x0)`` to the horizon, by classical 4-stage Runge-Kutta
+    vectorized over the starts.  The max always includes the starting
+    node, and a NaN ``sigma`` anywhere along the way makes it NaN."""
+    T = model.horizon_T
+    eta = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     mx = np.maximum(
         np.zeros_like(eta),
         np.abs(np.asarray(model.sigma(float(t0), eta), dtype=float)),
     )
     if T <= t0:
-        return (eta[None, :].copy() if keep_path else None), mx
+        return mx
 
     s = np.linspace(t0, T, N_ODE_STEPS + 1)
     h = (T - t0) / N_ODE_STEPS
-    path = np.empty((N_ODE_STEPS + 1, eta.size)) if keep_path else None
-    if keep_path:
-        path[0] = eta
-
     b = model.b
     for j in range(N_ODE_STEPS):
         sj = float(s[j])
@@ -115,36 +101,38 @@ def _rk4_sweep(model: CoefficientModel, t0: float, x0: np.ndarray, T: float,
         eta = eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         mx = np.maximum(
             mx, np.abs(np.asarray(model.sigma(float(s[j + 1]), eta), dtype=float)))
-        if keep_path:
-            path[j + 1] = eta
-    return path, mx
-
-
-def characteristic(model: CoefficientModel,
-                   point: ProblemPoint) -> CharacteristicPath:
-    """Solve the drift ODE from the point to the horizon."""
-    T = model.horizon_T
-    if not (point.t0 < T):
-        raise ValueError(
-            f"characteristic needs t0 < horizon, got t0={point.t0}, T={T}"
-        )
-    path, _ = _rk4_sweep(model, point.t0, np.asarray([point.x0]), T,
-                         keep_path=True)
-    return CharacteristicPath(grid=TimeGrid(point.t0, T, N_ODE_STEPS),
-                              eta=path[:, 0].copy())
-
-
-def _max_sigma_batch(model: CoefficientModel, t0: float,
-                     x0: np.ndarray) -> np.ndarray:
-    _, mx = _rk4_sweep(model, t0, x0, model.horizon_T, keep_path=False)
     return mx
+
+
+def _max_sigma(model: CoefficientModel, t0: float,
+               xs: np.ndarray) -> np.ndarray:
+    """``_max_sigma_batch``, except that a finite start past the model's
+    ``frozen_after``, where ``sigma`` and ``b`` vanish, gets exactly +0.0
+    without a sweep.  A start whose ``x`` is not finite is still swept."""
+    frozen_after = model.frozen_after
+    if frozen_after is None or not t0 > frozen_after:
+        return _max_sigma_batch(model, t0, xs)
+    mx = np.zeros(xs.shape)
+    nonfinite = ~np.isfinite(xs)
+    if np.any(nonfinite):
+        mx[nonfinite] = _max_sigma_batch(model, t0, xs[nonfinite])
+    return mx
+
+
+def _n_index(mx):
+    """The smallest integer ``n >= 1`` with ``mx >= 1/n``, as a float."""
+    return np.maximum(np.ceil(1.0 / mx), 1.0)
+
+
+def _check_eps_sigma(eps_sigma: float) -> None:
+    if not (eps_sigma > 0.0):
+        raise ValueError(f"eps_sigma must be positive, got {eps_sigma}")
 
 
 def _check_classifiable(model: CoefficientModel, point: ProblemPoint,
                         eps_sigma: float) -> None:
     """The input checks of ``gamma_report``, in its order."""
-    if not (eps_sigma > 0.0):
-        raise ValueError(f"eps_sigma must be positive, got {eps_sigma}")
+    _check_eps_sigma(eps_sigma)
     if point.t0 > model.horizon_T:
         raise ValueError(
             f"t0={point.t0} lies beyond the horizon {model.horizon_T}"
@@ -162,17 +150,13 @@ def gamma_report(model: CoefficientModel, point: ProblemPoint,
                  eps_sigma: float = DEFAULT_EPS_SIGMA) -> DegeneracyReport:
     """Classify a starting point against the degeneracy sets."""
     _check_classifiable(model, point, eps_sigma)
-    mx = float(_max_sigma_batch(model, float(point.t0),
-                                np.asarray([float(point.x0)]))[0])
-    here = _abs_sigma_at(model, point)
-    in_gamma = here > eps_sigma
+    mx = float(_max_sigma(model, float(point.t0),
+                          np.asarray([float(point.x0)]))[0])
     in_gamma0 = mx > eps_sigma
-    n_index = int(np.ceil(1.0 / mx)) if in_gamma0 else None
-    if n_index is not None and n_index < 1:
-        n_index = 1
-    return DegeneracyReport(point=point, max_sigma_on_characteristic=mx,
-                            in_Gamma=in_gamma, in_Gamma0=in_gamma0,
-                            n_index=n_index)
+    return DegeneracyReport(
+        point=point, max_sigma_on_characteristic=mx,
+        in_Gamma=_abs_sigma_at(model, point) > eps_sigma, in_Gamma0=in_gamma0,
+        n_index=int(_n_index(mx)) if in_gamma0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -188,36 +172,28 @@ def _locate_tau_matrix(model: CoefficientModel, times: np.ndarray,
     the per-node work shrinks as paths stop.  The characteristic's running
     max of ``|sigma|`` starts at the node itself, so a node with
     ``|sigma| > eps_sigma`` there is alive without solving the ODE; only
-    the other active paths (a NaN ``sigma`` among them) go through
-    ``_max_sigma_batch``.  Past ``model.frozen_after``, ``sigma`` and ``b``
-    vanish, so the running max from any node there is exactly 0: with
-    ``eps_sigma >= 0``, every path still active dies at the first such
-    node, which is neither evaluated nor swept.  Where
-    ``sigma`` is finite along the characteristic this is the
+    the other active paths (a NaN ``sigma`` among them) go to
+    ``_max_sigma``, which sweeps none from a finite node past the frozen
+    tail.  Where ``sigma`` is finite along the characteristic this is the
     ``gamma_report`` classification.  A NaN ``sigma`` further along a
     characteristic would make that running max NaN and the node dead; a
-    node alive pointwise stays alive here.
+    node alive pointwise stays alive here.  Any ``eps_sigma`` is accepted.
     """
     n_paths = X.shape[0]
     taus = np.full(n_paths, float(times[-1]))
     active = np.arange(n_paths)
-    frozen_after = model.frozen_after if eps_sigma >= 0.0 else None
     for k in range(times.size):
         if active.size == 0:
             break
         t = float(times[k])
-        if frozen_after is not None and t > frozen_after:
-            taus[active] = t
-            break
         x = X[active, k]
         here = np.abs(np.broadcast_to(
             np.asarray(model.sigma(t, x), dtype=float), x.shape))
         check = ~(here > eps_sigma)
         if not np.any(check):
             continue
-        mx = _max_sigma_batch(model, t, x[check])
         dead = np.zeros(active.size, dtype=bool)
-        dead[check] = ~(mx > eps_sigma)
+        dead[check] = ~(_max_sigma(model, t, x[check]) > eps_sigma)
         if np.any(dead):
             taus[active[dead]] = t
             active = active[~dead]
@@ -233,8 +209,9 @@ def locate_tau(model: CoefficientModel, path: PathBundle,
     has ``in_Gamma0`` false.  A node with ``|sigma| > eps_sigma`` counts as
     alive without the ODE, even if ``sigma`` turns NaN further along its
     characteristic.  Past the returned time the reconstructed integrand is
-    set to zero.
+    set to zero.  ``eps_sigma`` must be positive.
     """
+    _check_eps_sigma(eps_sigma)
     times = path.grid.times()
     return float(_locate_tau_matrix(model, times, path.X[None, :],
                                     eps_sigma)[0])
@@ -243,6 +220,7 @@ def locate_tau(model: CoefficientModel, path: PathBundle,
 def locate_tau_batch(model: CoefficientModel, batch: BatchPaths,
                      eps_sigma: float = DEFAULT_EPS_SIGMA) -> np.ndarray:
     """Vectorized ``locate_tau`` over a batch; equal to the per-path values."""
+    _check_eps_sigma(eps_sigma)
     times = batch.grid.times()
     return _locate_tau_matrix(model, times, batch.X, eps_sigma)
 
@@ -262,9 +240,9 @@ def check_gamma_equivalence(model: CoefficientModel,
     characteristics but must not change which points are classified
     alive.  Returns the agreement fraction and, over points alive under
     both drifts, the largest ratio between the two ``n_index`` values.
-    Starts past ``model.frozen_after`` are dead under both drifts, with a
-    running max of exactly 0, and sweep no characteristic.
+    ``eps_sigma`` must be positive.
     """
+    _check_eps_sigma(eps_sigma)
     points = list(sample_points)
     if not points:
         raise ValueError("sample_points must be non-empty")
@@ -278,17 +256,11 @@ def check_gamma_equivalence(model: CoefficientModel,
     n = len(points)
     mx_raw = np.empty(n)
     mx_new = np.empty(n)
-    frozen_after = model.frozen_after
     for t0, entries in by_t.items():
         idx = np.asarray([i for i, _ in entries])
-        if frozen_after is not None and t0 > frozen_after:
-            # sigma vanishes past frozen_after, under both drifts, so the
-            # running max from there is exactly +0.0: no sweep
-            mx_raw[idx] = mx_new[idx] = 0.0
-            continue
         xs = np.asarray([x for _, x in entries])
-        mx_raw[idx] = _max_sigma_batch(model, t0, xs)
-        mx_new[idx] = _max_sigma_batch(shifted, t0, xs)
+        mx_raw[idx] = _max_sigma(model, t0, xs)
+        mx_new[idx] = _max_sigma(shifted, t0, xs)
 
     alive_raw = mx_raw > eps_sigma
     alive_new = mx_new > eps_sigma
@@ -297,16 +269,11 @@ def check_gamma_equivalence(model: CoefficientModel,
 
     max_ratio: Optional[float] = None
     if np.any(both):
-        n_raw = np.ceil(1.0 / mx_raw[both])
-        n_new = np.ceil(1.0 / mx_new[both])
-        n_raw = np.maximum(n_raw, 1.0)
-        n_new = np.maximum(n_new, 1.0)
+        n_raw = _n_index(mx_raw[both])
+        n_new = _n_index(mx_new[both])
         max_ratio = float(np.max(np.maximum(n_raw / n_new, n_new / n_raw)))
 
+    n_agree = int(np.count_nonzero(agree))
     return GammaEquivalenceReport(
-        n_points=n,
-        n_agree=int(np.count_nonzero(agree)),
-        agreement_fraction=float(np.count_nonzero(agree) / n),
-        n_in_both=int(np.count_nonzero(both)),
-        max_index_ratio=max_ratio,
-    )
+        n_points=n, n_agree=n_agree, agreement_fraction=float(n_agree / n),
+        n_in_both=int(np.count_nonzero(both)), max_index_ratio=max_ratio)

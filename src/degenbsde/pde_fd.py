@@ -322,6 +322,7 @@ class PdeSolution:
                              f"{self.U[i, j]:.17g},{D[i, j]:.17g}\n")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_fd(model: CoefficientModel, grid: PdeGrid,
              max_stored_levels: int = MAX_STORED_LEVELS) -> PdeSolution:
     """Backward explicit sweep from the terminal payoff.
@@ -337,6 +338,9 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     running cost is zero: there ``sigma = b = 0``, so once the first such
     step leaves every node unchanged (its ``rhs`` all zero and no ``-0.0``
     in ``u``), every later one would too, bit for bit.
+
+    A payoff that is not finite carries its ``inf`` and the ``NaN`` it
+    breeds into ``U``; their floating-point warnings are silenced here.
     """
     if grid.t_max != model.horizon_T:
         raise ValueError(
@@ -349,8 +353,7 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
             f"unstable grid: dt={report.dt:.3e} exceeds the explicit limit "
             f"{report.dt_limit:.3e}; refine in time (see make_grid)"
         )
-    if max_stored_levels < 2:
-        raise ValueError(f"max_stored_levels must be >= 2, got {max_stored_levels}")
+    max_stored_levels = _check_count(max_stored_levels, "max_stored_levels", 2)
     xs = grid.xs()
     dx = grid.dx
     dt = grid.dt

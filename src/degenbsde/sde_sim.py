@@ -371,6 +371,9 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     once, and a step that runs the tangent flow calls ``sigma_x`` once.
     An x-flat stream (see the module docstring) makes those calls on the
     first path's ``x`` alone.
+
+    It sets no floating-point error state, so none leaks between two
+    states; its callers silence the warnings of their own advances.
     """
     shape = (rows.shape[1],)
     n_live = _live_steps(model, grid)
@@ -383,8 +386,7 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
         # +0.0); after it every further step is the identity.
         steps = itertools.chain(steps, (zeros,))
     states = _x_flat_states if _x_flat_stream(model, grid) else _tangent_states
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        yield from states(model, point, grid, steps, n_live, zeros, absorb)
+    yield from states(model, point, grid, steps, n_live, zeros, absorb)
 
 
 def _tangent_states(model: CoefficientModel, point: ProblemPoint,
@@ -487,11 +489,19 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     This is the streaming interface the estimators consume; it holds no
     per-node history, only the running state, so memory stays flat in
     ``n_steps``.  Only the increments before a frozen tail are drawn.
+    Floating-point warnings are silenced while a state is computed, and
+    only then: the caller's code between two states keeps its settings.
     """
     _check_compatible(model, point, grid)
     normals = _normal_matrix(seed, path_indices, _live_steps(model, grid))
-    yield from _stream_from_increments(model, point, grid, normals,
-                                       math.sqrt(grid.dt))
+    stream = _stream_from_increments(model, point, grid, normals,
+                                     math.sqrt(grid.dt))
+    while True:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            state = next(stream, None)
+        if state is None:
+            return
+        yield state
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +509,7 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _materialize(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
                  dW: np.ndarray) -> BatchPaths:
     n_paths = dW.shape[0]

@@ -16,7 +16,6 @@ from degenbsde import (
     TimeGrid,
     builtin_model,
     builtin_model_names,
-    characteristic,
     check_gamma_equivalence,
     gamma_report,
     locate_tau,
@@ -60,16 +59,13 @@ def _drifting_model(speed: float = 1.0) -> CoefficientModel:
 
 
 def test_characteristic_follows_constant_drift():
-    m = _drifting_model(speed=1.0)
-    char = characteristic(m, ProblemPoint(0.0, -0.5))
-    times = char.grid.times()
-    np.testing.assert_allclose(char.eta, -0.5 + times, rtol=0, atol=1e-12)
-
-
-def test_characteristic_requires_room_before_horizon():
-    m = builtin_model("tanh_smooth")
-    with pytest.raises(ValueError):
-        characteristic(m, ProblemPoint(1.0, 0.0))
+    # sigma = max(x, 0) / 4 grows along the unit drift, so the running max
+    # is its value where the characteristic from x = -0.5 ends, x = 1.5 at
+    # the horizon T = 2
+    m = dataclasses.replace(_drifting_model(speed=1.0), sigma=lambda t, x: (
+        np.maximum(np.asarray(x, dtype=float), 0.0) / 4.0))
+    rep = gamma_report(m, ProblemPoint(0.0, -0.5))
+    assert abs(rep.max_sigma_on_characteristic - 0.375) <= 1e-12
 
 
 def test_gamma_report_distinguishes_alive_now_from_alive_later():
@@ -181,6 +177,18 @@ def test_eps_sigma_validation():
     m = builtin_model("tanh_smooth")
     with pytest.raises(ValueError):
         gamma_report(m, ProblemPoint(0.0, 0.0), eps_sigma=0.0)
+    # every public entry refuses an eps_sigma that is not positive, which
+    # would class every node dead (NaN) or alive (-1)
+    point = ProblemPoint(0.0, 0.0)
+    batch = simulate_batch(m, point, TimeGrid(0.0, 1.0, 4), 0, 2)
+    for eps in (0.0, -1.0, math.nan, -math.inf):
+        for call in (lambda: gamma_report(m, point, eps_sigma=eps),
+                     lambda: locate_tau(m, batch[0], eps_sigma=eps),
+                     lambda: locate_tau_batch(m, batch, eps_sigma=eps),
+                     lambda: check_gamma_equivalence(m, [point],
+                                                     eps_sigma=eps)):
+            with pytest.raises(ValueError, match="eps_sigma must be positive"):
+                call()
 
 
 def test_report_returns_identical_answers():

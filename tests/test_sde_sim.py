@@ -157,6 +157,37 @@ def test_single_path_matches_batch_row_bitwise(name, seed, n_paths, n_steps,
             assert s.dW.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def test_path_stream_leaves_the_callers_error_state_alone():
+    # the drift overflows to +inf on the first step, so the kernel raises
+    # floating-point flags on every advance; the stream silences them, and
+    # only them
+    m = replace(_ou_model(), b=lambda t, x: np.exp(
+        1e3 * np.asarray(x, dtype=float)), name="overflow_test")
+    pt, grid = ProblemPoint(0.0, 0.5), TimeGrid(0.0, 1.0, 8)
+    before = np.geterr()
+    stream = path_stream(m, pt, grid, 0, range(4))
+    next(stream)
+    assert np.geterr() == before
+    stream.close()
+    with np.errstate(all="ignore"):
+        want = list(path_stream(m, pt, grid, 0, range(4)))
+    got = []
+    with np.errstate(all="raise"):
+        raising = np.geterr()
+        for s in path_stream(m, pt, grid, 0, range(4)):
+            assert np.geterr() == raising
+            with pytest.raises(FloatingPointError):
+                np.float64(1.0) / 0.0
+            got.append(s)
+    assert np.all(np.isinf(want[-1].X))
+    assert len(got) == len(want) == grid.n_steps + 1
+    for a, b in zip(got, want):
+        for field in _PATH_FIELDS[1:-1]:
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.dW is None) == (b.dW is None)
+        assert a.dW is None or a.dW.tobytes() == b.dW.tobytes()
+
+
 def test_batch_view_roundtrip():
     m = builtin_model("tanh_smooth")
     grid = TimeGrid(0.0, 1.0, 16)
