@@ -11,8 +11,8 @@ remaining keys are experiment-specific.  The ``_COMMON_KEYS`` and
 all of them, and the start times against the model's horizon, are checked
 before any computation starts.  Exit status 1 means a ``ConfigError``, a
 start point outside the alive set, or a missing value provider; 2 a
-numerical failure (all samples floored, an unstable FD grid or no finite
-FD step count); 3, under
+numerical failure (all samples floored, an unstable FD grid, no finite
+FD step count, or more than 1% of simulated paths non-finite); 3, under
 ``--check``, a failed acceptance threshold.  A ``ValueError`` from the
 library is a bug and shows as a traceback.
 
@@ -23,6 +23,7 @@ Reals in CSV output carry 17 significant digits with ``.`` decimal and
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .degeneracy import (DEFAULT_EPS_SIGMA, check_gamma_equivalence,
 from .estimators import (EstimationError, OutsideGamma0Error,
                          ProviderRequiredError, _estimate,
                          _lambda_moment_reducer, _u_reducer,
-                         _ux_pathwise_reducer, _ux_weighted_reducer,
+                         _ux_pathwise_reducer, _ux_weighted_reducer, _z_matrix,
                          bachelier_provider, empirical_lambda_moment,
                          estimate_u, estimate_ux_pathwise,
                          estimate_ux_weighted, example1_provider,
@@ -50,12 +51,11 @@ from .sde_sim import SimulationError, TimeGrid, simulate_batch, simulate_path
 __all__ = ["ConfigError", "NumericalFailure", "ExperimentResult",
            "run_experiment", "main"]
 
-# The public estimators stay attributes of this module, where
-# ``perfbench/tracer.py`` wraps them by name, although the Monte Carlo
-# runners feed their reducers, at one or several start points, through
-# ``_estimate`` instead.
-_PUBLIC_ESTIMATORS = (estimate_u, estimate_ux_pathwise, estimate_ux_weighted,
-                      empirical_lambda_moment, reconstruct_Z)
+# Kept only because ``perfbench/tracer.py`` wraps these names here: no runner
+# calls them, as they go through ``_estimate`` or one batch and ``_z_matrix``.
+_TRACED_NAMES = (estimate_u, estimate_ux_pathwise, estimate_ux_weighted,
+                 empirical_lambda_moment, reconstruct_Z, simulate_path,
+                 locate_tau)
 
 
 class ConfigError(ValueError):
@@ -317,11 +317,12 @@ def _build_model(cfg: dict) -> CoefficientModel:
     return model
 
 
-def _example1_params(cfg: dict) -> Example1Params:
-    """The oracle parameters of model example1, with the model's defaults."""
-    params = cfg["params"] or {}
-    return Example1Params(alpha=float(params.get("alpha", 0.8)),
-                          beta=float(params.get("beta", 0.5)))
+def _oracle_params(cfg: dict) -> dict:
+    """The model factory's arguments, its defaults filled in, as floats."""
+    bound = inspect.signature(BUILTIN_MODELS[cfg["model"]][0]).bind(
+        **(cfg["params"] or {}))
+    bound.apply_defaults()
+    return {key: float(value) for key, value in bound.arguments.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +389,6 @@ def _mc_match(name: str, diff: str, pairs: list, tol: float) -> CheckOutcome:
                         f"|{diff}| <= 3*stderr + {tol}")
 
 
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.polyfit(x, y, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -403,7 +400,7 @@ def _run_blowup_rate(cfg, model, out_dir):
     if not (0.0 <= cfg["t_lo"] < cfg["t_hi"] < 1.0):
         raise ConfigError("keys 't_lo'/'t_hi' must satisfy "
                           "0 <= t_lo < t_hi < 1")
-    orc = _example1_params(cfg)
+    orc = Example1Params(**_oracle_params(cfg))
     ts = np.linspace(cfg["t_lo"], cfg["t_hi"], cfg["n_t_points"])
     jobs = []
     for t in ts:
@@ -424,7 +421,7 @@ def _run_blowup_rate(cfg, model, out_dir):
         if not (math.isfinite(est.mean) and est.mean * oracle > 0.0):
             unusable.append(float(t))
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = _fit_slope(np.log1p(-ts), np.log(np.abs(means)))
+        slope = float(np.polyfit(np.log1p(-ts), np.log(np.abs(means)), 1)[0])
     target = -orc.alpha * (1.0 + 2.0 * orc.beta) / 2.0
     rows.append(("slope", slope, None, target))
     path = _write_csv(_out_path(cfg, out_dir),
@@ -613,31 +610,25 @@ def _zpath_provider(cfg, model):
                           f"model {_CLOSED_FORM_MODEL[kind]!r}, not "
                           f"{cfg['model']!r}; use 'pde'")
     if kind == "example1":
-        return example1_provider(_example1_params(cfg))
-    params = cfg["params"] or {}
-    return bachelier_provider(float(params.get("sigma_bar", 1.0)),
-                              float(params.get("strike", 0.0)),
-                              float(params.get("T", 1.0)))
+        return example1_provider(Example1Params(**_oracle_params(cfg)))
+    return bachelier_provider(**_oracle_params(cfg))
 
 
 def _run_z_path(cfg, model, out_dir):
     provider = _zpath_provider(cfg, model)
     point = ProblemPoint(cfg["t0"], cfg["x0"])
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
-    rows = []
-    all_finite = True
-    clamped = True
-    for i in range(cfg["n_paths"]):
-        path = simulate_path(model, point, grid, cfg["seed"], i)
-        tau = locate_tau(model, path, eps_sigma=cfg["eps_sigma"])
-        zmat = reconstruct_Z(model, path, provider,
-                             eps_sigma=cfg["eps_sigma"], tau=tau)
-        all_finite &= bool(np.all(np.isfinite(zmat)))
-        clamped &= bool(np.all(zmat[zmat[:, 0] >= tau, 1] == 0.0))
-        for k in range(zmat.shape[0]):
-            rows.append((i, zmat[k, 0], float(path.X[k]), zmat[k, 1], tau))
+    batch = simulate_batch(model, point, grid, cfg["seed"], cfg["n_paths"])
+    taus = locate_tau_batch(model, batch, eps_sigma=cfg["eps_sigma"])
+    times = grid.times()
+    Z = _z_matrix(times, batch.X, batch.gamma, taus, provider)
+    all_finite = bool(np.all(np.isfinite(Z)))
+    clamped = bool(np.all(Z[times >= taus[:, None]] == 0.0))
+    cols = np.broadcast_arrays(np.arange(taus.size)[:, None], times, batch.X,
+                               Z, taus[:, None])  # one row per (path, node)
     out = _write_csv(_out_path(cfg, out_dir),
-                     ["path_id", "t", "X", "Z", "tau"], rows)
+                     ["path_id", "t", "X", "Z", "tau"],
+                     zip(*(c.ravel().tolist() for c in cols)))
     checks = (
         CheckOutcome("z-finite", all_finite, f"finite={all_finite}", "true"),
         CheckOutcome("z-clamped-after-tau", clamped, f"clamped={clamped}",

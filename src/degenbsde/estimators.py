@@ -30,9 +30,9 @@ Three gradient routes coexist:
   volatility, as long as the starting point lies in the alive set (a
   start with ``|sigma| > eps_sigma`` where it stands is in it, and only
   the other starts sweep their drift characteristic to find out);
-* ``reconstruct_Z`` evaluates ``u_x * sigma`` along a path from an
-  external value provider and clamps it to zero once the path leaves the
-  alive set.
+* ``reconstruct_Z`` is ``u_x * sigma`` along one path from an external
+  value provider, zero once the path leaves the alive set: the one-row
+  case of ``_z_matrix``, which calls the provider once per node of a batch.
 
 Flooring convention: samples whose weight denominator fell below its
 floor are excluded from the average and counted in ``n_floored``
@@ -423,6 +423,18 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
 # ---------------------------------------------------------------------------
 
 
+def _z_matrix(times: np.ndarray, X: np.ndarray, gamma: np.ndarray,
+              taus: np.ndarray, provider: ValueProvider) -> np.ndarray:
+    """``u_x * sigma`` per path and node, exactly zero from the path's exit
+    time ``taus[i]`` on: one ``ux_eval`` call per node with a live path."""
+    Z = np.zeros(X.shape)
+    for k, t in enumerate(times.tolist()):
+        live = t < taus
+        if np.any(live):
+            Z[live, k] = provider.ux_eval(t, X[live, k]) * gamma[live, k]
+    return Z
+
+
 def reconstruct_Z(model: CoefficientModel, path: PathBundle,
                   provider: ValueProvider,
                   eps_sigma: float = DEFAULT_EPS_SIGMA,
@@ -439,14 +451,9 @@ def reconstruct_Z(model: CoefficientModel, path: PathBundle,
     if tau is None:
         tau = locate_tau(model, path, eps_sigma=eps_sigma)
     times = path.grid.times()
-    out = np.zeros((times.size, 2))
-    out[:, 0] = times
-    for k in range(times.size):
-        t = float(times[k])
-        if t < tau:
-            out[k, 1] = float(provider.ux_eval(t, float(path.X[k]))) \
-                * float(path.gamma[k])
-    return out
+    Z = _z_matrix(times, path.X[None], path.gamma[None], np.array([tau]),
+                  provider)
+    return np.column_stack((times, Z[0]))
 
 
 def _lambda_moment_reducer(model: CoefficientModel, point: ProblemPoint,

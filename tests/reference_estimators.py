@@ -1,11 +1,16 @@
 """Frozen copy of the four streaming estimators as they stood before they
-were folded into one simulation-to-estimate driver.
+were folded into one simulation-to-estimate driver, and of
+``reconstruct_Z`` as it stood before it became the one-row case of the
+batch ``Z`` rule.
 
 Not collected by pytest (no ``test_`` prefix).  ``test_estimator_driver.py``
 checks that every public estimator still returns an ``Estimate`` equal to
-the one computed here, field for field, or raises the same exception type.
-The bodies below are kept as they were, one loop per estimator; only the
-imports are rewritten to reach into the package.  ``CHUNK_SIZE`` is this
+the one computed here, field for field, or raises the same exception type;
+``test_estimators.py`` checks that every row of the batch ``Z`` equals this
+``reconstruct_Z``'s output bit for bit.
+The bodies below are kept as they were, one loop per estimator and one
+scalar provider call per node; only the imports are rewritten to reach into
+the package.  ``CHUNK_SIZE`` is this
 module's own, so a test sets it next to the package's.
 """
 
@@ -16,12 +21,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from degenbsde.degeneracy import DEFAULT_EPS_SIGMA, gamma_report
+from degenbsde.degeneracy import DEFAULT_EPS_SIGMA, gamma_report, locate_tau
 from degenbsde.estimators import (Estimate, EstimationError,
                                   OutsideGamma0Error, ProviderRequiredError,
                                   ValueProvider)
 from degenbsde.model import CoefficientModel, ProblemPoint, transformed_drift
-from degenbsde.sde_sim import TimeGrid, path_stream
+from degenbsde.sde_sim import PathBundle, TimeGrid, path_stream
 from degenbsde.weights import default_lambda_floor, degenerate_weight_values
 
 CHUNK_SIZE = 8192
@@ -243,3 +248,22 @@ def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
         n_excluded += int(np.count_nonzero(~keep))
         parts.append(np.asarray(vals[keep], dtype=float))
     return _finalize(parts, n_excluded, n_paths)
+
+
+def reconstruct_Z(model: CoefficientModel, path: PathBundle,
+                  provider: ValueProvider,
+                  eps_sigma: float = DEFAULT_EPS_SIGMA,
+                  tau: Optional[float] = None) -> np.ndarray:
+    if provider.ux_eval is None:
+        raise ValueError("reconstruct_Z needs a provider with ux_eval")
+    if tau is None:
+        tau = locate_tau(model, path, eps_sigma=eps_sigma)
+    times = path.grid.times()
+    out = np.zeros((times.size, 2))
+    out[:, 0] = times
+    for k in range(times.size):
+        t = float(times[k])
+        if t < tau:
+            out[k, 1] = float(provider.ux_eval(t, float(path.X[k]))) \
+                * float(path.gamma[k])
+    return out

@@ -193,6 +193,45 @@ def test_z_path_closed_form_provider_on_its_own_model(tmp_path, model,
     assert res.ok
 
 
+def test_z_path_calls_the_provider_at_most_once_per_node(tmp_path,
+                                                        monkeypatch):
+    # one ux_eval call per node over the live paths, not one per path
+    calls = []
+    real = cli._zpath_provider
+
+    def counting(cfg, model):
+        provider = real(cfg, model)
+
+        def ux_eval(t, x):
+            calls.append(t)
+            return provider.ux_eval(t, x)
+
+        return dataclasses.replace(provider, ux_eval=ux_eval)
+
+    monkeypatch.setattr(cli, "_zpath_provider", counting)
+    res = run_experiment({"experiment": "z-path", "model": "step_vol",
+                          "provider": "pde", "n_paths": 16, "n_steps": 20},
+                         out_dir=tmp_path)
+    assert res.ok
+    assert 0 < len(calls) <= 20 + 1
+    assert len(set(calls)) == len(calls)
+
+
+def test_closed_form_oracles_read_the_factory_defaults(monkeypatch):
+    # a factory default changed in one place reaches its closed form too
+    real, doc = cli.BUILTIN_MODELS["bachelier_digital"]
+
+    def factory(sigma_bar=2.0, strike=0.5, T=1.5):
+        return real(sigma_bar, strike, T)
+
+    monkeypatch.setitem(cli.BUILTIN_MODELS, "bachelier_digital",
+                        (factory, doc))
+    assert cli._oracle_params({"model": "bachelier_digital", "params": {
+        "strike": -1}}) == {"sigma_bar": 2.0, "strike": -1.0, "T": 1.5}
+    assert cli._oracle_params({"model": "example1", "params": None}) == {
+        "alpha": 0.8, "beta": 0.5}
+
+
 @pytest.mark.parametrize("model, provider",
                          [("tanh_smooth", "bachelier"),
                           ("step_vol", "bachelier"),
@@ -201,7 +240,7 @@ def test_z_path_closed_form_provider_on_its_own_model(tmp_path, model,
 def test_z_path_closed_form_provider_on_another_model_exits_1(
         tmp_path, capsys, monkeypatch, model, provider):
     simulated = []
-    monkeypatch.setattr(cli, "simulate_path",
+    monkeypatch.setattr(cli, "simulate_batch",
                         lambda *args: simulated.append(args))
     path = _write_config(tmp_path, {
         "experiment": "z-path", "model": model, "provider": provider,
@@ -520,7 +559,7 @@ def test_overflowing_volatility_exits_1_before_any_work(tmp_path, capsys,
     # sigma_bar**2 overflows: Lambda and the FD step limit are meaningless
     solves = []
     monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
-    monkeypatch.setattr(cli, "simulate_path",
+    monkeypatch.setattr(cli, "simulate_batch",
                         lambda *args: solves.append(args))
     draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
@@ -537,7 +576,7 @@ def test_volatility_without_a_finite_fd_step_count_is_a_numerical_failure(
         tmp_path, capsys, monkeypatch):
     # sigma_bar**2 is finite, but dx**2 / sigma_bar**2 underflows
     paths = []
-    monkeypatch.setattr(cli, "simulate_path",
+    monkeypatch.setattr(cli, "simulate_batch",
                         lambda *args: paths.append(args))
     draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {
@@ -554,7 +593,7 @@ def test_step_count_beyond_int64_is_a_numerical_failure(tmp_path, capsys,
                                                         experiment):
     # the explicit limit is positive and finite, but needs ~2.8e303 steps
     paths = []
-    monkeypatch.setattr(cli, "simulate_path",
+    monkeypatch.setattr(cli, "simulate_batch",
                         lambda *args: paths.append(args))
     draws = _count_draws(monkeypatch)
     path = _write_config(tmp_path, {

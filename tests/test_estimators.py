@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import degenbsde.estimators as est_mod
+import reference_estimators as ref_mod
 from degenbsde import (
     EstimationError,
     Example1Params,
@@ -28,8 +29,10 @@ from degenbsde import (
     gamma_report,
     grid_provider,
     locate_tau,
+    locate_tau_batch,
     make_grid,
     reconstruct_Z,
+    simulate_batch,
     simulate_path,
     solve_fd,
 )
@@ -433,6 +436,52 @@ def test_reconstruct_Z_needs_gradient_provider():
                          seed=0)
     with pytest.raises(ValueError):
         reconstruct_Z(model, path, ValueProvider(u_eval=lambda t, x: 0.0))
+
+
+def _never_called(t, x):
+    raise AssertionError("ux_eval called past tau")
+
+
+def _z_setups():
+    step_vol = builtin_model("step_vol")
+    fd = solve_fd(step_vol, make_grid(step_vol, -4.0, 4.0, 81)).provider()
+    return {
+        # tau = t_cut < T: the FD gradient before the cut, zero after it
+        "step_vol/pde": (step_vol, fd),
+        # tau = t0: no node is alive, so the provider is never called
+        "indicator_zero_vol": (builtin_model("indicator_zero_vol"),
+                               ValueProvider(ux_eval=_never_called)),
+        "bachelier_digital/exact": (builtin_model("bachelier_digital"),
+                                    bachelier_provider(1.0)),
+        "example1/closed_form": (builtin_model("example1"), example1_provider(
+            Example1Params(alpha=0.8, beta=0.5))),
+        "step_vol/scalar": (step_vol,
+                            ValueProvider(ux_eval=lambda t, x: 1.0 + t)),
+    }
+
+
+_Z_SETUPS = _z_setups()
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_Z_SETUPS)), seed=st.integers(0, 2 ** 32),
+       n_paths=st.integers(1, 16), n_steps=st.integers(1, 60),
+       x0=st.floats(-1.0, 1.0))
+def test_batch_Z_rows_equal_the_frozen_per_node_loop(name, seed, n_paths,
+                                                     n_steps, x0):
+    model, provider = _Z_SETUPS[name]
+    grid = TimeGrid(0.0, model.horizon_T, n_steps)
+    batch = simulate_batch(model, ProblemPoint(0.0, x0), grid, seed, n_paths)
+    taus = locate_tau_batch(model, batch)
+    Z = est_mod._z_matrix(grid.times(), batch.X, batch.gamma, taus, provider)
+    assert Z.shape == batch.X.shape
+    for i in range(n_paths):
+        ref = ref_mod.reconstruct_Z(model, batch[i], provider)
+        np.testing.assert_array_equal(Z[i].view(np.uint64),
+                                      ref[:, 1].view(np.uint64))
+        np.testing.assert_array_equal(
+            reconstruct_Z(model, batch[i], provider).view(np.uint64),
+            ref.view(np.uint64))
 
 
 def test_lambda_moment_is_deterministic_for_time_only_volatility():
