@@ -331,10 +331,10 @@ def _oracle_params(cfg: dict) -> dict:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -342,12 +342,21 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _texts(values: np.ndarray) -> np.ndarray:
+    """An integer or float array's values as ``_fmt`` writes them, in an
+    object array of the same shape."""
+    items = values.ravel().tolist()
+    texts = (list(map(str, items)) if values.dtype.kind in "iu"
+             else [format(v, ".17g") for v in items])
+    return np.array(texts, dtype=object).reshape(values.shape)
+
+
 def _write_csv(path: Path, header, rows) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
     return path
 
 
@@ -624,8 +633,10 @@ def _run_z_path(cfg, model, out_dir):
     Z = _z_matrix(times, batch.X, batch.gamma, taus, provider)
     all_finite = bool(np.all(np.isfinite(Z)))
     clamped = bool(np.all(Z[times >= taus[:, None]] == 0.0))
-    cols = np.broadcast_arrays(np.arange(taus.size)[:, None], times, batch.X,
-                               Z, taus[:, None])  # one row per (path, node)
+    # each value formatted once, then one row per (path, node)
+    cols = np.broadcast_arrays(_texts(np.arange(taus.size))[:, None],
+                               _texts(times), _texts(batch.X), _texts(Z),
+                               _texts(taus)[:, None])
     out = _write_csv(_out_path(cfg, out_dir),
                      ["path_id", "t", "X", "Z", "tau"],
                      zip(*(c.ravel().tolist() for c in cols)))

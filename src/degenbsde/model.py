@@ -9,7 +9,10 @@ Conventions
 -----------
 * Coefficients are callables of ``(t, x)`` (``f1`` takes ``(t, x, y)``)
   where ``t`` is a scalar and ``x`` may be a scalar or an ndarray; they
-  must broadcast and return something ndarray-compatible.
+  must broadcast and return something ndarray-compatible.  The built-in
+  coefficients return a fresh float64 array shaped like ``x`` (0-d for a
+  scalar ``x``), filled by one rule, ``_fill``; an array ``t`` is
+  accepted where it broadcasts to that shape.
 * The linear-in-z part of the cost is absorbed into the drift by
   ``transformed_drift`` before any simulation; downstream modules only
   ever see models with ``f2 == 0``.
@@ -157,17 +160,26 @@ class ProblemPoint:
 # ---------------------------------------------------------------------------
 
 
+def _fill(x, value) -> np.ndarray:
+    """A fresh float64 array shaped like ``x``, holding ``value``: a scalar,
+    or an array that broadcasts to that shape.  The values are copied, not
+    computed, so each keeps its bits (``-0.0``, ``inf`` and NaN included)."""
+    out = np.empty_like(x, dtype=float, subok=False)
+    out[...] = value
+    return out
+
+
 def _zero2(t, x):
-    return np.zeros_like(np.asarray(x, dtype=float))
+    return _fill(x, 0.0)
 
 
 def _zero3(t, x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
+    return _fill(x, 0.0)
 
 
 def _const2(c: float) -> Coefficient:
     def coeff(t, x, _c=float(c)):
-        return np.full_like(np.asarray(x, dtype=float), _c)
+        return _fill(x, _c)
 
     return coeff
 
@@ -234,8 +246,8 @@ def _make_example1(alpha: float = 0.8, beta: float = 0.5) -> CoefficientModel:
 
     def sigma(t, x, _b=beta):
         # (1 - min(t, 1))**beta is the [0,1] branch and is exactly 0 after.
-        tt = np.minimum(np.asarray(t, dtype=float), 1.0)
-        return (1.0 - tt) ** _b * np.ones_like(np.asarray(x, dtype=float))
+        return _fill(x, (1.0 - np.minimum(np.asarray(t, dtype=float), 1.0))
+                     ** _b)
 
     def g(x, _a=alpha):
         x = np.asarray(x, dtype=float)
@@ -316,8 +328,8 @@ def _make_step_vol(sigma_bar: float = 1.0, t_cut: float = 0.5,
     strike = float(strike)
 
     def sigma(t, x, _s=sigma_bar, _c=t_cut):
-        live = np.asarray(t, dtype=float) <= _c
-        return np.where(live, _s, 0.0) * np.ones_like(np.asarray(x, dtype=float))
+        # selected, not multiplied: inf * False would be NaN, not 0.0
+        return _fill(x, np.where(t <= _c, _s, 0.0))
 
     def g(x, _k=strike):
         return (np.asarray(x, dtype=float) > _k).astype(float)

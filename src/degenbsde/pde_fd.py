@@ -26,12 +26,16 @@ lattice.
 
 The sweep runs in place: the value, its differences and the right-hand
 side live in buffers allocated once per solve, and each kept level is
-copied straight into its row of the stored array.  ``make_grid`` sizes
-the step count from the same sampled levels that ``solve_fd``'s stability
-check samples, and checks its final grid, so ``solve_fd`` accepts every
-grid ``make_grid`` returns.  Those levels are sampled once per model and
-lattice: the last sample is memoized, so on a grid of 1024 or more steps
-``solve_fd`` reuses the probe ``make_grid`` just ran.
+copied straight into its row of the stored array.  Its ufuncs are bound
+once per solve, and its constants ``2``, ``dx``, ``dx**2`` and ``dt`` are
+0-d float64 arrays, which a ufunc takes with less per-call overhead than
+a Python float and with the same bits; every operation keeps its order.
+``make_grid`` sizes the step count from the same sampled levels that
+``solve_fd``'s stability check samples, and checks its final grid, so
+``solve_fd`` accepts every grid ``make_grid`` returns.  Those levels are
+sampled once per model and lattice: the last sample is memoized, so on a
+grid of 1024 or more steps ``solve_fd`` reuses the probe ``make_grid``
+just ran.
 """
 
 from __future__ import annotations
@@ -387,7 +391,9 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     # the slices the differences read and write, taken once
     d2_in, fwd_in = d2[1:-1], fwd[:-1]
     u_mid, u_right, u_left, u_hi, u_lo = u[1:-1], u[2:], u[:-2], u[1:], u[:-1]
-    dx2 = dx * dx
+    # 0-d constants and local ufuncs: less overhead per call, same bits
+    two, dx_0, dx2_0, dt_0 = (np.array(v) for v in (2.0, dx, dx * dx, dt))
+    multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
     x_flat, x_first = model.x_flat, xs[:1]
     for m in range(n_t - 1, -1, -1):
         t_up = grid.t_min + (m + 1) * dt
@@ -397,12 +403,12 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
                 U[row[m]] = u
             continue
         # d2 = (u[2:] - 2 u[1:-1] + u[:-2]) / dx^2, fwd = (u[1:] - u[:-1]) / dx
-        np.multiply(2.0, u_mid, d2_in)
-        np.subtract(u_right, d2_in, d2_in)
-        np.add(d2_in, u_left, d2_in)
-        np.divide(d2_in, dx2, d2_in)
-        np.subtract(u_hi, u_lo, fwd_in)
-        np.divide(fwd_in, dx, fwd_in)
+        multiply(two, u_mid, d2_in)
+        subtract(u_right, d2_in, d2_in)
+        add(d2_in, u_left, d2_in)
+        divide(d2_in, dx2_0, d2_in)
+        subtract(u_hi, u_lo, fwd_in)
+        divide(fwd_in, dx_0, fwd_in)
         # c2 = (0.5 sig) sig; the upwind d1 is fwd where drf > 0, bwd where
         # drf < 0, else 0.0
         if x_flat:
@@ -416,18 +422,18 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
             sig = np.asarray(raw, dtype=float)
             drf = np.asarray(_absorbed_drift(model, t_up, xs, raw),
                              dtype=float)
-            c2 = np.multiply(0.5, sig, rhs)
-            np.multiply(c2, sig, c2)
+            c2 = multiply(0.5, sig, rhs)
+            multiply(c2, sig, c2)
             # a fresh array, since np.where is faster than two masked copies
             d1 = np.where(drf > 0.0, fwd, np.where(drf < 0.0, bwd, 0.0))
         # rhs = c2 d2 + drf d1
-        np.multiply(c2, d2, rhs)
-        np.multiply(drf, d1, tmp)
-        np.add(rhs, tmp, rhs)
+        multiply(c2, d2, rhs)
+        multiply(drf, d1, tmp)
+        add(rhs, tmp, rhs)
         if has_cost:
-            np.add(rhs, np.asarray(model.f1(t_up, xs, u), dtype=float), rhs)
-        np.multiply(dt, rhs, tmp)
-        np.add(u, tmp, u)
+            add(rhs, np.asarray(model.f1(t_up, xs, u), dtype=float), rhs)
+        multiply(dt_0, rhs, tmp)
+        add(u, tmp, u)
         if frozen:
             identity = (bool(np.all(rhs == 0.0))
                         and not np.any((u == 0.0) & np.signbit(u)))

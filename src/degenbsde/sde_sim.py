@@ -268,13 +268,14 @@ def _normal_matrix(seed: int, path_indices, n_steps: int) -> np.ndarray:
     time into a small per-path-row buffer whose transpose is copied into
     the output; no second full-size matrix is built.
     """
-    key = np.array([_check_seed(seed), 0], dtype=np.uint64)
+    key = [_check_seed(seed), 0]
     idx = _path_indices(path_indices).tolist()
-    bit_gen = Philox(key=key)
+    bit_gen = Philox(key=np.array(key, dtype=np.uint64))
     gen = Generator(bit_gen)
+    # Python int lists, which the state setter reads faster than arrays
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     n_paths = len(idx)
     out = np.empty((n_steps, n_paths), dtype=float)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from degenbsde import (
     BUILTIN_MODELS,
@@ -17,6 +18,7 @@ from degenbsde import (
     fd_derivative,
     transformed_drift,
 )
+from reference_closures import reference_coefficients
 
 
 def test_all_builtins_pass_invariant_check():
@@ -253,3 +255,92 @@ def test_payoffs_respect_growth_envelope(x):
         m = builtin_model(name)
         g = float(np.asarray(m.g(np.array([x])))[0])
         assert abs(g) <= m.psi_K * (1.0 + abs(x) ** m.psi_p0) + 1e-12
+
+
+_COEFFICIENTS = ("sigma", "sigma_x", "b", "b_x", "f1", "f2", "f2_x")
+_BASES = ("indicator_zero_vol", "example1", "bachelier_digital",
+          "tanh_smooth", "step_vol")
+
+
+def _assert_coefficients_match_reference(name, params, t, x):
+    model = builtin_model(name, **params)
+    reference = reference_coefficients(name, **params)
+    for label in _COEFFICIENTS:
+        args = (t, x, x) if label == "f1" else (t, x)
+        with np.errstate(all="ignore"):
+            got = getattr(model, label)(*args)
+            want = reference[label](*args)
+        # a fresh array with the reference's shape, dtype and bytes
+        assert isinstance(got, np.ndarray), label
+        assert not np.shares_memory(got, x), label
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), label
+        assert got.tobytes() == want.tobytes(), (label, got, want)
+
+
+@st.composite
+def _builtin_params(draw, name):
+    if name == "girsanov_const":
+        base = draw(st.sampled_from(_BASES))
+        return dict(draw(_builtin_params(base)), base=base,
+                    f2=draw(st.one_of(st.sampled_from([0.5, 0.0, -0.0]),
+                                      st.floats(allow_nan=False))))
+    if name == "indicator_zero_vol":
+        return {"T": draw(st.floats(0.1, 10.0))}
+    if name == "example1":
+        alpha = draw(st.floats(0.05, 0.95))
+        gate = alpha / (2.0 * (1.0 - alpha))
+        return {"alpha": alpha,
+                "beta": draw(st.floats(0.0, gate, exclude_min=True,
+                                       exclude_max=True))}
+    params = {"sigma_bar": draw(st.one_of(
+        st.sampled_from([1.0, 1e308, math.inf]),
+        st.floats(min_value=0.0, exclude_min=True)))}
+    if name == "step_vol":
+        T = draw(st.floats(0.1, 10.0))
+        params.update(T=T, t_cut=draw(st.floats(0.0, T, exclude_min=True,
+                                                exclude_max=True)))
+    return params
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(BUILTIN_MODELS)))
+def test_builtin_coefficients_match_frozen_reference_bits(data, name):
+    params = data.draw(_builtin_params(name), label="params")
+    model = builtin_model(name, **params)
+    T = model.horizon_T
+    cut = model.frozen_after if model.frozen_after is not None else 0.5
+    times = [0.0, -0.0, math.nan, 1.0, T, T + 1.0, math.inf, -math.inf,
+             cut, float(np.nextafter(cut, math.inf)),
+             float(np.nextafter(cut, -math.inf))]
+    scalar_t = st.one_of(st.sampled_from(times), st.floats(),
+                         st.floats().map(np.float64),
+                         st.sampled_from(times).map(np.float64),
+                         st.integers(-3, 12))
+    shapes = hnp.array_shapes(min_dims=1, max_dims=2, max_side=5)
+    x = data.draw(st.one_of(
+        st.floats(),
+        hnp.arrays(np.float64, ()),
+        hnp.arrays(np.float64, st.one_of(st.just((1,)), shapes)),
+        hnp.arrays(np.int64, shapes, elements=st.integers(-10, 10))),
+        label="x")
+    t_elements = st.one_of(st.sampled_from(times), st.floats())
+    t = data.draw(scalar_t if not isinstance(x, np.ndarray) else st.one_of(
+        scalar_t, hnp.arrays(np.float64, x.shape, elements=t_elements)),
+        label="t")
+    _assert_coefficients_match_reference(name, params, t, x)
+
+
+@pytest.mark.parametrize("sigma_bar", [math.inf, 1e308])
+@pytest.mark.parametrize("base", [None, "step_vol"])
+@pytest.mark.parametrize("x", [0.5, np.array(-0.0), np.zeros(1),
+                               np.arange(6.0).reshape(2, 3)],
+                         ids=["float", "0-d", "(1,)", "(2, 3)"])
+def test_step_vol_past_its_cut_keeps_the_reference_zero(sigma_bar, base, x):
+    # sigma_bar * False would read NaN for an infinite sigma_bar; the
+    # reference selects 0.0, and so must the model
+    params = {"sigma_bar": sigma_bar, "t_cut": 0.5, "T": 1.0}
+    name = "step_vol" if base is None else "girsanov_const"
+    if base is not None:
+        params.update(base=base, f2=0.5)
+    for t in (0.5, float(np.nextafter(0.5, 1.0)), 0.75, 1.0, 2.0, math.nan):
+        _assert_coefficients_match_reference(name, dict(params), t, x)
