@@ -15,7 +15,11 @@ its paths once.  It also serves several start points in one call, as
 ``blowup-rate``, ``girsanov-equiv`` and ``pde-vs-mc`` make: per chunk it
 draws the standard normals once, for every start point, step-major, and
 each point's stream scales its own contiguous row of that draw at each
-step.  Each estimate equals the one its estimator returns alone.
+step.  A job whose reducers all read only the terminal state -- ``u``,
+the pathwise gradient and the degenerate weight without a running cost,
+and the ``Lambda`` moments -- streams that state alone, and skips
+building the states in between.  Each estimate equals the one its
+estimator returns alone.
 Per-path results are deterministic functions of ``(seed, path_index)``,
 and the final mean is taken over the full per-path value vector, so the
 returned numbers do not depend on chunking or evaluation order.
@@ -209,6 +213,14 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     ``n_floored``.  Each estimator's ``_<name>_reducer`` builder takes that
     estimator's arguments except ``seed`` and ``n_paths``.
 
+    A reducer whose ``terminal_only`` attribute is true reads only the
+    terminal state.  A job whose reducers all do is a terminal job: its
+    stream computes every step but yields the terminal state alone, so
+    each of its reducers is sent one state per chunk, node ``n_steps``,
+    equal to the last state of a full stream.  Every other job's reducers
+    are sent every state.  A state is read when it is sent: the next
+    advance of an x-flat stream overwrites its arrays.
+
     Per chunk, the standard normals are drawn once, as many per path as
     the job with the most steps before a frozen tail reads, and every
     job's stream takes its steps from the first rows of that step-major
@@ -239,9 +251,12 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
                 running = [reducer(idx.size) for reducer in reducers]
                 for r in running:
                     next(r)
+                every_state = not all(getattr(r, "terminal_only", False)
+                                      for r in reducers)
                 for st in _stream_from_increments(model, point, grid,
                                                   normals, math.sqrt(grid.dt),
-                                                  absorb=True):
+                                                  absorb=True,
+                                                  every_state=every_state):
                     for r in running:
                         r.send(st)
                 for j, r in enumerate(running):
@@ -284,6 +299,7 @@ def _u_reducer(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
         vals = np.asarray(model.g(last.X), dtype=float) + driver
         yield np.broadcast_to(vals, last.X.shape), True
 
+    reducer.terminal_only = not need_driver
     return reducer
 
 
@@ -331,6 +347,7 @@ def _ux_pathwise_reducer(model: CoefficientModel, point: ProblemPoint,
         vals = np.asarray(model.g_prime(last.X), dtype=float) * last.gradX + acc
         yield vals, True
 
+    reducer.terminal_only = not need_driver
     return reducer
 
 
@@ -393,6 +410,8 @@ def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
         vals = np.asarray(model.g(last.X), dtype=float) * w_T + driver
         yield vals, ~floored
 
+    # the classical weight reads gamma and dW at every step
+    reducer.terminal_only = degenerate and not need_driver
     return reducer
 
 
@@ -475,6 +494,7 @@ def _lambda_moment_reducer(model: CoefficientModel, point: ProblemPoint,
         vals = np.where(floored, 1.0, lam) ** (-p)
         yield vals, ~floored
 
+    reducer.terminal_only = True
     return reducer
 
 

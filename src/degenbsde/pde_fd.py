@@ -35,7 +35,11 @@ a Python float and with the same bits; every operation keeps its order.
 ``solve_fd`` accepts every grid ``make_grid`` returns.  Those levels are
 sampled once per model and lattice: the last sample is memoized, so on a
 grid of 1024 or more steps ``solve_fd`` reuses the probe ``make_grid``
-just ran.
+just ran.  They are sampled in blocks of at most 65,536 values (81 levels
+at 801 nodes, and at least one level): each level's ``sigma`` and drift
+are written into a row of a block buffer, and the block's maxima and its
+finiteness and x-flat checks are taken once, along its rows; the first
+failing level in time order still raises its own error.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .estimators import ValueProvider, grid_provider
-from .model import CoefficientModel, _absorbed_drift, _one_value, _varies
+from .model import CoefficientModel, _absorbed_drift, _one_value
 from .sde_sim import _check_count, _check_ends
 
 __all__ = [
@@ -63,6 +67,8 @@ __all__ = [
 CFL_MARGIN = 0.9
 MAX_STORED_LEVELS = 2001
 _MAX_T_SAMPLES = 1025
+# elements per block of sampled levels: 81 levels of 801 nodes
+_SAMPLE_BLOCK = 65536
 _MAX_JUMP_DENOMINATOR = 10000
 _MAX_LEVEL_MULTIPLE = 1_000_000
 _MAX_N_T = 2 ** 63  # step counts must fit an int64
@@ -120,13 +126,52 @@ class CflReport:
 _last_sample = None
 
 
+def _checked_maxima(model: CoefficientModel, grid: PdeGrid, ts: list,
+                    sig: np.ndarray, drf: np.ndarray):
+    """The largest ``|sigma|`` and ``|drift|`` over a block of sampled
+    levels ``ts``, one row each, as Python floats (0.0 for no level).
+
+    Raises ValueError for the first level in time order that fails a
+    check; within a level the checks run in this order: ``sigma`` not
+    finite, the drift not finite, and for an ``x_flat`` model ``sigma``
+    varying in x, then the drift varying."""
+    if not ts:
+        return 0.0, 0.0
+    sig_max = np.max(np.abs(sig), axis=1)
+    drf_max = np.max(np.abs(drf), axis=1)
+    names = ("sigma", "drift b + f2 * sigma")
+    checks = [(name, "is not finite", "", ~np.isfinite(v))
+              for name, v in zip(names, (sig_max, drf_max))]
+    if model.x_flat:
+        # the sweep evaluates an x-flat model at one node per level; the
+        # values are compared by their bytes, so -0.0 and +0.0 differ
+        why = f", but {model.name} declares x_flat"
+        for name, rows in zip(names, (sig, drf)):
+            bits = rows.view(np.uint64)
+            checks.append((name, "varies in x", why,
+                           np.any(bits != bits[:, :1], axis=1)))
+    bad = np.any([c[3] for c in checks], axis=0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        name, what, why, _ = next(c for c in checks if c[3][j])
+        raise ValueError(f"{name} {what} at t={ts[j]} on [{grid.x_min}, "
+                         f"{grid.x_max}]{why}")
+    return float(np.max(sig_max)), float(np.max(drf_max))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
     """Sampled sup of sigma^2 and |drift| (with the z-cost absorbed).
 
     Raises ValueError naming the coefficient when a sample is not finite:
-    a NaN would otherwise drop out of the running sup.  The last result is
-    memoized for its model object and sampled lattice, so the same model
-    on a grid that samples the same levels is not sampled again.
+    a NaN would otherwise drop out of the running sup.  The levels are
+    evaluated a block at a time and checked after each block, so the
+    floating-point warnings of a block's evaluation are silenced: a level
+    after the first failing one may be evaluated, but the first failing
+    level's error is raised, as if each level were checked in turn.  The
+    last result is memoized for its model object and sampled lattice, so
+    the same model on a grid that samples the same levels is not sampled
+    again.
     """
     global _last_sample
     n_levels = min(grid.n_t + 1, _MAX_T_SAMPLES)
@@ -139,7 +184,7 @@ def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
             and _last_sample[1] == key):
         return _last_sample[2]
     xs = grid.xs()
-    ts = np.linspace(grid.t_min, grid.t_max, n_levels)
+    ts = np.linspace(grid.t_min, grid.t_max, n_levels).tolist()
     extra = []
     for q in model.sigma_time_jumps:
         for cand in (q, np.nextafter(q, grid.t_min), np.nextafter(q, grid.t_max)):
@@ -149,30 +194,28 @@ def _coefficient_samples(model: CoefficientModel, grid: PdeGrid):
         # the sorted, deduplicated union np.union1d gives, without the import
         # of numpy.ma its unique() makes on first use; girsanov_const wraps
         # step_vol and keeps its jump, so z-path runs reach this line
-        ts = np.array(sorted(set(ts.tolist()).union(extra)))
+        ts = sorted(set(ts).union(extra))
+    # the levels are sampled in blocks of at most _SAMPLE_BLOCK values
+    n_block = max(1, _SAMPLE_BLOCK // xs.size)
+    sig_rows = np.empty((min(n_block, len(ts)), xs.size))
+    drf_rows = np.empty_like(sig_rows)
     max_sig_sq = 0.0
     max_drift = 0.0
-    for t in ts:
-        t = float(t)
-        raw = model.sigma(t, xs)
-        sig = np.asarray(raw, dtype=float)
-        drf = np.asarray(_absorbed_drift(model, t, xs, raw), dtype=float)
-        # max(sig**2) == max(|sig|)**2 exactly, since rounding is monotone
-        sig_max = float(np.max(np.abs(sig)))
-        drf_max = float(np.max(np.abs(drf)))
-        for name, value in (("sigma", sig_max),
-                            ("drift b + f2 * sigma", drf_max)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} is not finite at t={t} on "
-                                 f"[{grid.x_min}, {grid.x_max}]")
-        if model.x_flat:
-            # the sweep evaluates an x-flat model at one node per level
-            for name, values in (("sigma", sig),
-                                 ("drift b + f2 * sigma", drf)):
-                if _varies(values):
-                    raise ValueError(
-                        f"{name} varies in x at t={t} on [{grid.x_min}, "
-                        f"{grid.x_max}], but {model.name} declares x_flat")
+    for start in range(0, len(ts), n_block):
+        block = ts[start:start + n_block]
+        m = 0
+        try:
+            for t in block:
+                raw = model.sigma(t, xs)
+                sig_rows[m] = raw
+                drf_rows[m] = _absorbed_drift(model, t, xs, raw)
+                m += 1
+        finally:
+            # the levels sampled before a failing call are checked first
+            sig_max, drf_max = _checked_maxima(model, grid, block[:m],
+                                               sig_rows[:m], drf_rows[:m])
+        # max(sig**2) == max(|sig|)**2 exactly, since rounding is monotone;
+        # squared as a Python float, which overflows to inf without a warning
         max_sig_sq = max(max_sig_sq, sig_max * sig_max)
         max_drift = max(max_drift, drf_max)
     _last_sample = (model, key, (max_sig_sq, max_drift))

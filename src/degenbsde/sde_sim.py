@@ -35,9 +35,12 @@ each computed node calls each coefficient once.
 Frozen tail: when the model declares ``frozen_after``, every step from the
 first grid node past that time leaves the state unchanged, so the kernel
 stops computing there and only the normals of the steps before it are
-drawn (a Philox prefix draw equals the prefix of the full draw).  The
-remaining nodes are still yielded, with the frozen state, zero ``gamma``
-and zero ``dW``.
+drawn (a Philox prefix draw equals the prefix of the full draw).  A
+stream of every state still yields the remaining nodes, with the frozen
+state, zero ``gamma`` and zero ``dW``.  A terminal stream, which the
+estimators ask for when every reducer of a job reads only the terminal
+state, computes the same steps but builds no state before the terminal
+node, so its frozen tail costs nothing.
 
 x-flat: a model that declares ``x_flat`` has ``sigma``, ``b`` and ``f2``
 independent of ``x`` (so ``sigma_x``, ``b_x`` and ``f2_x`` are identically
@@ -49,17 +52,19 @@ declared volatility bound keeps ``Lambda`` finite, the kernel runs its
 x-flat loop: each step calls ``sigma`` and the drift once, on the first
 path's ``x``, and keeps ``gamma``, ``Lambda`` and the drift step as Python
 floats (IEEE doubles, which round as the float64 array ops do); only ``X``
-and ``S1`` are updated per path, and ``S1`` drops its ``* gradX`` factor,
-since ``x * 1.0 == x``.  It calls neither derivative, yields ``gradX``
-(ones) and ``B`` (zeros), and yields ``gamma`` and ``Lambda`` as read-only
-stride-0 rows.  An overflowing ``Lambda`` would make the full update's
-``B`` NaN (``inf * 0``), so such streams run the full update.  A stale
-declaration gives every path the first path's ``gamma`` and drift.
+and ``S1`` are updated per path, in place, through one buffer each and one
+for the increment, and ``S1`` drops its ``* gradX`` factor, since
+``x * 1.0 == x``.  So its states share their ``X``, ``S1`` and ``dW``
+arrays; ``path_stream`` yields copies of them.  It calls neither
+derivative, yields ``gradX`` (ones) and ``B`` (zeros), and yields
+``gamma`` and ``Lambda`` as read-only stride-0 rows.  An overflowing
+``Lambda`` would make the full update's ``B`` NaN (``inf * 0``), so such
+streams run the full update.  A stale declaration gives every path the
+first path's ``gamma`` and drift.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -148,6 +153,11 @@ class PathState(NamedTuple):
     An x-flat stream (see the module docstring) yields ``gamma`` and
     ``Lambda`` as read-only rows whose entries are all one value (stride
     0); copy them before writing.
+
+    A state from the kernel is valid until its stream is advanced: an
+    x-flat stream then updates ``X``, ``S1`` and ``dW`` in place, so a
+    consumer reads each state before asking for the next.  The states of
+    ``path_stream`` are snapshots that stay valid.
     """
 
     k: int
@@ -354,15 +364,20 @@ def _full(values, shape: tuple) -> np.ndarray:
 
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, rows: np.ndarray, scale: float,
-                            absorb: bool = False) -> Iterator[PathState]:
+                            absorb: bool = False,
+                            every_state: bool = True) -> Iterator[PathState]:
     """Advance a path family driven by the given step-major matrix: row
     ``k`` is step ``k``, one column per path, and step ``k``'s increment is
     ``rows[k] * scale``.
 
-    Only the first ``_live_steps`` rows are read.  The streams take
-    standard normals and ``scale = sqrt(dt)``; the materialized
-    simulations take their increments and ``scale = 1.0``, which leaves
-    them unchanged (``x * 1.0 == x``).
+    Only the first ``_live_steps`` rows are read, and none is written.  The
+    streams take standard normals and ``scale = sqrt(dt)``; the
+    materialized simulations take their increments and ``scale = 1.0``,
+    which leaves them unchanged (``x * 1.0 == x``).  When a frozen tail
+    follows, the first frozen step still runs, on a zero increment: with
+    dead coefficients its only effect is the one a full run has on its
+    first tail step (``0 * inf`` turning ``S1`` or ``B`` into NaN,
+    ``-0.0`` into ``+0.0``); after it every further step is the identity.
 
     With ``absorb`` the drift is ``b + f2 * sigma`` (and its x-derivative
     ``b_x + f2_x * sigma + f2 * sigma_x``), the drift of
@@ -373,43 +388,44 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     An x-flat stream (see the module docstring) makes those calls on the
     first path's ``x`` alone.
 
+    Without ``every_state`` the stream computes the same steps but yields
+    only its terminal state, node ``n_steps``, whose every field equals
+    the last state of a full stream.  A yielded state is valid until the
+    stream is advanced (see ``PathState``).
+
     It sets no floating-point error state, so none leaks between two
     states; its callers silence the warnings of their own advances.
     """
-    shape = (rows.shape[1],)
     n_live = _live_steps(model, grid)
-    zeros = np.zeros(shape)
-    steps = (z * scale for z in rows[:n_live])
-    if n_live < grid.n_steps:
-        # The first frozen step still runs, on a zero increment.  With dead
-        # coefficients its only effect is the one a full run has on its
-        # first tail step (0 * inf turning S1 or B into NaN, -0.0 into
-        # +0.0); after it every further step is the identity.
-        steps = itertools.chain(steps, (zeros,))
     states = _x_flat_states if _x_flat_stream(model, grid) else _tangent_states
-    yield from states(model, point, grid, steps, n_live, zeros, absorb)
+    yield from states(model, point, grid, rows, scale, n_live, absorb,
+                      every_state)
 
 
 def _tangent_states(model: CoefficientModel, point: ProblemPoint,
-                    grid: TimeGrid, steps, n_live: int, zeros: np.ndarray,
-                    absorb: bool) -> Iterator[PathState]:
+                    grid: TimeGrid, rows: np.ndarray, scale: float,
+                    n_live: int, absorb: bool,
+                    every_state: bool) -> Iterator[PathState]:
     """The full update: every coefficient on every path, the tangent flow
     and ``B``."""
     n = grid.n_steps
     dt = grid.dt
     times = grid.times()
-    shape = zeros.shape
+    shape = (rows.shape[1],)
+    zeros = np.zeros(shape)
     X = np.full(shape, point.x0, dtype=float)
     gradX = np.ones(shape, dtype=float)
     Lambda = np.zeros(shape, dtype=float)
     S1 = np.zeros(shape, dtype=float)
     B = np.zeros(shape, dtype=float)
 
-    for k, dWk in enumerate(steps):
+    for k in range(n_live + (n_live < n)):  # and the first frozen step
         t = float(times[k])
+        dWk = rows[k] * scale if k < n_live else zeros
         sig = model.sigma(t, X)
         gamma = _full(sig, shape)
-        yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
+        if every_state:
+            yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
 
         sig_x = model.sigma_x(t, X)
         sx = np.asarray(sig_x, dtype=float)
@@ -424,9 +440,10 @@ def _tangent_states(model: CoefficientModel, point: ProblemPoint,
         Lambda = Lambda + gamma * gamma * dt
         X = X + bv * dt + gamma * dWk
 
-    for k in range(n_live + 1, n):  # the rest of a frozen tail
-        yield PathState(k, float(times[k]), X, gradX, zeros, Lambda, S1, B,
-                        zeros)
+    if every_state:
+        for k in range(n_live + 1, n):  # the rest of a frozen tail
+            yield PathState(k, float(times[k]), X, gradX, zeros, Lambda, S1,
+                            B, zeros)
 
     t = float(times[n])
     yield PathState(n, t, X, gradX, _full(model.sigma(t, X), shape), Lambda,
@@ -434,18 +451,23 @@ def _tangent_states(model: CoefficientModel, point: ProblemPoint,
 
 
 def _x_flat_states(model: CoefficientModel, point: ProblemPoint,
-                   grid: TimeGrid, steps, n_live: int, zeros: np.ndarray,
-                   absorb: bool) -> Iterator[PathState]:
+                   grid: TimeGrid, rows: np.ndarray, scale: float,
+                   n_live: int, absorb: bool,
+                   every_state: bool) -> Iterator[PathState]:
     """The x-flat update: ``sigma`` and the drift once per step, on the
-    first path, as Python floats; ``gamma`` and ``Lambda`` yielded as
+    first path, as Python floats; ``X``, ``S1`` and the increment updated
+    in place in one buffer each; ``gamma`` and ``Lambda`` yielded as
     read-only stride-0 rows."""
     n = grid.n_steps
     dt = grid.dt
     times = grid.times()
-    shape = zeros.shape
+    shape = (rows.shape[1],)
+    zeros = np.zeros(shape)
     X = np.full(shape, point.x0, dtype=float)
     S1 = np.zeros(shape, dtype=float)
+    dW = np.empty(shape, dtype=float)
     ones = np.ones(shape, dtype=float)
+    multiply, add = np.multiply, np.add
     # node k's gamma and Lambda, written once, just before node k is yielded
     gam = np.zeros(n + 1)
     lam = np.zeros(n + 1)
@@ -455,26 +477,33 @@ def _x_flat_states(model: CoefficientModel, point: ProblemPoint,
         for v in (gam, lam))
     lam_k = 0.0
 
-    for k, dWk in enumerate(steps):
+    for k in range(n_live + (n_live < n)):  # and the first frozen step
         t = float(times[k])
+        if k < n_live:
+            multiply(rows[k], scale, dW)
+        else:
+            dW.fill(0.0)
         x1 = X[:1]
         sig = model.sigma(t, x1)
         g = gam[k] = _one_value(sig)
         lam[k] = lam_k
-        yield PathState(k, t, X, ones, gamma_rows[k], lambda_rows[k], S1,
-                        zeros, dWk)
+        if every_state:
+            yield PathState(k, t, X, ones, gamma_rows[k], lambda_rows[k], S1,
+                            zeros, dW)
 
         bv = _one_value(_absorbed_drift(model, t, x1, sig) if absorb
                         else model.b(t, x1))
-        g_dW = g * dWk
-        S1 = S1 + g_dW
+        multiply(g, dW, dW)  # the step's g * dW
+        add(S1, dW, S1)
         lam_k = lam_k + g * g * dt
-        X = X + bv * dt + g_dW
+        add(X, bv * dt, X)
+        add(X, dW, X)
 
-    for k in range(n_live + 1, n):  # the rest of a frozen tail; gam[k] = 0
-        lam[k] = lam_k
-        yield PathState(k, float(times[k]), X, ones, gamma_rows[k],
-                        lambda_rows[k], S1, zeros, zeros)
+    if every_state:
+        for k in range(n_live + 1, n):  # the rest of a frozen tail; gam[k] = 0
+            lam[k] = lam_k
+            yield PathState(k, float(times[k]), X, ones, gamma_rows[k],
+                            lambda_rows[k], S1, zeros, zeros)
 
     t = float(times[n])
     gam[n] = _one_value(model.sigma(t, X[:1]))
@@ -487,11 +516,13 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
                 seed: int, path_indices: Sequence[int]) -> Iterator[PathState]:
     """Yield the per-node state of the paths with the given indices.
 
-    This is the streaming interface the estimators consume; it holds no
-    per-node history, only the running state, so memory stays flat in
-    ``n_steps``.  Only the increments before a frozen tail are drawn.
-    Floating-point warnings are silenced while a state is computed, and
-    only then: the caller's code between two states keeps its settings.
+    It holds no per-node history, only the running state, so memory
+    stays flat in ``n_steps``.  Only the increments before a frozen tail
+    are drawn.  Each state is a snapshot: its ``X``, ``S1`` and ``dW`` are
+    copies, so it stays valid after the stream advances, although the
+    kernel updates an x-flat stream's arrays in place.  Floating-point
+    warnings are silenced while a state is computed, and only then: the
+    caller's code between two states keeps its settings.
     """
     _check_compatible(model, point, grid)
     normals = _normal_matrix(seed, path_indices, _live_steps(model, grid))
@@ -502,7 +533,9 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
             state = next(stream, None)
         if state is None:
             return
-        yield state
+        yield state._replace(
+            X=state.X.copy(), S1=state.S1.copy(),
+            dW=None if state.dW is None else state.dW.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -380,3 +380,65 @@ def test_call_at_several_start_points_matches_separate_calls(
     finally:
         est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
 
+
+
+def _recording(reducer, seen):
+    """The reducer, with the node ``k`` of every state it is sent recorded
+    in ``seen``, one list per chunk; it keeps the reducer's mark."""
+    def wrapped(n):
+        inner = reducer(n)
+        next(inner)
+        ks = []
+        seen.append(ks)
+        while (st := (yield)) is not None:
+            ks.append(st.k)
+            inner.send(st)
+        yield inner.send(None)
+
+    wrapped.terminal_only = getattr(reducer, "terminal_only", False)
+    return wrapped
+
+
+@pytest.mark.parametrize("name", ["example1", "ou", "value_cost"])
+def test_terminal_jobs_send_one_state_and_the_others_every_state(name):
+    # example1 is x-flat and freezes at t = 1 of its horizon 2; the OU
+    # model and value_cost run the tangent flow, and value_cost has a
+    # running cost, so none of its jobs is terminal.  The estimates
+    # themselves are compared with the references above.
+    if name == "ou":
+        from test_sde_sim import _ou_model
+        model, provider = _ou_model(), None
+    else:
+        model, provider = _CASES[name]
+    n_steps, n_paths, chunk = 8, 20, 7
+    calls = _calls(provider, 1.0, None)
+    # every estimator but the classical weight (3) and, without g_prime,
+    # the pathwise one (1); then jobs with the classical weight
+    picks = [[0, 1, 2, 4] if model.g_prime else [0, 2, 4], [0, 3], [2], [3]]
+    jobs, seen = [], []
+    for t_frac, job_picks in zip([0.0, 0.1, 0.25, 0.4], picks):
+        t0 = t_frac * model.horizon_T
+        point = ProblemPoint(t0, 0.1)
+        grid = TimeGrid(t0, model.horizon_T, n_steps)
+        reducers = [_REDUCERS[fn](model, point, grid, **kwargs)
+                    for fn, kwargs in (calls[i] for i in job_picks)]
+        # the Lambda moments (4) read the terminal state alone, the
+        # classical weight (3) every state, the rest every state when
+        # they sum a running cost
+        assert [r.terminal_only for r in reducers] == [
+            i == 4 or (model.f1_is_zero and i != 3) for i in job_picks]
+        seen.append([[] for _ in reducers])
+        jobs.append((point, grid, [_recording(r, ks)
+                                   for r, ks in zip(reducers, seen[-1])]))
+    saved = est_mod.CHUNK_SIZE
+    est_mod.CHUNK_SIZE = chunk
+    try:
+        # example1's classical weight floors every path: EstimationError
+        _outcome(est_mod._estimate, model, 3, n_paths, jobs)
+    finally:
+        est_mod.CHUNK_SIZE = saved
+    for (_, _, reducers), job_seen in zip(jobs, seen):
+        terminal = all(r.terminal_only for r in reducers)
+        want = [n_steps] if terminal else list(range(n_steps + 1))
+        for ks in job_seen:
+            assert ks == [want] * math.ceil(n_paths / chunk)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from degenbsde import (
 )
 from degenbsde.model import CoefficientModel, transformed_drift
 from degenbsde.pde_fd import MAX_STORED_LEVELS
+from reference_cfl_sample import reference_coefficient_samples
 
 
 def _zero2(t, x):
@@ -816,3 +817,93 @@ def test_stale_x_flat_declaration_is_refused_by_the_stability_check(field,
         solve_fd(model, grid)
     undeclared = replace(model, x_flat=False)
     solve_fd(undeclared, make_grid(undeclared, -2.0, 2.0, 41))
+
+
+class _Boom(Exception):
+    """Raised by a coefficient at one sampled level."""
+
+
+# faults put on one sampled level: a coefficient that is not finite at
+# one node, that varies in x (a stale x_flat declaration), that is +0.0
+# except for one -0.0 node, or that raises
+_FAULTS = st.tuples(
+    st.sampled_from(["nan", "inf", "-inf", "varies", "-0.0", "raises"]),
+    st.sampled_from(["sigma", "b", "f2"]),
+    st.integers(0, 2 ** 16),  # the level, modulo the number sampled
+    st.integers(0, 2 ** 20),  # the node, modulo n_x
+)
+
+# n_x and n_t: blocks of many levels, of 81 levels at n_x 801, and of one
+# level above 65536 nodes
+_LATTICES = st.one_of(
+    st.tuples(st.sampled_from([3, 41, 801]), st.integers(1, 400)),
+    st.tuples(st.just(65537), st.integers(1, 6)))
+
+
+def _faulty(model, levels, faults):
+    """The model with each fault applied to its coefficient at one level."""
+    by_field = {}
+    for kind, field, level, node in faults:
+        by_field.setdefault(field, []).append(
+            (kind, levels[level % len(levels)], node))
+
+    def patched(fn, field_faults):
+        def coeff(t, x):
+            out = np.array(np.broadcast_to(
+                np.asarray(fn(t, x), dtype=float), np.shape(x)))
+            for kind, t_bad, node in field_faults:
+                if t != t_bad:
+                    continue
+                j = node % out.size
+                if kind == "raises":
+                    raise _Boom(f"{kind} at t={t}")
+                if kind == "varies":
+                    out[j] += 0.25
+                elif kind == "-0.0":
+                    out[:] = 0.0
+                    out[j] = -0.0
+                else:
+                    out[j] = float(kind)
+            return out
+        return coeff
+
+    return replace(model, **{field: patched(getattr(model, field), ff)
+                             for field, ff in by_field.items()})
+
+
+def _sample_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, _Boom) as exc:
+        return type(exc), str(exc)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _reference_outcome(model, grid):
+    # the sample silences the warnings of 0 * inf in the absorbed drift,
+    # and reports the value as not finite
+    return _sample_outcome(reference_coefficient_samples, model, grid)
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=st.sampled_from(["bachelier_digital", "girsanov_const",
+                             "step_vol"]),
+       x_flat=st.booleans(), lattice=_LATTICES,
+       faults=st.lists(_FAULTS, max_size=3))
+@example(base="bachelier_digital", x_flat=True, lattice=(65537, 3),
+         faults=[("varies", "sigma", 1, 7), ("nan", "b", 2, 0)])
+@example(base="girsanov_const", x_flat=True, lattice=(801, 300),
+         faults=[("raises", "f2", 200, 0), ("-0.0", "sigma", 90, 5)])
+def test_blocked_sample_keeps_the_per_level_errors_and_their_order(
+        base, x_flat, lattice, faults):
+    # the stability sample checks levels in blocks: its result, or its
+    # first error in time order, is that of the frozen per-level loop
+    n_x, n_t = lattice
+    model = replace(builtin_model(base), x_flat=x_flat)
+    grid = PdeGrid(-2.0, 3.0, n_x, 0.0, model.horizon_T, n_t)
+    levels = np.linspace(grid.t_min, grid.t_max,
+                         min(n_t + 1, 1025)).tolist()
+    model = _faulty(model, levels, faults)
+    got = _sample_outcome(
+        lambda: astuple(cfl_check(model, grid))[-2:])
+    assert got == _reference_outcome(model, grid)

@@ -466,3 +466,30 @@ def test_x_flat_stream_evaluates_one_path_and_yields_read_only_rows(absorb):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["example1", "step_vol", "girsanov_const"])
+def test_path_stream_states_of_an_x_flat_model_share_no_memory(name):
+    # the x-flat kernel updates X, S1 and dW in place; path_stream yields
+    # copies, so states kept after the stream advanced still hold their
+    # own node's values
+    m = builtin_model(name)
+    assert m.x_flat
+    pt, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, m.horizon_T, 12)
+    states = list(path_stream(m, pt, grid, 4, np.arange(5)))
+    batch = simulate_batch(m, pt, grid, seed=4, n_paths=5)
+    n_live = _live_steps(m, grid)
+    for a, b in zip(states, states[1:]):
+        for field in ("X", "S1", "dW"):
+            if getattr(b, field) is not None:
+                assert not np.shares_memory(getattr(a, field),
+                                            getattr(b, field)), field
+    for s in states:
+        for field in ("X", "S1"):
+            assert (getattr(s, field).tobytes() == np.ascontiguousarray(
+                getattr(batch, field)[:, s.k]).tobytes()), field
+        if s.k < n_live:
+            assert s.dW.tobytes() == np.ascontiguousarray(
+                batch.dW[:, s.k]).tobytes()
+        elif s.k < grid.n_steps:
+            assert s.dW.tobytes() == np.zeros(5).tobytes()
