@@ -13,24 +13,20 @@ from .degeneracy import (DEFAULT_EPS_SIGMA, DegeneracyReport,
                          GammaEquivalenceReport, check_gamma_equivalence,
                          gamma_report, locate_tau, locate_tau_batch)
 from .estimators import (Estimate, EstimationError, OutsideGamma0Error,
-                         ProviderRequiredError, ValueProvider,
-                         bachelier_provider, empirical_lambda_moment,
-                         estimate_u, estimate_ux_pathwise,
-                         estimate_ux_weighted, example1_provider,
-                         grid_provider, reconstruct_Z)
+                         ValueProvider, bachelier_provider,
+                         empirical_lambda_moment, estimate_u,
+                         estimate_ux_pathwise, estimate_ux_weighted,
+                         example1_provider, grid_provider, reconstruct_Z)
 from .model import (BUILTIN_MODELS, CoefficientModel, ModelInvariantError,
                     ProblemPoint, builtin_model, builtin_model_names,
-                    check_model_invariants, fd_derivative,
-                    transformed_drift)
+                    check_model_invariants, transformed_drift)
 from .oracles import (Example1Params, bachelier_digital, example1_sigma0,
-                      example1_u, example1_ux_at_zero, example1_z_exponent,
-                      gaussian_abs_moment)
+                      example1_u, example1_ux_at_zero)
 from .pde_fd import (CflReport, PdeGrid, PdeSolution, cfl_check, make_grid,
                      solve_fd)
 from .sde_sim import (BatchPaths, PathBundle, PathState, SimulationError,
                       TimeGrid, brownian_increments, path_stream,
-                      simulate_batch, simulate_path,
-                      simulate_path_with_increments)
+                      simulate_batch, simulate_path)
 from .weights import default_lambda_floor, degenerate_weight_values
 
 __version__ = "0.1.0"
@@ -53,7 +49,6 @@ __all__ = [
     "PdeGrid",
     "PdeSolution",
     "ProblemPoint",
-    "ProviderRequiredError",
     "SimulationError",
     "TimeGrid",
     "ValueProvider",
@@ -75,10 +70,7 @@ __all__ = [
     "example1_sigma0",
     "example1_u",
     "example1_ux_at_zero",
-    "example1_z_exponent",
-    "fd_derivative",
     "gamma_report",
-    "gaussian_abs_moment",
     "grid_provider",
     "locate_tau",
     "locate_tau_batch",
@@ -87,7 +79,6 @@ __all__ = [
     "reconstruct_Z",
     "simulate_batch",
     "simulate_path",
-    "simulate_path_with_increments",
     "solve_fd",
     "transformed_drift",
 ]

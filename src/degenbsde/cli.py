@@ -9,12 +9,12 @@ required everywhere; ``params`` (nested object) feeds the model factory;
 remaining keys are experiment-specific.  The ``_COMMON_KEYS`` and
 ``_EXPERIMENT_KEYS`` tables declare each key's kind, default and bound;
 all of them, and the start times against the model's horizon, are checked
-before any computation starts.  Exit status 1 means a ``ConfigError``, a
-start point outside the alive set, or a missing value provider; 2 a
-numerical failure (all samples floored, an unstable FD grid, no finite
-FD step count, or more than 1% of simulated paths non-finite); 3, under
-``--check``, a failed acceptance threshold.  A ``ValueError`` from the
-library is a bug and shows as a traceback.
+before any computation starts.  Exit status 1 means a ``ConfigError`` or
+a start point outside the alive set; 2 a numerical failure (all samples
+floored, an unstable FD grid, no finite FD step count, or more than 1% of
+simulated paths non-finite); 3, under ``--check``, a failed acceptance
+threshold.  A ``ValueError`` from the library is a bug and shows as a
+traceback.
 
 Reals in CSV output carry 17 significant digits with ``.`` decimal and
 ``\\n`` line endings, so reruns are byte-comparable across platforms.
@@ -34,8 +34,7 @@ import numpy as np
 
 from .degeneracy import (DEFAULT_EPS_SIGMA, check_gamma_equivalence,
                          locate_tau, locate_tau_batch)
-from .estimators import (EstimationError, OutsideGamma0Error,
-                         ProviderRequiredError, _estimate,
+from .estimators import (EstimationError, OutsideGamma0Error, _estimate,
                          _lambda_moment_reducer, _u_reducer,
                          _ux_pathwise_reducer, _ux_weighted_reducer, _z_matrix,
                          bachelier_provider, empirical_lambda_moment,
@@ -44,7 +43,8 @@ from .estimators import (EstimationError, OutsideGamma0Error,
                          reconstruct_Z)
 from .model import (BUILTIN_MODELS, CoefficientModel, ProblemPoint,
                     builtin_model)
-from .oracles import Example1Params, example1_ux_at_zero
+from .oracles import (Example1Params, example1_ux_at_zero,
+                      example1_ux_exponent)
 from .pde_fd import make_grid, solve_fd
 from .sde_sim import SimulationError, TimeGrid, simulate_batch, simulate_path
 
@@ -431,7 +431,7 @@ def _run_blowup_rate(cfg, model, out_dir):
             unusable.append(float(t))
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = float(np.polyfit(np.log1p(-ts), np.log(np.abs(means)), 1)[0])
-    target = -orc.alpha * (1.0 + 2.0 * orc.beta) / 2.0
+    target = example1_ux_exponent(orc)
     rows.append(("slope", slope, None, target))
     path = _write_csv(_out_path(cfg, out_dir),
                       ["t", "ux_mc", "ux_stderr", "ux_oracle"], rows)
@@ -665,10 +665,10 @@ _RUNNERS = {
 def run_experiment(raw_config: dict, out_dir=".") -> ExperimentResult:
     """Validate, run, and write artifacts for one experiment config.
 
-    Raises ConfigError (or OutsideGamma0Error/ProviderRequiredError) for
-    config problems, NumericalFailure (or EstimationError/SimulationError)
-    for runtime breakdowns.  Check outcomes are always computed; main()
-    turns failures into exit status 3 only under ``--check``.
+    Raises ConfigError (or OutsideGamma0Error) for config problems,
+    NumericalFailure (or EstimationError/SimulationError) for runtime
+    breakdowns.  Check outcomes are always computed; main() turns failures
+    into exit status 3 only under ``--check``.
     """
     cfg = _validate_config(raw_config)
     model = _build_model(cfg)
@@ -726,7 +726,7 @@ def main(argv=None) -> int:
 
     try:
         result = run_experiment(raw, out_dir=args.out_dir)
-    except (ConfigError, OutsideGamma0Error, ProviderRequiredError) as exc:
+    except (ConfigError, OutsideGamma0Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailure, EstimationError, SimulationError) as exc:

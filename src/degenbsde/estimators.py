@@ -66,7 +66,6 @@ __all__ = [
     "Estimate",
     "ValueProvider",
     "OutsideGamma0Error",
-    "ProviderRequiredError",
     "EstimationError",
     "estimate_u",
     "estimate_ux_pathwise",
@@ -90,10 +89,6 @@ _TRACED_STREAM = path_stream
 
 class OutsideGamma0Error(ValueError):
     """The starting point lies outside the alive set; no weight exists there."""
-
-
-class ProviderRequiredError(ValueError):
-    """The running cost depends on the value, but no provider was given."""
 
 
 class EstimationError(RuntimeError):
@@ -154,29 +149,6 @@ def _finalize(parts: list, n_floored: int, n_paths: int) -> Estimate:
     reliable = n_floored <= UNRELIABLE_FLOOR_FRACTION * n_paths
     return Estimate(mean=mean, stderr=stderr, n_used=n_used,
                     n_floored=n_floored, reliable=reliable)
-
-
-def _require_driver_inputs(model: CoefficientModel,
-                           provider: Optional[ValueProvider],
-                           need_ux: bool = False) -> None:
-    if model.f1_is_zero:
-        return
-    if model.f1_depends_on_y:
-        if provider is None or provider.u_eval is None:
-            raise ProviderRequiredError(
-                "the running cost depends on y; pass a provider with u_eval"
-            )
-        if need_ux and provider.ux_eval is None:
-            raise ProviderRequiredError(
-                "the pathwise estimator additionally needs provider.ux_eval"
-            )
-
-
-def _driver_y(model: CoefficientModel, provider: Optional[ValueProvider],
-              t: float, X: np.ndarray):
-    if model.f1_depends_on_y:
-        return provider.u_eval(t, X)
-    return 0.0
 
 
 def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
@@ -281,9 +253,8 @@ def _estimate_one(model: CoefficientModel, point: ProblemPoint,
 # ---------------------------------------------------------------------------
 
 
-def _u_reducer(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
-               provider: Optional[ValueProvider] = None) -> Callable:
-    _require_driver_inputs(model, provider)
+def _u_reducer(model: CoefficientModel, point: ProblemPoint,
+               grid: TimeGrid) -> Callable:
     need_driver = not model.f1_is_zero
     dt = grid.dt
 
@@ -292,9 +263,8 @@ def _u_reducer(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
         last = None
         while (st := (yield)) is not None:
             if need_driver and st.dW is not None:
-                y = _driver_y(model, provider, st.t, st.X)
                 driver = driver + np.asarray(
-                    model.f1(st.t, st.X, y), dtype=float) * dt
+                    model.f1(st.t, st.X), dtype=float) * dt
             last = st
         vals = np.asarray(model.g(last.X), dtype=float) + driver
         yield np.broadcast_to(vals, last.X.shape), True
@@ -304,13 +274,12 @@ def _u_reducer(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
 
 
 def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
-               seed: int, n_paths: int,
-               provider: Optional[ValueProvider] = None) -> Estimate:
+               seed: int, n_paths: int) -> Estimate:
     """Estimate the value function: mean of the terminal payoff plus the
     left-endpoint sum of the running cost along absorbed-drift paths.
     """
     return _estimate_one(model, point, grid, seed, n_paths,
-                         _u_reducer(model, point, grid, provider))
+                         _u_reducer(model, point, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +288,12 @@ def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
 
 
 def _ux_pathwise_reducer(model: CoefficientModel, point: ProblemPoint,
-                         grid: TimeGrid,
-                         provider: Optional[ValueProvider] = None) -> Callable:
+                         grid: TimeGrid) -> Callable:
     if model.g_prime is None:
         raise ValueError("pathwise gradient estimation needs model.g_prime")
     need_driver = not model.f1_is_zero
     if need_driver and model.f1_x is None:
         raise ValueError("pathwise gradient estimation needs model.f1_x")
-    if need_driver and model.f1_depends_on_y and model.f1_y is None:
-        raise ValueError("pathwise gradient estimation needs model.f1_y")
-    _require_driver_inputs(model, provider, need_ux=True)
     dt = grid.dt
 
     def reducer(n):
@@ -336,13 +301,8 @@ def _ux_pathwise_reducer(model: CoefficientModel, point: ProblemPoint,
         last = None
         while (st := (yield)) is not None:
             if need_driver and st.dW is not None:
-                y = _driver_y(model, provider, st.t, st.X)
-                term = np.asarray(model.f1_x(st.t, st.X, y), dtype=float) * st.gradX
-                if model.f1_depends_on_y:
-                    term = term + np.asarray(
-                        model.f1_y(st.t, st.X, y), dtype=float) * (
-                        provider.ux_eval(st.t, st.X) * st.gradX)
-                acc = acc + term * dt
+                acc = acc + np.asarray(
+                    model.f1_x(st.t, st.X), dtype=float) * st.gradX * dt
             last = st
         vals = np.asarray(model.g_prime(last.X), dtype=float) * last.gradX + acc
         yield vals, True
@@ -352,28 +312,24 @@ def _ux_pathwise_reducer(model: CoefficientModel, point: ProblemPoint,
 
 
 def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
-                         grid: TimeGrid, seed: int, n_paths: int,
-                         provider: Optional[ValueProvider] = None) -> Estimate:
+                         grid: TimeGrid, seed: int, n_paths: int) -> Estimate:
     """Gradient by pathwise differentiation: mean of
     ``g'(X_T) * gradX_T`` plus the differentiated running-cost sum.
 
     Requires a differentiable payoff (``g_prime``) and, when the cost is
-    active, its partial derivatives.
+    active, its x-derivative ``f1_x``.
     """
     return _estimate_one(model, point, grid, seed, n_paths,
-                         _ux_pathwise_reducer(model, point, grid, provider))
+                         _ux_pathwise_reducer(model, point, grid))
 
 
 def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
-                         grid: TimeGrid,
-                         provider: Optional[ValueProvider] = None,
-                         weight_kind: str = "degenerate",
+                         grid: TimeGrid, weight_kind: str = "degenerate",
                          eps_sigma: float = DEFAULT_EPS_SIGMA,
                          lambda_floor: Optional[float] = None) -> Callable:
     if weight_kind not in ("degenerate", "nondegenerate"):
         raise ValueError(f"unknown weight_kind {weight_kind!r}")
     _require_gamma0(model, point, eps_sigma)
-    _require_driver_inputs(model, provider)
     need_driver = not model.f1_is_zero
     dt = grid.dt
     if lambda_floor is None:
@@ -382,8 +338,9 @@ def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
 
     def reducer(n):
         driver = 0.0
-        snd = np.zeros(n)
-        ming = np.full(n, np.inf)
+        if not degenerate:
+            snd = np.zeros(n)
+            ming = np.full(n, np.inf)
         tacc = 0.0
         last = None
 
@@ -398,9 +355,8 @@ def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
                 # right-endpoint quadrature: the weight is undefined at
                 # the left endpoint where no volatility has accumulated
                 w_k, _ = weight(st)
-                y = _driver_y(model, provider, st.t, st.X)
                 driver = driver + np.asarray(
-                    model.f1(st.t, st.X, y), dtype=float) * w_k * dt
+                    model.f1(st.t, st.X), dtype=float) * w_k * dt
             if st.dW is not None and not degenerate:
                 ming = np.minimum(ming, np.abs(st.gamma))
                 snd = snd + (st.gradX / st.gamma) * st.dW
@@ -417,7 +373,6 @@ def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
 
 def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
                          grid: TimeGrid, seed: int, n_paths: int,
-                         provider: Optional[ValueProvider] = None,
                          weight_kind: str = "degenerate",
                          eps_sigma: float = DEFAULT_EPS_SIGMA,
                          lambda_floor: Optional[float] = None) -> Estimate:
@@ -434,7 +389,7 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
     ``eps_sigma``.
     """
     return _estimate_one(model, point, grid, seed, n_paths, _ux_weighted_reducer(
-        model, point, grid, provider, weight_kind, eps_sigma, lambda_floor))
+        model, point, grid, weight_kind, eps_sigma, lambda_floor))
 
 
 # ---------------------------------------------------------------------------

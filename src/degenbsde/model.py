@@ -2,17 +2,17 @@
 
 A model bundles the forward coefficients ``b`` (drift) and ``sigma``
 (volatility, allowed to vanish on part of the time-space domain), the
-running cost ``f(t, x, y, z) = f1(t, x, y) + f2(t, x) * z``, the terminal
+running cost ``f(t, x, z) = f1(t, x) + f2(t, x) * z``, the terminal
 payoff ``g``, and the regularity constants the numerical routines rely on.
 
 Conventions
 -----------
-* Coefficients are callables of ``(t, x)`` (``f1`` takes ``(t, x, y)``)
-  where ``t`` is a scalar and ``x`` may be a scalar or an ndarray; they
-  must broadcast and return something ndarray-compatible.  The built-in
-  coefficients return a fresh float64 array shaped like ``x`` (0-d for a
-  scalar ``x``), filled by one rule, ``_fill``; an array ``t`` is
-  accepted where it broadcasts to that shape.
+* Coefficients are callables of ``(t, x)`` where ``t`` is a scalar and
+  ``x`` may be a scalar or an ndarray; they must broadcast and return
+  something ndarray-compatible.  The built-in coefficients return a fresh
+  float64 array shaped like ``x`` (0-d for a scalar ``x``), filled by one
+  rule, ``_fill``; an array ``t`` is accepted where it broadcasts to that
+  shape.
 * The linear-in-z part of the cost is absorbed into the drift by
   ``transformed_drift`` before any simulation; downstream modules only
   ever see models with ``f2 == 0``.
@@ -35,13 +35,11 @@ __all__ = [
     "builtin_model",
     "builtin_model_names",
     "transformed_drift",
-    "fd_derivative",
     "check_model_invariants",
     "BUILTIN_MODELS",
 ]
 
 Coefficient = Callable[[float, np.ndarray], np.ndarray]
-Cost = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 Payoff = Callable[[np.ndarray], np.ndarray]
 
 
@@ -62,11 +60,10 @@ class CoefficientModel:
 
     * ``g_prime``: derivative of the payoff, required by the pathwise
       differentiation estimator only.
-    * ``f1_x``/``f1_y``: partial derivatives of ``f1``, required by the
-      pathwise estimator when the cost is active.
-    * ``f1_is_zero``/``f1_depends_on_y``: dispatch flags; the first lets
-      estimators skip the running-cost accumulation entirely, the second
-      gates the requirement for a value provider.
+    * ``f1_x``: x-derivative of ``f1``, required by the pathwise
+      estimator when the cost is active.
+    * ``f1_is_zero``: lets the estimators and ``solve_fd`` skip the
+      running cost entirely.
     * ``g_jumps``: x-locations where ``g`` is discontinuous, used to
       offset finite-difference grids off the jumps.
     * ``sigma_time_jumps``: t-locations where ``sigma`` jumps in time;
@@ -97,7 +94,7 @@ class CoefficientModel:
     sigma_x: Coefficient
     b: Coefficient
     b_x: Coefficient
-    f1: Cost
+    f1: Coefficient
     f2: Coefficient
     f2_x: Coefficient
     g: Payoff
@@ -106,17 +103,19 @@ class CoefficientModel:
     holder_C: float
     horizon_T: float
     g_prime: Optional[Payoff] = None
-    f1_x: Optional[Cost] = None
-    f1_y: Optional[Cost] = None
+    f1_x: Optional[Coefficient] = None
     psi_K: float = 2.0
     psi_p0: float = 1.0
     f1_is_zero: bool = False
-    f1_depends_on_y: bool = False
     g_jumps: tuple = ()
     sigma_time_jumps: tuple = ()
     frozen_after: Optional[float] = None
     x_flat: bool = False
     name: str = "custom"
+
+    # Not a field: ``perfbench/tracer.py`` alone reads it, looking up every
+    # coefficient name it counts, ``f1_y`` among them.
+    f1_y = None
 
     def __post_init__(self) -> None:
         if not (self.lipschitz_K > 0.0):
@@ -173,10 +172,6 @@ def _zero2(t, x):
     return _fill(x, 0.0)
 
 
-def _zero3(t, x, y):
-    return _fill(x, 0.0)
-
-
 def _const2(c: float) -> Coefficient:
     def coeff(t, x, _c=float(c)):
         return _fill(x, _c)
@@ -216,7 +211,7 @@ def _make_indicator_zero_vol(T: float = 1.0) -> CoefficientModel:
 
     return CoefficientModel(
         sigma=_zero2, sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
+        f1=_zero2, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=float(T),
         f1_is_zero=True, g_jumps=(0.0,), frozen_after=0.0, x_flat=True,
         name="indicator_zero_vol",
@@ -228,11 +223,11 @@ def _make_example1(alpha: float = 0.8, beta: float = 0.5) -> CoefficientModel:
 
     ``sigma(t, x) = (1 - t)**beta`` for t in [0, 1] and 0 afterwards (the
     horizon is 2), ``g(x) = sign(x) * |x|**(1 - alpha)``.  The gradient of
-    the value function blows up at rate ``-alpha * (1 + 2 beta) / 2`` in
-    ``(1 - t)`` at x = 0, while the martingale integrand behaves like
-    ``(1 - t)**(beta (1 - alpha) - alpha / 2)``; the parameter gate below
-    keeps that exponent negative (genuine blow-up) while the weight-based
-    estimator stays integrable.
+    the value function blows up at x = 0 like ``(1 - t)`` to the power
+    ``oracles.example1_ux_exponent``, while the martingale integrand
+    behaves like ``(1 - t)**(beta (1 - alpha) - alpha / 2)``; the parameter
+    gate below keeps that exponent negative (genuine blow-up) while the
+    weight-based estimator stays integrable.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -255,7 +250,7 @@ def _make_example1(alpha: float = 0.8, beta: float = 0.5) -> CoefficientModel:
 
     return CoefficientModel(
         sigma=sigma, sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
+        f1=_zero2, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=1.0,
         holder_alpha=min(beta, 1.0),
         holder_C=1.0 if beta <= 1.0 else beta,
@@ -278,7 +273,7 @@ def _make_bachelier_digital(sigma_bar: float = 1.0, strike: float = 0.0,
 
     return CoefficientModel(
         sigma=_const2(sigma_bar), sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
+        f1=_zero2, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=max(sigma_bar, 1.0), holder_alpha=1.0, holder_C=1.0,
         horizon_T=float(T), f1_is_zero=True, g_jumps=(strike,), x_flat=True,
         name="bachelier_digital",
@@ -305,7 +300,7 @@ def _make_tanh_smooth(sigma_bar: float = 1.0, T: float = 1.0) -> CoefficientMode
 
     return CoefficientModel(
         sigma=_const2(sigma_bar), sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=_zero3, f2=_zero2, f2_x=_zero2, g=g, g_prime=g_prime,
+        f1=_zero2, f2=_zero2, f2_x=_zero2, g=g, g_prime=g_prime,
         lipschitz_K=max(sigma_bar, 1.0), holder_alpha=1.0, holder_C=1.0,
         horizon_T=float(T), f1_is_zero=True, x_flat=True, name="tanh_smooth",
     )
@@ -336,7 +331,7 @@ def _make_step_vol(sigma_bar: float = 1.0, t_cut: float = 0.5,
 
     return CoefficientModel(
         sigma=sigma, sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
+        f1=_zero2, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=max(sigma_bar, 1.0), holder_alpha=1.0, holder_C=1.0,
         horizon_T=T, f1_is_zero=True, g_jumps=(strike,),
         sigma_time_jumps=(t_cut,), frozen_after=t_cut, x_flat=True,

@@ -31,11 +31,9 @@ import numpy as np
 
 __all__ = [
     "Example1Params",
-    "gaussian_abs_moment",
     "example1_sigma0",
     "example1_u",
     "example1_ux_at_zero",
-    "example1_z_exponent",
     "bachelier_digital",
 ]
 
@@ -132,7 +130,7 @@ def example1_ux_at_zero(t: float, params: Example1Params) -> float:
     Differentiating the Gaussian smoothing of the power payoff under the
     integral sign gives ``sigma0**(-alpha) * E|N|**(2-alpha)``; the
     derivative diverges as t approaches 1 with exponent
-    ``-alpha (1 + 2 beta) / 2`` in ``(1 - t)``.
+    ``example1_ux_exponent(params)`` in ``(1 - t)``.
     """
     t = float(t)
     if not (t < 1.0):
@@ -143,14 +141,22 @@ def example1_ux_at_zero(t: float, params: Example1Params) -> float:
     return s0 ** (-params.alpha) * gaussian_abs_moment(2.0 - params.alpha)
 
 
+def example1_ux_exponent(params: Example1Params) -> float:
+    """Exponent ``-alpha (1 + 2 beta) / 2`` of the gradient at the origin:
+    ``u_x(t, 0)`` scales like ``(1 - t)`` to this power as t approaches 1,
+    since ``sigma0**(-alpha)`` does."""
+    return -params.alpha * (1.0 + 2.0 * params.beta) / 2.0
+
+
 def example1_z_exponent(params: Example1Params) -> float:
     """Exponent of the martingale integrand near the volatility death time.
 
-    Along paths near the origin the integrand scales like
-    ``(1-t)**(beta (1-alpha) - alpha/2)``; the admissibility gate makes
-    this negative, i.e. the integrand genuinely blows up.
+    ``Z(t, 0) = u_x(t, 0) * (1 - t)**beta``, so along paths near the origin
+    the integrand scales like ``(1-t)**(beta (1-alpha) - alpha/2)``, the
+    gradient's exponent plus ``beta``; the admissibility gate makes this
+    negative, i.e. the integrand genuinely blows up.
     """
-    return params.beta * (1.0 - params.alpha) - 0.5 * params.alpha
+    return example1_ux_exponent(params) + params.beta
 
 
 def bachelier_digital(t: float, x, sigma_bar: float, strike: float,

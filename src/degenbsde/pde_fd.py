@@ -375,11 +375,11 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     """Backward explicit sweep from the terminal payoff.
 
     Refuses to run on a grid that fails the stability check (use
-    ``make_grid`` to get a conforming one).  The running cost, when
-    present, is fed the current level as its y argument, a buffer the
-    sweep overwrites once the call returns.  At most
-    ``max_stored_levels`` levels are retained, evenly thinned, with the
-    initial and terminal levels always kept.
+    ``make_grid`` to get a conforming one).  The running cost ``f1``, when
+    present, is evaluated on the nodes at the time each step starts from,
+    as the coefficients are.  At most ``max_stored_levels`` levels are
+    retained, evenly thinned, with the initial and terminal levels always
+    kept.
 
     Levels past ``model.frozen_after`` are copied, not swept, when the
     running cost is zero: there ``sigma = b = 0``, so once the first such
@@ -474,7 +474,7 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
         multiply(drf, d1, tmp)
         add(rhs, tmp, rhs)
         if has_cost:
-            add(rhs, np.asarray(model.f1(t_up, xs, u), dtype=float), rhs)
+            add(rhs, np.asarray(model.f1(t_up, xs), dtype=float), rhs)
         multiply(dt_0, rhs, tmp)
         add(u, tmp, u)
         if frozen:

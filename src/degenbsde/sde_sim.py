@@ -87,7 +87,6 @@ __all__ = [
     "SimulationError",
     "brownian_increments",
     "simulate_path",
-    "simulate_path_with_increments",
     "simulate_batch",
     "path_stream",
 ]

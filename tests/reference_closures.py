@@ -19,10 +19,6 @@ def _zero2(t, x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _zero3(t, x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def _const2(c: float):
     def coeff(t, x, _c=float(c)):
         return np.full_like(np.asarray(x, dtype=float), _c)
@@ -54,7 +50,7 @@ def reference_coefficients(name: str, **params) -> dict:
     ``sigma_bar`` for the constant and step volatilities, ``t_cut`` for
     ``step_vol``, and ``f2`` and ``base`` for ``girsanov_const``."""
     coeffs = {"sigma": _zero2, "sigma_x": _zero2, "b": _zero2,
-              "b_x": _zero2, "f1": _zero3, "f2": _zero2, "f2_x": _zero2}
+              "b_x": _zero2, "f1": _zero2, "f2": _zero2, "f2_x": _zero2}
     if name == "girsanov_const":
         f2 = params.pop("f2")
         coeffs = reference_coefficients(params.pop("base"), **params)

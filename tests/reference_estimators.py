@@ -9,7 +9,8 @@ the one computed here, field for field, or raises the same exception type;
 ``test_estimators.py`` checks that every row of the batch ``Z`` equals this
 ``reconstruct_Z``'s output bit for bit.
 The bodies below are kept as they were, one loop per estimator and one
-scalar provider call per node; only the imports are rewritten to reach into
+scalar provider call per node, except that the running cost is ``f1(t, x)``
+with no value provider; only the imports are rewritten to reach into
 the package.  ``CHUNK_SIZE`` is this
 module's own, so a test sets it next to the package's.
 """
@@ -23,8 +24,7 @@ import numpy as np
 
 from degenbsde.degeneracy import DEFAULT_EPS_SIGMA, gamma_report, locate_tau
 from degenbsde.estimators import (Estimate, EstimationError,
-                                  OutsideGamma0Error, ProviderRequiredError,
-                                  ValueProvider)
+                                  OutsideGamma0Error, ValueProvider)
 from degenbsde.model import CoefficientModel, ProblemPoint, transformed_drift
 from degenbsde.sde_sim import PathBundle, TimeGrid, path_stream
 from degenbsde.weights import default_lambda_floor, degenerate_weight_values
@@ -62,34 +62,9 @@ def _finalize(parts: list, n_floored: int, n_paths: int) -> Estimate:
                     n_floored=n_floored, reliable=reliable)
 
 
-def _require_driver_inputs(model: CoefficientModel,
-                           provider: Optional[ValueProvider],
-                           need_ux: bool = False) -> None:
-    if model.f1_is_zero:
-        return
-    if model.f1_depends_on_y:
-        if provider is None or provider.u_eval is None:
-            raise ProviderRequiredError(
-                "the running cost depends on y; pass a provider with u_eval"
-            )
-        if need_ux and provider.ux_eval is None:
-            raise ProviderRequiredError(
-                "the pathwise estimator additionally needs provider.ux_eval"
-            )
-
-
-def _driver_y(model: CoefficientModel, provider: Optional[ValueProvider],
-              t: float, X: np.ndarray):
-    if model.f1_depends_on_y:
-        return provider.u_eval(t, X)
-    return 0.0
-
-
 def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
-               seed: int, n_paths: int,
-               provider: Optional[ValueProvider] = None) -> Estimate:
+               seed: int, n_paths: int) -> Estimate:
     n_paths = _check_n_paths(n_paths)
-    _require_driver_inputs(model, provider)
     mt = transformed_drift(model)
     need_driver = not model.f1_is_zero
     dt = grid.dt
@@ -101,9 +76,8 @@ def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
         last = None
         for st in path_stream(mt, point, grid, seed, idx):
             if need_driver and st.dW is not None:
-                y = _driver_y(model, provider, st.t, st.X)
                 driver = driver + np.asarray(
-                    model.f1(st.t, st.X, y), dtype=float) * dt
+                    model.f1(st.t, st.X), dtype=float) * dt
             last = st
         vals = np.asarray(model.g(last.X), dtype=float) + driver
         vals = np.broadcast_to(vals, last.X.shape)
@@ -114,17 +88,13 @@ def estimate_u(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
 
 
 def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
-                         grid: TimeGrid, seed: int, n_paths: int,
-                         provider: Optional[ValueProvider] = None) -> Estimate:
+                         grid: TimeGrid, seed: int, n_paths: int) -> Estimate:
     n_paths = _check_n_paths(n_paths)
     if model.g_prime is None:
         raise ValueError("pathwise gradient estimation needs model.g_prime")
     need_driver = not model.f1_is_zero
     if need_driver and model.f1_x is None:
         raise ValueError("pathwise gradient estimation needs model.f1_x")
-    if need_driver and model.f1_depends_on_y and model.f1_y is None:
-        raise ValueError("pathwise gradient estimation needs model.f1_y")
-    _require_driver_inputs(model, provider, need_ux=True)
     mt = transformed_drift(model)
     dt = grid.dt
 
@@ -135,12 +105,7 @@ def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
         last = None
         for st in path_stream(mt, point, grid, seed, idx):
             if need_driver and st.dW is not None:
-                y = _driver_y(model, provider, st.t, st.X)
-                term = np.asarray(model.f1_x(st.t, st.X, y), dtype=float) * st.gradX
-                if model.f1_depends_on_y:
-                    term = term + np.asarray(
-                        model.f1_y(st.t, st.X, y), dtype=float) * (
-                        provider.ux_eval(st.t, st.X) * st.gradX)
+                term = np.asarray(model.f1_x(st.t, st.X), dtype=float) * st.gradX
                 acc = acc + term * dt
             last = st
         vals = np.asarray(model.g_prime(last.X), dtype=float) * last.gradX + acc
@@ -152,7 +117,6 @@ def estimate_ux_pathwise(model: CoefficientModel, point: ProblemPoint,
 
 def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
                          grid: TimeGrid, seed: int, n_paths: int,
-                         provider: Optional[ValueProvider] = None,
                          weight_kind: str = "degenerate",
                          eps_sigma: float = DEFAULT_EPS_SIGMA,
                          lambda_floor: Optional[float] = None,
@@ -167,7 +131,6 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
             f"characteristic meets no volatility above {eps_sigma} before "
             f"the horizon"
         )
-    _require_driver_inputs(model, provider)
     mt = transformed_drift(model)
     need_driver = not model.f1_is_zero
     dt = grid.dt
@@ -196,9 +159,8 @@ def estimate_ux_weighted(model: CoefficientModel, point: ProblemPoint,
                     else:
                         fl_k = ~(ming >= sigma_floor)
                         w_k = np.where(fl_k, 0.0, snd / tacc)
-                    y = _driver_y(model, provider, st.t, st.X)
                     driver = driver + np.asarray(
-                        model.f1(st.t, st.X, y), dtype=float) * w_k * dt
+                        model.f1(st.t, st.X), dtype=float) * w_k * dt
                 if st.dW is not None and not degenerate:
                     ming = np.minimum(ming, np.abs(st.gamma))
                     snd = snd + (st.gradX / st.gamma) * st.dW

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import degenbsde.cli as cli
 import degenbsde.estimators as est_mod
-from degenbsde import (OutsideGamma0Error, ProviderRequiredError,
-                       builtin_model_names)
+from degenbsde import OutsideGamma0Error, builtin_model_names
 from degenbsde.cli import ConfigError, main, run_experiment
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -678,8 +677,7 @@ def test_any_config_is_rejected_as_a_config_error_or_reaches_the_work(cfg):
         mp.setattr(est_mod, "_normal_matrix", _reached)
         try:
             run_experiment(cfg, out_dir=out_dir)
-        except (ConfigError, OutsideGamma0Error, ProviderRequiredError,
-                _Reached):
+        except (ConfigError, OutsideGamma0Error, _Reached):
             pass
 
 

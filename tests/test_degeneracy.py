@@ -44,7 +44,7 @@ def _drifting_model(speed: float = 1.0) -> CoefficientModel:
         sigma_x=_zeros2,
         b=lambda t, x: np.full_like(np.asarray(x, dtype=float), speed),
         b_x=_zeros2,
-        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         f2=_zeros2,
         f2_x=_zeros2,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)),
@@ -256,7 +256,7 @@ def test_locate_tau_matrix_matches_frozen_reference(name, seed, n_paths,
 def _nan_sigma_model(sigma) -> CoefficientModel:
     return CoefficientModel(
         sigma=sigma, sigma_x=_zeros2, b=_zeros2, b_x=_zeros2,
-        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         f2=_zeros2, f2_x=_zeros2,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)),
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
@@ -336,7 +336,7 @@ def _frozen_nan_sigma(t_cut):
 
     return CoefficientModel(
         sigma=sigma, sigma_x=_zeros2, b=b, b_x=_zeros2,
-        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         f2=_zeros2, f2_x=_zeros2,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)),
         lipschitz_K=2.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
@@ -360,7 +360,7 @@ def _frozen_negative_zero(t_cut):
 
     return CoefficientModel(
         sigma=sigma, sigma_x=_zeros2, b=b, b_x=_zeros2,
-        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         f2=_zeros2, f2_x=_zeros2,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)),
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,

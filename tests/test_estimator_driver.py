@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import degenbsde.estimators as est_mod
 import reference_estimators as ref_mod
 from degenbsde import (EstimationError, ProblemPoint, TimeGrid,
-                       ValueProvider, builtin_model, simulate_batch)
+                       builtin_model, simulate_batch)
 from degenbsde.model import CoefficientModel, check_model_invariants
 
 
@@ -34,21 +34,19 @@ def _sech2(x):
     return 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
 
 
-def _value_cost_model() -> CoefficientModel:
-    # f = -y + 0.1 tanh(x) with a z-cost absorbed into the drift: the
-    # running-cost sums of every estimator read the provider
+def _x_cost_model() -> CoefficientModel:
+    # f = 0.1 tanh(x) with a z-cost absorbed into the drift: every
+    # estimator but the Lambda moments sums the running cost or its
+    # x-derivative along the paths
     return CoefficientModel(
         sigma=lambda t, x: 1.0 + 0.25 * np.tanh(np.asarray(x, dtype=float)),
         sigma_x=lambda t, x: 0.25 * _sech2(x),
         b=_zero2, b_x=_zero2,
-        f1=lambda t, x, y: -np.asarray(y, dtype=float)
-        + 0.1 * np.tanh(np.asarray(x, dtype=float)),
+        f1=lambda t, x: 0.1 * np.tanh(np.asarray(x, dtype=float)),
         f2=_const(0.3), f2_x=_zero2,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)), g_prime=_sech2,
         lipschitz_K=1.5, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
-        f1_is_zero=False, f1_depends_on_y=True,
-        f1_x=lambda t, x, y: 0.1 * _sech2(x),
-        f1_y=lambda t, x, y: -np.ones_like(np.asarray(x, dtype=float)),
+        f1_is_zero=False, f1_x=lambda t, x: 0.1 * _sech2(x),
     )
 
 
@@ -64,36 +62,30 @@ def _nan_payoff_model() -> CoefficientModel:
 
     return CoefficientModel(
         sigma=_const(1.0), sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=lambda t, x, y: _zero2(t, x), f2=_zero2, f2_x=_zero2,
+        f1=_zero2, f2=_zero2, f2_x=_zero2,
         g=g, g_prime=g_prime,
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
     )
 
 
-_PROVIDER = ValueProvider(
-    u_eval=lambda t, x: np.exp(-(1.0 - t)) * np.tanh(np.asarray(x, dtype=float)),
-    ux_eval=lambda t, x: np.exp(-(1.0 - t)) * _sech2(x),
-)
-
 _CASES = {
-    **{name: (builtin_model(name), None)
+    **{name: builtin_model(name)
        for name in ("bachelier_digital", "tanh_smooth", "example1",
                     "step_vol")},
-    "value_cost": (_value_cost_model(), _PROVIDER),
-    "nan_payoff": (_nan_payoff_model(), None),
+    # the one case with a running cost
+    "value_cost": _x_cost_model(),
+    "nan_payoff": _nan_payoff_model(),
 }
 
 
-def _calls(provider, p, lambda_floor):
+def _calls(p, lambda_floor):
     """Every estimator, as ``(name, keyword arguments)``."""
     return [
-        ("estimate_u", {"provider": provider}),
-        ("estimate_ux_pathwise", {"provider": provider}),
-        ("estimate_ux_weighted", {"provider": provider,
-                                  "weight_kind": "degenerate",
+        ("estimate_u", {}),
+        ("estimate_ux_pathwise", {}),
+        ("estimate_ux_weighted", {"weight_kind": "degenerate",
                                   "lambda_floor": lambda_floor}),
-        ("estimate_ux_weighted", {"provider": provider,
-                                  "weight_kind": "nondegenerate"}),
+        ("estimate_ux_weighted", {"weight_kind": "nondegenerate"}),
         ("empirical_lambda_moment", {"p": p, "lambda_floor": lambda_floor}),
     ]
 
@@ -129,12 +121,12 @@ def _outcome(fn, *args, **kwargs):
 )
 def test_driver_matches_frozen_reference(name, t_frac, x0, n_steps, seed,
                                          n_paths, chunk, p, lambda_floor):
-    model, provider = _CASES[name]
+    model = _CASES[name]
     t0 = t_frac * model.horizon_T
     point = ProblemPoint(t0, x0)
     grid = TimeGrid(t0, model.horizon_T, n_steps)
     common = (model, point, grid, seed, n_paths)
-    calls = _calls(provider, p, lambda_floor)
+    calls = _calls(p, lambda_floor)
     saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
     est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = chunk
     try:
@@ -149,7 +141,7 @@ def test_driver_matches_frozen_reference(name, t_frac, x0, n_steps, seed,
 def test_value_cost_model_takes_the_general_path():
     # sigma moves with x, so this case declares no x_flat: its streams run
     # the tangent flow and the B sum, and still match the reference
-    model, provider = _CASES["value_cost"]
+    model = _CASES["value_cost"]
     assert not model.x_flat
     check_model_invariants(model)
     calls = []
@@ -160,11 +152,9 @@ def test_value_cost_model_takes_the_general_path():
 
     counted = dataclasses.replace(model, sigma_x=sigma_x)
     point, grid = ProblemPoint(0.0, 0.2), TimeGrid(0.0, 1.0, 6)
-    got = est_mod.estimate_ux_weighted(counted, point, grid, 3, 20,
-                                       provider=provider)
+    got = est_mod.estimate_ux_weighted(counted, point, grid, 3, 20)
     assert len(calls) >= grid.n_steps
-    assert got == ref_mod.estimate_ux_weighted(model, point, grid, 3, 20,
-                                               provider=provider)
+    assert got == ref_mod.estimate_ux_weighted(model, point, grid, 3, 20)
 
 
 def _counting(model, names):
@@ -208,17 +198,15 @@ def test_tangent_stream_calls_each_coefficient_once_per_computed_node(
     # the absorbed drift's x-derivative: 6 steps and the terminal node per
     # chunk; the weighted estimator also reads sigma once at the start to
     # see that it is alive there
-    model, provider = _CASES["value_cost"]
+    model = _CASES["value_cost"]
     point, grid = ProblemPoint(0.0, 0.2), TimeGrid(0.0, 1.0, 6)
     names = ["sigma", "sigma_x", "b", "b_x", "f2", "f2_x"]
     counted, calls = _counting(model, names)
     saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
     est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = 8
     try:
-        got = getattr(est_mod, estimator)(counted, point, grid, 3, 20,
-                                          provider=provider)
-        want = getattr(ref_mod, estimator)(model, point, grid, 3, 20,
-                                           provider=provider)
+        got = getattr(est_mod, estimator)(counted, point, grid, 3, 20)
+        want = getattr(ref_mod, estimator)(model, point, grid, 3, 20)
     finally:
         est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
     assert got == want
@@ -231,7 +219,7 @@ def test_tangent_stream_calls_each_coefficient_once_per_computed_node(
 def test_simulations_keep_the_drift_without_the_cost():
     # simulate_* step the model's own drift b: the z-cost f2 is absorbed
     # only by the estimators
-    model, _ = _CASES["value_cost"]
+    model = _CASES["value_cost"]
     point, grid = ProblemPoint(0.0, 0.2), TimeGrid(0.0, 1.0, 6)
     got = simulate_batch(model, point, grid, 3, 5)
     want = simulate_batch(dataclasses.replace(model, f2=_const(7.0)), point,
@@ -241,7 +229,7 @@ def test_simulations_keep_the_drift_without_the_cost():
 
 
 def test_nan_payoff_is_excluded_and_counted():
-    model, _ = _CASES["nan_payoff"]
+    model = _CASES["nan_payoff"]
     grid = TimeGrid(0.0, 1.0, 8)
     e = est_mod.estimate_u(model, ProblemPoint(0.0, 0.0), grid, 0, 64)
     assert 0 < e.n_floored < 64
@@ -277,12 +265,12 @@ def _joint_reference(outcomes):
 def test_joint_call_matches_frozen_references(name, picks, t_frac, x0,
                                               n_steps, seed, n_paths, chunk,
                                               p, lambda_floor):
-    model, provider = _CASES[name]
+    model = _CASES[name]
     t0 = t_frac * model.horizon_T
     point = ProblemPoint(t0, x0)
     grid = TimeGrid(t0, model.horizon_T, n_steps)
     common = (model, point, grid, seed, n_paths)
-    calls = [_calls(provider, p, lambda_floor)[i] for i in picks]
+    calls = [_calls(p, lambda_floor)[i] for i in picks]
 
     def joint():
         reducers = [_REDUCERS[fn](model, point, grid, **kwargs)
@@ -343,8 +331,8 @@ _JOB_STARTS = st.lists(st.tuples(st.floats(0.0, 0.98), st.floats(-1.0, 1.0)),
          chunk=7, p=1.0, lambda_floor=None)
 def test_call_at_several_start_points_matches_separate_calls(
         name, starts, picks, n_steps, seed, n_paths, chunk, p, lambda_floor):
-    model, provider = _CASES[name]
-    calls = _calls(provider, p, lambda_floor)
+    model = _CASES[name]
+    calls = _calls(p, lambda_floor)
     jobs = []
     for (t_frac, x0), job_picks in zip(starts, picks):
         t0 = t_frac * model.horizon_T
@@ -407,11 +395,11 @@ def test_terminal_jobs_send_one_state_and_the_others_every_state(name):
     # themselves are compared with the references above.
     if name == "ou":
         from test_sde_sim import _ou_model
-        model, provider = _ou_model(), None
+        model = _ou_model()
     else:
-        model, provider = _CASES[name]
+        model = _CASES[name]
     n_steps, n_paths, chunk = 8, 20, 7
-    calls = _calls(provider, 1.0, None)
+    calls = _calls(1.0, None)
     # every estimator but the classical weight (3) and, without g_prime,
     # the pathwise one (1); then jobs with the classical weight
     picks = [[0, 1, 2, 4] if model.g_prime else [0, 2, 4], [0, 3], [2], [3]]

@@ -14,7 +14,6 @@ from degenbsde import (
     Example1Params,
     OutsideGamma0Error,
     ProblemPoint,
-    ProviderRequiredError,
     TimeGrid,
     ValueProvider,
     bachelier_provider,
@@ -37,29 +36,24 @@ from degenbsde import (
     solve_fd,
 )
 from degenbsde.model import CoefficientModel
+from test_estimator_driver import _x_cost_model
 
 
 def _zero2(t, x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _zero3(t, x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def _const_vol_model(g, g_prime=None, f1=None, f1_is_zero=True,
-                     f1_depends_on_y=False, f1_x=None, f1_y=None,
                      T=1.0) -> CoefficientModel:
     def sigma(t, x):
         return np.ones_like(np.asarray(x, dtype=float))
 
     return CoefficientModel(
         sigma=sigma, sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=f1 if f1 is not None else _zero3,
+        f1=f1 if f1 is not None else _zero2,
         f2=_zero2, f2_x=_zero2, g=g, g_prime=g_prime,
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=T,
-        f1_is_zero=f1_is_zero, f1_depends_on_y=f1_depends_on_y,
-        f1_x=f1_x, f1_y=f1_y,
+        f1_is_zero=f1_is_zero,
     )
 
 
@@ -91,7 +85,7 @@ def test_constant_cost_accumulates_exactly():
     # f = 1, g = 0: the value is the remaining time, no randomness at all
     model = _const_vol_model(
         g=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        f1=lambda t, x, y: np.ones_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         f1_is_zero=False)
     grid = TimeGrid(0.25, 1.0, 30)
     e = estimate_u(model, ProblemPoint(0.25, 0.0), grid, seed=1, n_paths=32)
@@ -256,7 +250,7 @@ def test_weighted_cost_term_keeps_zero_gradient():
     # driver sum must average out to it
     model = _const_vol_model(
         g=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        f1=lambda t, x, y: np.ones_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         f1_is_zero=False)
     grid = TimeGrid(0.0, 1.0, 32)
     e = estimate_ux_weighted(model, ProblemPoint(0.0, 0.0), grid, seed=37,
@@ -272,52 +266,30 @@ def test_all_floored_raises_estimation_error():
                              lambda_floor=1e9)
 
 
-# ---------------------------------------------------------------------------
-# provider dispatch
-# ---------------------------------------------------------------------------
-
-
-def _linear_cost_model() -> CoefficientModel:
-    # f = -y, g = 1: the value is exp(-(T - t)), independent of x
-    def g(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    return _const_vol_model(
-        g=g, g_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        f1=lambda t, x, y: -np.asarray(y, dtype=float)
-        * np.ones_like(np.asarray(x, dtype=float)),
-        f1_is_zero=False, f1_depends_on_y=True,
-        f1_x=_zero3,
-        f1_y=lambda t, x, y: -np.ones_like(np.asarray(x, dtype=float)),
-    )
-
-
-def test_y_dependent_cost_requires_provider():
-    model = _linear_cost_model()
-    point = ProblemPoint(0.0, 0.0)
-    grid = TimeGrid(0.0, 1.0, 8)
-    with pytest.raises(ProviderRequiredError):
-        estimate_u(model, point, grid, seed=0, n_paths=8)
-    with pytest.raises(ProviderRequiredError):
-        estimate_ux_weighted(model, point, grid, seed=0, n_paths=8)
-    with pytest.raises(ProviderRequiredError):
-        estimate_ux_pathwise(model, point, grid, seed=0, n_paths=8)
-    # pathwise also needs the gradient half of the provider
-    with pytest.raises(ProviderRequiredError):
-        estimate_ux_pathwise(model, point, grid, seed=0, n_paths=8,
-                             provider=ValueProvider(u_eval=lambda t, x: 0.0))
-
-
-def test_provider_fed_cost_reproduces_exponential_decay():
-    model = _linear_cost_model()
-    provider = ValueProvider(
-        u_eval=lambda t, x: math.exp(-(1.0 - t))
-        * np.ones_like(np.asarray(x, dtype=float)))
-    grid = TimeGrid(0.0, 1.0, 200)
-    e = estimate_u(model, ProblemPoint(0.0, 0.0), grid, seed=0, n_paths=4,
-                   provider=provider)
-    # integrand is deterministic, only the left-endpoint bias remains
-    assert e.mean == pytest.approx(math.exp(-1.0), abs=3e-3)
+def test_x_dependent_cost_agrees_with_fd():
+    # f1 = 0.1 tanh(x) on a tangent-flow model with a z-cost: Monte Carlo
+    # sums f1 (and f1_x) along the paths, solve_fd adds f1 at each node, and
+    # the two must meet.  The cost moves the FD u by 0.02-0.03 and u_x by
+    # 0.07 here, several times the bound.  The slack is 3 standard errors
+    # plus twice the change of the FD value when its grid is halved.
+    model = _x_cost_model()
+    fine = solve_fd(model, make_grid(model, -5.0, 5.0, 401))
+    coarse = solve_fd(model, make_grid(model, -5.0, 5.0, 201))
+    grid = TimeGrid(0.0, 1.0, 100)
+    for x0 in (0.2, -0.5):
+        point = ProblemPoint(0.0, x0)
+        cases = (
+            (estimate_u(model, point, grid, seed=1, n_paths=20_000),
+             fine.u(0.0, x0), coarse.u(0.0, x0)),
+            (estimate_ux_weighted(model, point, grid, seed=1, n_paths=20_000),
+             fine.ux(0.0, x0), coarse.ux(0.0, x0)),
+            (estimate_ux_pathwise(model, point, grid, seed=1, n_paths=20_000),
+             fine.ux(0.0, x0), coarse.ux(0.0, x0)),
+        )
+        for e, fd, fd_half in cases:
+            assert e.reliable
+            slack = 3.0 * e.stderr + 2.0 * abs(fd - fd_half)
+            assert abs(e.mean - fd) <= slack, (x0, e, fd, fd_half)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_overflow_before_the_freeze_still_poisons_the_weight():
 
     m = CoefficientModel(
         sigma=sigma, sigma_x=zero, b=zero, b_x=zero,
-        f1=lambda t, x, y: zero(t, x), f2=zero, f2_x=zero,
+        f1=lambda t, x: zero(t, x), f2=zero, f2_x=zero,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)),
         lipschitz_K=1e200, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
         f1_is_zero=True, sigma_time_jumps=(0.5,), frozen_after=0.5)

@@ -14,9 +14,8 @@ from degenbsde import (
     example1_sigma0,
     example1_u,
     example1_ux_at_zero,
-    example1_z_exponent,
-    gaussian_abs_moment,
 )
+from degenbsde.oracles import example1_z_exponent, gaussian_abs_moment
 
 
 def test_gaussian_abs_moment_integer_cases():

@@ -26,10 +26,6 @@ def _zero2(t, x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _zero3(t, x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def _transport_model(speed=1.0, T=1.0) -> CoefficientModel:
     def b(t, x):
         return speed * np.ones_like(np.asarray(x, dtype=float))
@@ -39,7 +35,7 @@ def _transport_model(speed=1.0, T=1.0) -> CoefficientModel:
 
     return CoefficientModel(
         sigma=_zero2, sigma_x=_zero2, b=b, b_x=_zero2,
-        f1=_zero3, f2=_zero2, f2_x=_zero2, g=g,
+        f1=_zero2, f2=_zero2, f2_x=_zero2, g=g,
         lipschitz_K=max(abs(speed), 1.0), holder_alpha=1.0, holder_C=1.0,
         horizon_T=T, f1_is_zero=True,
     )
@@ -67,7 +63,7 @@ def test_cfl_limit_includes_drift_term():
     base = builtin_model("tanh_smooth")
     combined = CoefficientModel(
         sigma=base.sigma, sigma_x=_zero2, b=model.b, b_x=_zero2,
-        f1=_zero3, f2=_zero2, f2_x=_zero2, g=base.g,
+        f1=_zero2, f2=_zero2, f2_x=_zero2, g=base.g,
         lipschitz_K=2.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
         f1_is_zero=True,
     )
@@ -283,7 +279,7 @@ def test_running_cost_enters_the_sweep():
     model = CoefficientModel(
         sigma=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=lambda t, x, y: np.ones_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         f2=_zero2, f2_x=_zero2,
         g=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
@@ -293,24 +289,6 @@ def test_running_cost_enters_the_sweep():
     # lookups snap to the nearest stored level, so compare against it
     t_snap = sol.times[np.argmin(np.abs(sol.times - 0.25))]
     assert sol.u(0.25, -0.4) == pytest.approx(1.0 - t_snap, rel=1e-12)
-
-
-def test_value_dependent_cost_gives_exponential_decay():
-    # f = -y, g = 1: u(t, x) = exp(-(T - t)), flat in x; the sweep feeds
-    # the current level into f1 as y
-    model = CoefficientModel(
-        sigma=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-        sigma_x=_zero2, b=_zero2, b_x=_zero2,
-        f1=lambda t, x, y: -np.asarray(y, dtype=float)
-        * np.ones_like(np.asarray(x, dtype=float)),
-        f2=_zero2, f2_x=_zero2,
-        g=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
-        f1_is_zero=False, f1_depends_on_y=True,
-    )
-    sol = solve_fd(model, make_grid(model, -1.0, 1.0, 41))
-    assert abs(sol.u(0.0, 0.0) - math.exp(-1.0)) <= 1e-3
-    assert sol.u(0.0, 0.9) == pytest.approx(sol.u(0.0, 0.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +402,7 @@ def _reference_sweep(model, grid, max_stored_levels=MAX_STORED_LEVELS):
         d1 = np.where(drf > 0.0, fwd, np.where(drf < 0.0, bwd, 0.0))
         rhs = 0.5 * sig * sig * d2 + drf * d1
         if has_cost:
-            rhs = rhs + np.asarray(mt.f1(t_up, xs, u), dtype=float)
+            rhs = rhs + np.asarray(mt.f1(t_up, xs), dtype=float)
         u = u + dt * rhs
         if m in keep_set:
             stored[m] = u.copy()
@@ -437,7 +415,7 @@ def _frozen_with_cost(t_cut):
     # step_vol plus a unit running cost below t = 0.7: the first frozen
     # step leaves every node unchanged, yet the later ones still move, so
     # no level may be copied
-    def f1(t, x, y):
+    def f1(t, x):
         return np.full_like(np.asarray(x, dtype=float),
                             1.0 if t <= 0.7 else 0.0)
 
@@ -461,7 +439,7 @@ def _negative_zero_payoff():
 
     return CoefficientModel(
         sigma=sigma, sigma_x=_zero2, b=b, b_x=_zero2,
-        f1=_zero3, f2=lambda t, x: -np.ones_like(np.asarray(x, dtype=float)),
+        f1=_zero2, f2=lambda t, x: -np.ones_like(np.asarray(x, dtype=float)),
         f2_x=_zero2, g=lambda x: -np.asarray(x, dtype=float) ** 2,
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
         f1_is_zero=True, sigma_time_jumps=(0.4,), frozen_after=0.4,
@@ -495,7 +473,7 @@ def _signed_zero_drift():
 
     return CoefficientModel(
         sigma=sigma, sigma_x=_zero2, b=b, b_x=_zero2,
-        f1=_zero3, f2=f2, f2_x=_zero2, g=g,
+        f1=_zero2, f2=f2, f2_x=_zero2, g=g,
         lipschitz_K=1.5, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
         f1_is_zero=True, psi_K=10.0, name="signed_zero_drift",
     )
@@ -515,7 +493,7 @@ def _scalar_coefficients(t_cut):
 
     return CoefficientModel(
         sigma=sigma, sigma_x=_zero2, b=b, b_x=_zero2,
-        f1=_zero3, f2=f2, f2_x=_zero2,
+        f1=_zero2, f2=f2, f2_x=_zero2,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)),
         lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
         f1_is_zero=True, sigma_time_jumps=(t_cut,), frozen_after=t_cut,

@@ -20,10 +20,10 @@ from degenbsde import (
     path_stream,
     simulate_batch,
     simulate_path,
-    simulate_path_with_increments,
 )
 from degenbsde.sde_sim import (_DRAW_BLOCK, _live_steps, _normal_matrix,
-                               _stream_from_increments)
+                               _stream_from_increments,
+                               simulate_path_with_increments)
 
 
 def _zero2(t, x):
@@ -36,7 +36,7 @@ def _ou_model(rate: float = 1.0, T: float = 1.0) -> CoefficientModel:
         sigma_x=_zero2,
         b=lambda t, x: -rate * np.asarray(x, dtype=float),
         b_x=lambda t, x: np.full_like(np.asarray(x, dtype=float), -rate),
-        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         f2=_zero2,
         f2_x=_zero2,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)),
@@ -225,7 +225,7 @@ def test_correction_accumulator_uses_left_endpoint_occupation():
         sigma_x=lambda t, x: 0.25 * np.cos(np.asarray(x, dtype=float)),
         b=_zero2,
         b_x=_zero2,
-        f1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        f1=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         f2=_zero2,
         f2_x=_zero2,
         g=lambda x: np.tanh(np.asarray(x, dtype=float)),
