@@ -1,12 +1,12 @@
 """Monte Carlo estimators for the value function, its gradient, and the
 martingale integrand.
 
-Every estimator streams paths in fixed-size chunks through the shared
-stepping kernel, with the linear-in-z cost absorbed into the drift; the
-kernel forms that drift from the ``sigma`` values each step has already
-evaluated, so each computed node calls ``sigma`` once.  One driver,
-``_estimate``, does this for all of them.  Each estimator is
-a *reducer*: a generator made per chunk as ``reducer(n)`` that receives
+Every estimator streams paths in chunks of ``CHUNK_SIZE`` (4096) through
+the shared stepping kernel, with the linear-in-z cost absorbed into the
+drift; the kernel forms that drift from the ``sigma`` values each step has
+already evaluated, so each computed node calls ``sigma`` once.  One
+driver, ``_estimate``, does this for all of them.  Each estimator is a
+*reducer*: a generator made per chunk as ``reducer(n)`` that receives
 the chunk's ``PathState`` one node at a time and answers ``(values,
 keep)`` at the end of the stream.  The driver feeds every state of one
 stream to any number of reducers, so a joint call -- several estimates
@@ -22,7 +22,11 @@ building the states in between.  Each estimate equals the one its
 estimator returns alone.
 Per-path results are deterministic functions of ``(seed, path_index)``,
 and the final mean is taken over the full per-path value vector, so the
-returned numbers do not depend on chunking or evaluation order.
+returned numbers do not depend on chunking or evaluation order.  A call
+holds one chunk's draw at a time, ``4096 * n_draw * 8`` bytes for
+``n_draw`` normals per path: 16 MB at 500 steps, 33 MB at 1000.  The
+x-flat coefficients of each start point are evaluated once per call, not
+once per chunk.
 
 Three gradient routes coexist:
 
@@ -58,7 +62,7 @@ from .model import CoefficientModel, ProblemPoint
 from .oracles import Example1Params, bachelier_digital, example1_u
 from .sde_sim import (PathBundle, TimeGrid, _check_compatible, _check_count,
                       _live_steps, _normal_matrix, _stream_from_increments,
-                      path_stream)
+                      _x_flat_coefficients, _x_flat_stream, path_stream)
 from .weights import (default_lambda_floor, degenerate_weight_values,
                       nondegenerate_weight_values)
 
@@ -77,7 +81,7 @@ __all__ = [
     "grid_provider",
 ]
 
-CHUNK_SIZE = 8192
+CHUNK_SIZE = 4096
 UNRELIABLE_FLOOR_FRACTION = 0.05
 
 # ``path_stream`` stays an attribute of this module, where
@@ -199,13 +203,20 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     draw, scaled by its own ``sqrt(dt)``.  A Philox prefix draw is the
     prefix of the full draw, so each job, and each of its reducers, gets
     what a call of its own would: every ``Estimate`` is ``==`` to that of
-    a separate call.  The draw is released before the next chunk's.
+    a separate call.  The draw is released before the next chunk's, so a
+    call holds one draw of ``CHUNK_SIZE * n_draw`` float64s at a time.
+    An x-flat job evaluates its coefficients once, at its start ``x0``
+    (``_x_flat_coefficients``), and every chunk's stream steps with those
+    values.
 
     Errors come in a fixed order.  Building a reducer validates its
     inputs, so reducers built in job-then-reducer order raise their errors
     in that order, before this driver checks ``n_paths`` and each job's
-    grid, and before any path is drawn.  The estimates are then finalized
-    in the same order, and the first ``EstimationError`` wins.
+    grid, and before any path is drawn.  The x-flat jobs' coefficients are
+    evaluated after those checks and before the first draw, so a
+    coefficient that raises there does so before any path is drawn.  The
+    estimates are then finalized in the same order, and the first
+    ``EstimationError`` wins.
     Floating-point warnings are silenced throughout, since non-finite
     samples are excluded and counted instead.
     """
@@ -216,10 +227,13 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     parts = [[[] for _ in reducers] for _, _, reducers in jobs]
     n_excluded = [[0] * len(reducers) for _, _, reducers in jobs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tables = [_x_flat_coefficients(model, point, grid, absorb=True)
+                  if _x_flat_stream(model, grid) else None
+                  for point, grid, _ in jobs]
         for idx in _chunk_indices(n_paths):
             normals = _normal_matrix(seed, idx, n_draw)
-            for (point, grid, reducers), job_parts, job_excluded in zip(
-                    jobs, parts, n_excluded):
+            for (point, grid, reducers), table, job_parts, job_excluded in zip(
+                    jobs, tables, parts, n_excluded):
                 running = [reducer(idx.size) for reducer in reducers]
                 for r in running:
                     next(r)
@@ -228,7 +242,8 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
                 for st in _stream_from_increments(model, point, grid,
                                                   normals, math.sqrt(grid.dt),
                                                   absorb=True,
-                                                  every_state=every_state):
+                                                  every_state=every_state,
+                                                  x_flat_coefficients=table):
                     for r in running:
                         r.send(st)
                 for j, r in enumerate(running):
@@ -341,6 +356,7 @@ def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
         if not degenerate:
             snd = np.zeros(n)
             ming = np.full(n, np.inf)
+            tmp = np.empty(n)
         tacc = 0.0
         last = None
 
@@ -358,8 +374,10 @@ def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
                 driver = driver + np.asarray(
                     model.f1(st.t, st.X), dtype=float) * w_k * dt
             if st.dW is not None and not degenerate:
-                ming = np.minimum(ming, np.abs(st.gamma))
-                snd = snd + (st.gradX / st.gamma) * st.dW
+                np.minimum(ming, np.abs(st.gamma, out=tmp), out=ming)
+                np.divide(st.gradX, st.gamma, out=tmp)
+                np.multiply(tmp, st.dW, out=tmp)
+                np.add(snd, tmp, out=snd)
                 tacc = tacc + dt
             last = st
         w_T, floored = weight(last)

@@ -79,15 +79,17 @@ class CoefficientModel:
       ``sigma_x``, ``b_x`` and ``f2_x`` are identically zero, the tangent
       flow stays 1 and the weight's ``B`` sum stays 0.  The stepping kernel
       then calls neither derivative, skips both updates, and evaluates
-      ``sigma`` and the drift once per step, on one path, for all paths;
-      ``solve_fd`` evaluates them once per level, on one node, for all
-      nodes.  This changes no value, bit for bit, while ``gamma`` and
-      ``Lambda`` are finite: ``sigma`` must be finite and obey
-      ``|sigma| <= lipschitz_K`` (``check_model_invariants`` checks both,
-      and that the sampled values are one per time), and the kernel keeps
-      the full update when ``lipschitz_K**2`` times the simulated span
-      could overflow.  A stale declaration gives every path and node the
-      values at one ``x``.  ``False`` (the default) claims nothing.
+      ``sigma`` and the drift once per step, at the start ``x0``, for all
+      paths: once per stream, or once per estimator job for all of its
+      chunks, not per chunk; ``solve_fd`` evaluates them once per level,
+      on one node, for all nodes.  This changes no value, bit for bit,
+      while ``gamma`` and ``Lambda`` are finite: ``sigma`` must be finite
+      and obey ``|sigma| <= lipschitz_K`` (``check_model_invariants``
+      checks both, and that the sampled values are one per time), and the
+      kernel keeps the full update when ``lipschitz_K**2`` times the
+      simulated span could overflow.  A stale declaration gives every
+      path the values at ``x0``, and every FD node those at one node.
+      ``False`` (the default) claims nothing.
     """
 
     sigma: Coefficient

@@ -49,18 +49,21 @@ zero).  The tangent update then multiplies by ``exp(+0.0) = 1`` and the
 +0.0 while ``gamma`` and ``Lambda`` are finite, and every path has the same
 ``gamma``, drift and ``Lambda``.  Once per stream, when the model's
 declared volatility bound keeps ``Lambda`` finite, the kernel runs its
-x-flat loop: each step calls ``sigma`` and the drift once, on the first
-path's ``x``, and keeps ``gamma``, ``Lambda`` and the drift step as Python
-floats (IEEE doubles, which round as the float64 array ops do); only ``X``
-and ``S1`` are updated per path, in place, through one buffer each and one
-for the increment, and ``S1`` drops its ``* gradX`` factor, since
-``x * 1.0 == x``.  So its states share their ``X``, ``S1`` and ``dW``
-arrays; ``path_stream`` yields copies of them.  It calls neither
-derivative, yields ``gradX`` (ones) and ``B`` (zeros), and yields
-``gamma`` and ``Lambda`` as read-only stride-0 rows.  An overflowing
-``Lambda`` would make the full update's ``B`` NaN (``inf * 0``), so such
-streams run the full update.  A stale declaration gives every path the
-first path's ``gamma`` and drift.
+x-flat loop.  ``sigma`` and the drift are evaluated once per stream, or
+once per estimator job for all of its chunks, at the start ``x0``
+(``_x_flat_coefficients``), not per chunk, and the loop keeps ``gamma``,
+``Lambda`` and the drift step as Python floats (IEEE doubles, which round
+as the float64 array ops do); only ``X`` and ``S1`` are updated per path,
+in place, through one buffer each and one for the increment, and ``S1``
+drops its ``* gradX`` factor, since ``x * 1.0 == x``.  So its states
+share their ``X``, ``S1`` and ``dW`` arrays; ``path_stream`` yields copies
+of them.  It calls neither derivative, yields ``gradX`` (ones) and ``B``
+(zeros), and yields ``gamma`` and ``Lambda`` as read-only stride-0 rows.
+An overflowing ``Lambda`` would make the full update's ``B`` NaN
+(``inf * 0``), so such streams run the full update.  A stale declaration
+gives every path the ``gamma`` and drift at ``x0``, so its results still
+do not depend on chunking, and a path simulated alone still equals its
+batch row.
 """
 
 from __future__ import annotations
@@ -361,10 +364,36 @@ def _full(values, shape: tuple) -> np.ndarray:
     return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
+def _x_flat_coefficients(model: CoefficientModel, point: ProblemPoint,
+                         grid: TimeGrid, absorb: bool) -> tuple:
+    """The values an x-flat stream steps with, evaluated once on a
+    one-element ``x`` holding ``point.x0``: ``sigma`` at every node the
+    stream computes (the live steps, the first frozen step and the
+    terminal node) and the drift at the same steps but the terminal node,
+    ``_absorbed_drift`` with ``absorb``, else ``b``; each as a Python
+    float.  Under a valid ``x_flat`` declaration they equal the values at
+    any other ``x``, bit for bit."""
+    n = grid.n_steps
+    n_live = _live_steps(model, grid)
+    times = grid.times()
+    x0 = np.full(1, point.x0, dtype=float)
+    sigmas, drifts = [], []
+    for k in range(n_live + (n_live < n)):  # and the first frozen step
+        t = float(times[k])
+        sig = model.sigma(t, x0)
+        sigmas.append(_one_value(sig))
+        drifts.append(_one_value(_absorbed_drift(model, t, x0, sig) if absorb
+                                 else model.b(t, x0)))
+    sigmas.append(_one_value(model.sigma(float(times[n]), x0)))
+    return sigmas, drifts
+
+
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, rows: np.ndarray, scale: float,
                             absorb: bool = False,
-                            every_state: bool = True) -> Iterator[PathState]:
+                            every_state: bool = True,
+                            x_flat_coefficients: Optional[tuple] = None
+                            ) -> Iterator[PathState]:
     """Advance a path family driven by the given step-major matrix: row
     ``k`` is step ``k``, one column per path, and step ``k``'s increment is
     ``rows[k] * scale``.
@@ -384,8 +413,11 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     ``sigma_x`` values the step has already evaluated; without it the
     drift is ``model.b``.  Either way each computed node calls ``sigma``
     once, and a step that runs the tangent flow calls ``sigma_x`` once.
-    An x-flat stream (see the module docstring) makes those calls on the
-    first path's ``x`` alone.
+    An x-flat stream (see the module docstring) calls no coefficient: it
+    steps with ``x_flat_coefficients``, the table of
+    ``_x_flat_coefficients`` for the same ``absorb``, which a caller that
+    streams several chunks builds once, and the stream builds on its first
+    advance when it is not given.
 
     Without ``every_state`` the stream computes the same steps but yields
     only its terminal state, node ``n_steps``, whose every field equals
@@ -396,9 +428,14 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     states; its callers silence the warnings of their own advances.
     """
     n_live = _live_steps(model, grid)
-    states = _x_flat_states if _x_flat_stream(model, grid) else _tangent_states
-    yield from states(model, point, grid, rows, scale, n_live, absorb,
-                      every_state)
+    if not _x_flat_stream(model, grid):
+        yield from _tangent_states(model, point, grid, rows, scale, n_live,
+                                   absorb, every_state)
+        return
+    if x_flat_coefficients is None:
+        x_flat_coefficients = _x_flat_coefficients(model, point, grid, absorb)
+    yield from _x_flat_states(point, grid, rows, scale, n_live, every_state,
+                              x_flat_coefficients)
 
 
 def _tangent_states(model: CoefficientModel, point: ProblemPoint,
@@ -449,14 +486,13 @@ def _tangent_states(model: CoefficientModel, point: ProblemPoint,
                     S1, B, None)
 
 
-def _x_flat_states(model: CoefficientModel, point: ProblemPoint,
-                   grid: TimeGrid, rows: np.ndarray, scale: float,
-                   n_live: int, absorb: bool,
-                   every_state: bool) -> Iterator[PathState]:
-    """The x-flat update: ``sigma`` and the drift once per step, on the
-    first path, as Python floats; ``X``, ``S1`` and the increment updated
-    in place in one buffer each; ``gamma`` and ``Lambda`` yielded as
-    read-only stride-0 rows."""
+def _x_flat_states(point: ProblemPoint, grid: TimeGrid, rows: np.ndarray,
+                   scale: float, n_live: int, every_state: bool,
+                   coefficients: tuple) -> Iterator[PathState]:
+    """The x-flat update: ``sigma`` and the drift of each step read from
+    the Python floats of ``coefficients`` (see ``_x_flat_coefficients``);
+    ``X``, ``S1`` and the increment updated in place in one buffer each;
+    ``gamma`` and ``Lambda`` yielded as read-only stride-0 rows."""
     n = grid.n_steps
     dt = grid.dt
     times = grid.times()
@@ -475,6 +511,7 @@ def _x_flat_states(model: CoefficientModel, point: ProblemPoint,
                    writeable=False)
         for v in (gam, lam))
     lam_k = 0.0
+    sigmas, drifts = coefficients
 
     for k in range(n_live + (n_live < n)):  # and the first frozen step
         t = float(times[k])
@@ -482,16 +519,13 @@ def _x_flat_states(model: CoefficientModel, point: ProblemPoint,
             multiply(rows[k], scale, dW)
         else:
             dW.fill(0.0)
-        x1 = X[:1]
-        sig = model.sigma(t, x1)
-        g = gam[k] = _one_value(sig)
+        g = gam[k] = sigmas[k]
         lam[k] = lam_k
         if every_state:
             yield PathState(k, t, X, ones, gamma_rows[k], lambda_rows[k], S1,
                             zeros, dW)
 
-        bv = _one_value(_absorbed_drift(model, t, x1, sig) if absorb
-                        else model.b(t, x1))
+        bv = drifts[k]
         multiply(g, dW, dW)  # the step's g * dW
         add(S1, dW, S1)
         lam_k = lam_k + g * g * dt
@@ -504,11 +538,10 @@ def _x_flat_states(model: CoefficientModel, point: ProblemPoint,
             yield PathState(k, float(times[k]), X, ones, gamma_rows[k],
                             lambda_rows[k], S1, zeros, zeros)
 
-    t = float(times[n])
-    gam[n] = _one_value(model.sigma(t, X[:1]))
+    gam[n] = sigmas[-1]
     lam[n] = lam_k
-    yield PathState(n, t, X, ones, gamma_rows[n], lambda_rows[n], S1, zeros,
-                    None)
+    yield PathState(n, float(times[n]), X, ones, gamma_rows[n],
+                    lambda_rows[n], S1, zeros, None)
 
 
 def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,

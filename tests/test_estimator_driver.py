@@ -176,7 +176,8 @@ def _counting(model, names):
 def test_stream_calls_each_coefficient_once_per_computed_node():
     # example1 freezes at t = 1 of its horizon 2: on 8 steps a stream runs
     # 5 live steps, one frozen step on a zero increment and the terminal
-    # node, 7 computed nodes per chunk; the absorbed drift reuses sigma
+    # node, 7 computed nodes; the absorbed drift reuses sigma, and an
+    # x-flat job evaluates them once for all of its 3 chunks
     model = builtin_model("example1")
     point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 2.0, 8)
     counted, calls = _counting(model, ["sigma", "b"])
@@ -188,7 +189,7 @@ def test_stream_calls_each_coefficient_once_per_computed_node():
     finally:
         est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
     assert got == want
-    assert calls == {"sigma": 3 * 7, "b": 3 * 6}
+    assert calls == {"sigma": 7, "b": 6}
 
 
 @pytest.mark.parametrize("estimator", ["estimate_u", "estimate_ux_weighted"])
@@ -299,6 +300,35 @@ def _count_draws(monkeypatch):
 
     monkeypatch.setattr(est_mod, "_normal_matrix", counting)
     return calls
+
+
+def test_driver_draws_at_most_chunk_size_paths_at_a_time(monkeypatch):
+    # the driver's memory bound: 2 * CHUNK_SIZE + 3 paths make two full
+    # draws and one of 3 columns, each as tall as the steps before
+    # example1's frozen tail (5 of 8 on its horizon 2)
+    draws = _count_draws(monkeypatch)
+    monkeypatch.setattr(est_mod, "CHUNK_SIZE", 5)
+    model = builtin_model("example1")
+    point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 2.0, 8)
+    reducer = est_mod._u_reducer(model, point, grid)
+    est_mod._estimate(model, 7, 2 * 5 + 3, [(point, grid, [reducer])])
+    assert draws == [(5, 5), (5, 5), (3, 5)]
+
+
+def test_x_flat_coefficients_are_evaluated_before_the_first_draw(
+        monkeypatch):
+    # an x-flat job evaluates its coefficients once, before any path is
+    # drawn, so a coefficient that raises leaves no draw behind
+    draws = _count_draws(monkeypatch)
+
+    def sigma(t, x):
+        raise ArithmeticError("sigma")
+
+    model = dataclasses.replace(builtin_model("tanh_smooth"), sigma=sigma)
+    point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 1.0, 8)
+    with pytest.raises(ArithmeticError):
+        est_mod.estimate_u(model, point, grid, 7, 20)
+    assert draws == []
 
 
 _JOB_STARTS = st.lists(st.tuples(st.floats(0.0, 0.98), st.floats(-1.0, 1.0)),

@@ -37,6 +37,7 @@ from degenbsde import (
 )
 from degenbsde.model import CoefficientModel
 from test_estimator_driver import _x_cost_model
+from test_sde_sim import _stale_x_flat_model
 
 
 def _zero2(t, x):
@@ -587,20 +588,23 @@ def test_start_alive_where_it_stands_passes_the_gate_despite_a_later_nan(
 
 
 def test_estimates_do_not_depend_on_chunk_size(monkeypatch):
-    model = builtin_model("bachelier_digital")
-    point = ProblemPoint(0.0, 0.1)
+    # a stale x_flat declaration too: every chunk steps with the values at
+    # the start x0, not at its own first path
     grid = TimeGrid(0.0, 1.0, 16)
 
-    def run():
+    def run(model, point):
         u = estimate_u(model, point, grid, seed=13, n_paths=100)
         w = estimate_ux_weighted(model, point, grid, seed=13, n_paths=100)
         return u, w
 
-    monkeypatch.setattr(est_mod, "CHUNK_SIZE", 7)
-    small = run()
-    monkeypatch.setattr(est_mod, "CHUNK_SIZE", 64)
-    large = run()
-    assert small == large
+    for model, point in [(builtin_model("bachelier_digital"),
+                          ProblemPoint(0.0, 0.1)),
+                         (_stale_x_flat_model(), ProblemPoint(0.0, 0.3))]:
+        monkeypatch.setattr(est_mod, "CHUNK_SIZE", 7)
+        small = run(model, point)
+        monkeypatch.setattr(est_mod, "CHUNK_SIZE", 64)
+        large = run(model, point)
+        assert small == large, model.name
 
 
 def test_bachelier_provider_wraps_closed_form():

@@ -50,6 +50,16 @@ def _ou_model(rate: float = 1.0, T: float = 1.0) -> CoefficientModel:
     )
 
 
+def _stale_x_flat_model() -> CoefficientModel:
+    """``tanh_smooth`` with a volatility that moves with ``x``, still
+    declared ``x_flat``: its streams take ``gamma`` and the drift at the
+    start ``x0``, whatever the chunk or the batch."""
+    return replace(
+        builtin_model("tanh_smooth"),
+        sigma=lambda t, x: 1.0 + 0.25 * np.tanh(np.asarray(x, dtype=float)),
+        lipschitz_K=1.25, name="stale_tanh")
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: PdeGrid(-math.inf, 1.0, 11, 0.0, 1.0, 10), ValueError,
      "x_min must be finite, got -inf"),
@@ -107,7 +117,7 @@ def test_brownian_increments_reproducible_and_scaled():
 
 
 _DRAW_MODELS = dict({name: builtin_model(name) for name in BUILTIN_MODELS},
-                    ou=_ou_model(rate=2.0))
+                    ou=_ou_model(rate=2.0), stale_tanh=_stale_x_flat_model())
 _PATH_FIELDS = ("dW", "X", "gradX", "gamma", "Lambda", "S1", "B", "valid")
 
 
@@ -129,6 +139,7 @@ def _assert_same_path(a, b):
          index=_DRAW_BLOCK - 1, x0=0.0)
 @example(name="example1", seed=2 ** 63, n_paths=_DRAW_BLOCK, n_steps=7,
          index=1, x0=-0.2)
+@example(name="stale_tanh", seed=3, n_paths=40, n_steps=20, index=6, x0=0.3)
 def test_single_path_matches_batch_row_bitwise(name, seed, n_paths, n_steps,
                                                index, x0):
     # one draw behind every entry point: a path alone, its batch row, the
@@ -441,7 +452,7 @@ def test_normal_matrix_is_step_major_per_path_streams(seed, n_paths, first,
 def test_x_flat_stream_evaluates_one_path_and_yields_read_only_rows(absorb):
     # girsanov_const[example1] freezes at t = 1 of its horizon 2: on 8
     # steps a stream computes 5 live steps, one frozen step and the
-    # terminal node, each on the first path's x alone
+    # terminal node, each on one x alone
     model = builtin_model("girsanov_const", base="example1")
     sizes = {"sigma": [], "b": [], "f2": []}
 
