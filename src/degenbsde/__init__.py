@@ -16,7 +16,7 @@ from .estimators import (Estimate, EstimationError, OutsideGamma0Error,
                          ValueProvider, bachelier_provider,
                          empirical_lambda_moment, estimate_u,
                          estimate_ux_pathwise, estimate_ux_weighted,
-                         example1_provider, grid_provider, reconstruct_Z)
+                         example1_provider, reconstruct_Z)
 from .model import (BUILTIN_MODELS, CoefficientModel, ModelInvariantError,
                     ProblemPoint, builtin_model, builtin_model_names,
                     check_model_invariants, transformed_drift)
@@ -71,7 +71,6 @@ __all__ = [
     "example1_u",
     "example1_ux_at_zero",
     "gamma_report",
-    "grid_provider",
     "locate_tau",
     "locate_tau_batch",
     "make_grid",

@@ -34,8 +34,8 @@ import numpy as np
 
 from .degeneracy import (DEFAULT_EPS_SIGMA, check_gamma_equivalence,
                          locate_tau, locate_tau_batch)
-from .estimators import (EstimationError, OutsideGamma0Error, _estimate,
-                         _lambda_moment_reducer, _u_reducer,
+from .estimators import (EstimationError, OutsideGamma0Error, ValueProvider,
+                         _estimate, _lambda_moment_reducer, _u_reducer,
                          _ux_pathwise_reducer, _ux_weighted_reducer, _z_matrix,
                          bachelier_provider, empirical_lambda_moment,
                          estimate_u, estimate_ux_pathwise,
@@ -114,8 +114,10 @@ _COMMON_KEYS = {
     "seed": _Key("int", default=0, least=0, bits=64),
     "output_path": _Key("str", default=None),
     "eps_sigma": _Key("float", default=DEFAULT_EPS_SIGMA, sign="positive"),
-    "lambda_floor": _Key("float", default=None, sign="positive"),
 }
+
+# the weight and Lambda-moment floor, read only where a weight or moment is
+_LAMBDA_FLOOR = _Key("float", default=None, sign="positive")
 
 _EXPERIMENT_KEYS = {
     "blowup-rate": {
@@ -125,6 +127,7 @@ _EXPERIMENT_KEYS = {
         "n_paths": _Key("int", default=100_000),
         "n_steps": _Key("int", default=2000),
         "slope_tol": _Key("float", default=0.05, sign="nonnegative"),
+        "lambda_floor": _LAMBDA_FLOOR,
     },
     "weight-crossval": {
         "t0": _Key("float", default=0.0),
@@ -132,6 +135,7 @@ _EXPERIMENT_KEYS = {
         "n_paths": _Key("int", default=100_000),
         "n_steps": _Key("int", default=500),
         "z_max": _Key("float", default=3.0, sign="nonnegative"),
+        "lambda_floor": _LAMBDA_FLOOR,
     },
     "tau-locate": {
         "t0": _Key("float", default=0.0),
@@ -149,6 +153,7 @@ _EXPERIMENT_KEYS = {
         # n_paths >> 63 is already 0: more doublings add no sample size
         "n_doublings": _Key("int", default=3, bits=6),
         "rel_tol": _Key("float", default=0.05, sign="nonnegative"),
+        "lambda_floor": _LAMBDA_FLOOR,
     },
     "girsanov-equiv": {
         "t0": _Key("float", default=0.0),
@@ -174,6 +179,7 @@ _EXPERIMENT_KEYS = {
                             choices=("degenerate", "nondegenerate")),
         "tol_u": _Key("float", default=1e-2, sign="nonnegative"),
         "tol_ux": _Key("float", default=2e-2, sign="nonnegative"),
+        "lambda_floor": _LAMBDA_FLOOR,
     },
     "z-path": {
         "t0": _Key("float", default=0.0),
@@ -613,7 +619,7 @@ _CLOSED_FORM_MODEL = {"bachelier": "bachelier_digital", "example1": "example1"}
 def _zpath_provider(cfg, model):
     kind = cfg["provider"]
     if kind == "pde":
-        return _solve(cfg, model, cfg["t0"]).provider()
+        return ValueProvider(ux_eval=_solve(cfg, model, cfg["t0"]).ux)
     if cfg["model"] != _CLOSED_FORM_MODEL[kind]:
         raise ConfigError(f"key 'provider': {kind!r} is the closed form of "
                           f"model {_CLOSED_FORM_MODEL[kind]!r}, not "

@@ -39,8 +39,10 @@ Three gradient routes coexist:
   start with ``|sigma| > eps_sigma`` where it stands is in it, and only
   the other starts sweep their drift characteristic to find out);
 * ``reconstruct_Z`` is ``u_x * sigma`` along one path from an external
-  value provider, zero once the path leaves the alive set: the one-row
+  gradient provider, zero once the path leaves the alive set: the one-row
   case of ``_z_matrix``, which calls the provider once per node of a batch.
+  A ``ValueProvider`` holds ``ux_eval`` alone: a closed form, or the
+  ``ux`` lookup of an FD ``PdeSolution``.
 
 Flooring convention: samples whose weight denominator fell below its
 floor are excluded from the average and counted in ``n_floored``
@@ -78,7 +80,6 @@ __all__ = [
     "empirical_lambda_moment",
     "bachelier_provider",
     "example1_provider",
-    "grid_provider",
 ]
 
 CHUNK_SIZE = 4096
@@ -118,14 +119,13 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ValueProvider:
-    """External evaluator of the value function and its gradient.
+    """External evaluator of the value function's gradient ``u_x``.
 
-    Both callables take ``(t, x)`` with scalar ``t`` and scalar-or-array
+    ``ux_eval`` takes ``(t, x)`` with scalar ``t`` and scalar-or-array
     ``x`` and must broadcast over ``x``.
     """
 
-    u_eval: Optional[Callable] = None
-    ux_eval: Optional[Callable] = None
+    ux_eval: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +438,6 @@ def reconstruct_Z(model: CoefficientModel, path: PathBundle,
     ``locate_tau`` has already been run on this path, otherwise it is
     computed here.  Returns an ``(n_nodes, 2)`` array of ``(time, Z)`` rows.
     """
-    if provider.ux_eval is None:
-        raise ValueError("reconstruct_Z needs a provider with ux_eval")
     if tau is None:
         tau = locate_tau(model, path, eps_sigma=eps_sigma)
     times = path.grid.times()
@@ -486,51 +484,6 @@ def empirical_lambda_moment(model: CoefficientModel, point: ProblemPoint,
 
 
 # ---------------------------------------------------------------------------
-# tabulated values
-# ---------------------------------------------------------------------------
-
-
-def _nearest_level(times: np.ndarray, t: float) -> int:
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    i = int(np.searchsorted(times, t))
-    if i <= 0:
-        return 0
-    if i >= times.size:
-        return int(times.size - 1)
-    return i if (times[i] - t) < (t - times[i - 1]) else i - 1
-
-
-def grid_provider(times: np.ndarray, xs: np.ndarray,
-                  U: np.ndarray) -> ValueProvider:
-    """Provider over tabulated values: nearest level in t, linear in x.
-
-    The gradient uses centered differences in x (one-sided at the ends)
-    of the selected level; no averaging across levels is done, so sharp
-    features in time are not smeared.  A level is differentiated the
-    first time ``ux_eval`` selects it, and kept.  A time that is not
-    finite raises ValueError.
-    """
-    times = np.asarray(times, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    U = np.asarray(U, dtype=float)
-    # at most one gradient per stored level
-    gradients: dict = {}
-
-    def u_eval(t, x):
-        return np.interp(x, xs, U[_nearest_level(times, float(t))])
-
-    def ux_eval(t, x):
-        i = _nearest_level(times, float(t))
-        D = gradients.get(i)
-        if D is None:
-            D = gradients[i] = np.gradient(U[i], xs)
-        return np.interp(x, xs, D)
-
-    return ValueProvider(u_eval=u_eval, ux_eval=ux_eval)
-
-
-# ---------------------------------------------------------------------------
 # closed-form providers for the analytically solvable models
 # ---------------------------------------------------------------------------
 
@@ -539,13 +492,10 @@ def bachelier_provider(sigma_bar: float, strike: float = 0.0,
                        T: float = 1.0) -> ValueProvider:
     """Exact provider for the constant-volatility digital."""
 
-    def u_eval(t, x):
-        return bachelier_digital(t, x, sigma_bar, strike, T)[0]
-
     def ux_eval(t, x):
         return bachelier_digital(t, x, sigma_bar, strike, T)[1]
 
-    return ValueProvider(u_eval=u_eval, ux_eval=ux_eval)
+    return ValueProvider(ux_eval=ux_eval)
 
 
 def example1_provider(params: Example1Params) -> ValueProvider:
@@ -556,9 +506,6 @@ def example1_provider(params: Example1Params) -> ValueProvider:
     origin.
     """
 
-    def u_eval(t, x):
-        return example1_u(t, x, params)
-
     def ux_eval(t, x):
         x = np.asarray(x, dtype=float)
         h = 1e-4 * (1.0 + np.abs(x))
@@ -567,4 +514,4 @@ def example1_provider(params: Example1Params) -> ValueProvider:
         out = (up - dn) / (2.0 * h)
         return float(out) if out.ndim == 0 else out
 
-    return ValueProvider(u_eval=u_eval, ux_eval=ux_eval)
+    return ValueProvider(ux_eval=ux_eval)

@@ -40,18 +40,19 @@ at 801 nodes, and at least one level): each level's ``sigma`` and drift
 are written into a row of a block buffer, and the block's maxima and its
 finiteness and x-flat checks are taken once, along its rows; the first
 failing level in time order still raises its own error.
+
+``PdeSolution`` answers its own lookups, ``u`` and ``ux``: nearest stored
+level in time, linear in space, each level's gradient built once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
-from .estimators import ValueProvider, grid_provider
 from .model import CoefficientModel, _absorbed_drift, _one_value
 from .sde_sim import _check_count, _check_ends
 
@@ -327,46 +328,50 @@ def make_grid(model: CoefficientModel, x_min: float, x_max: float, n_x: int,
     return grid(n_t)
 
 
+def _nearest_level(times: np.ndarray, t: float) -> int:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    i = int(np.searchsorted(times, t))
+    if i <= 0:
+        return 0
+    if i >= times.size:
+        return int(times.size - 1)
+    return i if (times[i] - t) < (t - times[i - 1]) else i - 1
+
+
 @dataclass(frozen=True)
 class PdeSolution:
     """Stored backward sweep: value levels on the lattice.
 
     ``times`` holds the subsampled stored levels (first and last always
-    present); lookups snap to the nearest stored level and interpolate
-    linearly in space.
+    present); ``u`` and ``ux`` snap to the nearest stored level (a tie
+    goes to the earlier one; a time that is not finite raises ValueError)
+    and interpolate linearly in space.  ``ux`` reads the centered
+    differences in x (one-sided at the ends) of that level alone, so sharp
+    features in time are not smeared; they are built on first lookup.
     """
 
     grid: PdeGrid
     xs: np.ndarray
     times: np.ndarray
     U: np.ndarray
-
-    @cached_property
-    def _provider(self) -> ValueProvider:
-        return grid_provider(self.times, self.xs, self.U)
-
-    def provider(self) -> ValueProvider:
-        return self._provider
+    # at most one gradient per stored level
+    _gradients: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def u(self, t: float, x):
-        return self._provider.u_eval(t, x)
+        i = _nearest_level(self.times, float(t))
+        return np.interp(x, self.xs, self.U[i])
 
     def ux(self, t: float, x):
-        return self._provider.ux_eval(t, x)
+        i = _nearest_level(self.times, float(t))
+        D = self._gradients.get(i)
+        if D is None:
+            D = self._gradients[i] = np.gradient(self.U[i], self.xs)
+        return np.interp(x, self.xs, D)
 
     def value_range(self):
         return float(np.min(self.U)), float(np.max(self.U))
-
-    def to_csv(self, path) -> None:
-        """Write ``t,x,u,ux`` rows (t outer, x inner), 17 significant digits."""
-        D = np.gradient(self.U, self.xs, axis=1)
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,u,ux\n")
-            for i in range(self.times.size):
-                t = self.times[i]
-                for j in range(self.xs.size):
-                    fh.write(f"{t:.17g},{self.xs[j]:.17g},"
-                             f"{self.U[i, j]:.17g},{D[i, j]:.17g}\n")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -275,6 +275,12 @@ def test_unknown_config_key_is_rejected(tmp_path):
     cfg = {"experiment": "tau-locate", "model": "step_vol", "bogus": 1}
     with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
         run_experiment(cfg, out_dir=tmp_path)
+    # lambda_floor is declared only by the experiments that read it
+    for exp in ("tau-locate", "girsanov-equiv", "z-path"):
+        cfg = {"experiment": exp, "model": "step_vol", "lambda_floor": 1e300}
+        with pytest.raises(ConfigError,
+                           match="unknown config key 'lambda_floor'"):
+            run_experiment(cfg, out_dir=tmp_path)
 
 
 def test_unknown_experiment_and_model_are_rejected(tmp_path):

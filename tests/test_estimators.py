@@ -13,6 +13,8 @@ from degenbsde import (
     EstimationError,
     Example1Params,
     OutsideGamma0Error,
+    PdeGrid,
+    PdeSolution,
     ProblemPoint,
     TimeGrid,
     ValueProvider,
@@ -23,10 +25,8 @@ from degenbsde import (
     estimate_ux_pathwise,
     estimate_ux_weighted,
     example1_provider,
-    example1_u,
     example1_ux_at_zero,
     gamma_report,
-    grid_provider,
     locate_tau,
     locate_tau_batch,
     make_grid,
@@ -298,18 +298,26 @@ def test_x_dependent_cost_agrees_with_fd():
 # ---------------------------------------------------------------------------
 
 
+def _solution(times, xs, U, n_t):
+    """A PdeSolution storing ``U`` at ``times``, levels of an ``n_t``-step
+    grid over ``xs``."""
+    grid = PdeGrid(x_min=float(xs[0]), x_max=float(xs[-1]), n_x=xs.size,
+                   t_min=float(times[0]), t_max=float(times[-1]), n_t=n_t)
+    return PdeSolution(grid=grid, xs=xs, times=times, U=U)
+
+
 def test_grid_provider_interpolates_and_differentiates():
     times = np.array([0.0, 0.5, 1.0])
     xs = np.linspace(-1.0, 1.0, 21)
     U = np.stack([xs ** 2, 2.0 * xs ** 2, 3.0 * xs ** 2])
-    prov = grid_provider(times, xs, U)
+    sol = _solution(times, xs, U, 2)
     # t = 0.49 snaps to the 0.5 level; the chord of 2 x**2 between the
     # nodes 0.3 and 0.4 passes through exactly 0.25 at the midpoint
-    assert prov.u_eval(0.49, 0.35) == pytest.approx(0.25, rel=1e-12)
+    assert sol.u(0.49, 0.35) == pytest.approx(0.25, rel=1e-12)
     # centered differences are exact on quadratics at interior nodes
-    assert prov.ux_eval(0.0, 0.5) == pytest.approx(1.0, rel=1e-12)
+    assert sol.ux(0.0, 0.5) == pytest.approx(1.0, rel=1e-12)
     # below the time midpoint the first level is selected
-    assert prov.u_eval(0.2, 0.3) == pytest.approx(0.09, rel=1e-12)
+    assert sol.u(0.2, 0.3) == pytest.approx(0.09, rel=1e-12)
 
 
 def _levels_and_probes():
@@ -328,13 +336,13 @@ def test_grid_provider_gradient_has_the_bits_of_the_full_gradient():
     rng = np.random.default_rng(5)
     U = np.cumsum(rng.standard_normal((times.size, xs.size)), axis=1)
     D = np.gradient(U, xs, axis=1)
-    prov = grid_provider(times, xs, U)
+    sol = _solution(times, xs, U, 6)
     x = np.concatenate([xs, rng.uniform(-1.5, 2.3, 50)])
     for _ in range(2):  # the second pass reads the kept gradients
         for t, i in probes:
-            assert prov.ux_eval(t, x).tobytes() == np.interp(
+            assert sol.ux(t, x).tobytes() == np.interp(
                 x, xs, D[i]).tobytes()
-            assert prov.u_eval(t, x).tobytes() == np.interp(
+            assert sol.u(t, x).tobytes() == np.interp(
                 x, xs, U[i]).tobytes()
 
 
@@ -352,8 +360,8 @@ def test_grid_provider_rejects_a_time_that_is_not_finite(t):
     # a NaN time used to select the terminal level
     times, _ = _levels_and_probes()
     xs = np.linspace(-1.0, 1.0, 5)
-    prov = grid_provider(times, xs, np.ones((times.size, xs.size)))
-    for lookup in (prov.u_eval, prov.ux_eval):
+    sol = _solution(times, xs, np.ones((times.size, xs.size)), 6)
+    for lookup in (sol.u, sol.ux):
         with pytest.raises(ValueError, match="t must be finite"):
             lookup(t, 0.0)
 
@@ -404,11 +412,9 @@ def test_reconstruct_Z_accepts_precomputed_tau():
 
 
 def test_reconstruct_Z_needs_gradient_provider():
-    model = builtin_model("bachelier_digital")
-    path = simulate_path(model, ProblemPoint(0.0, 0.0), TimeGrid(0.0, 1.0, 4),
-                         seed=0)
-    with pytest.raises(ValueError):
-        reconstruct_Z(model, path, ValueProvider(u_eval=lambda t, x: 0.0))
+    # a provider is its gradient: one without ux_eval cannot be built
+    with pytest.raises(TypeError):
+        ValueProvider()
 
 
 def _never_called(t, x):
@@ -417,7 +423,8 @@ def _never_called(t, x):
 
 def _z_setups():
     step_vol = builtin_model("step_vol")
-    fd = solve_fd(step_vol, make_grid(step_vol, -4.0, 4.0, 81)).provider()
+    fd = ValueProvider(ux_eval=solve_fd(
+        step_vol, make_grid(step_vol, -4.0, 4.0, 81)).ux)
     return {
         # tau = t_cut < T: the FD gradient before the cut, zero after it
         "step_vol/pde": (step_vol, fd),
@@ -609,18 +616,14 @@ def test_estimates_do_not_depend_on_chunk_size(monkeypatch):
 
 def test_bachelier_provider_wraps_closed_form():
     prov = bachelier_provider(2.0, strike=0.1, T=1.0)
-    u = prov.u_eval(0.75, 0.3)
     ux = prov.ux_eval(0.75, 0.3)
     s = 2.0 * math.sqrt(0.25)
-    assert u == pytest.approx(float(stats.norm.cdf(0.2 / s)), rel=1e-13)
     assert ux == pytest.approx(float(stats.norm.pdf(0.2 / s)) / s, rel=1e-13)
 
 
 def test_example1_provider_gradient_consistency():
     params = Example1Params(alpha=0.8, beta=0.5)
     prov = example1_provider(params)
-    assert prov.u_eval(0.3, 0.7) == pytest.approx(
-        example1_u(0.3, 0.7, params), rel=1e-14)
     # central difference of the closed form against the exact origin slope
     assert prov.ux_eval(0.3, 0.0) == pytest.approx(
         example1_ux_at_zero(0.3, params), rel=1e-6)

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module; importing
-the package loads no SciPy, and small runs of every experiment that call no
+"""Every name a package module imports is used in that module; the FD
+solver imports nothing from the Monte Carlo estimators; importing the
+package loads no SciPy, and small runs of every experiment that call no
 closed-form oracle load no module while they run."""
 
 import ast
@@ -31,6 +32,21 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def test_pde_fd_imports_nothing_from_estimators():
+    # the FD solver answers its own lookups; it sits below the Monte Carlo
+    # layer and must not import it
+    tree = ast.parse((_SRC / "pde_fd.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("estimators" in n.split(".") for n in names), \
+            ast.unparse(node)
 
 
 def fresh_python(script, *args):

@@ -329,23 +329,6 @@ def test_default_storage_cap_holds_for_fine_sweeps():
     assert sol.times.size <= MAX_STORED_LEVELS + 1
 
 
-def test_csv_export_round_trips(tmp_path):
-    model = builtin_model("bachelier_digital")
-    grid = make_grid(model, -1.0, 1.0, 21)
-    sol = solve_fd(model, grid, max_stored_levels=4)
-    out = tmp_path / "sol.csv"
-    sol.to_csv(out)
-    text = out.read_text()
-    assert text.splitlines()[0] == "t,x,u,ux"
-    assert text.endswith("\n") and "\r" not in text
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert data.shape == (sol.times.size * sol.xs.size, 4)
-    back = data[:, 2].reshape(sol.times.size, sol.xs.size)
-    np.testing.assert_array_equal(back, sol.U)
-    sol.to_csv(tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         PdeGrid(1.0, -1.0, 11, 0.0, 1.0, 10)
