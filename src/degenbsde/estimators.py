@@ -1,9 +1,14 @@
 """Monte Carlo estimators for the value function, its gradient, and the
 martingale integrand.
 
-Every estimator streams paths in chunks of ``CHUNK_SIZE`` (4096) through
-the shared stepping kernel, with the linear-in-z cost absorbed into the
-drift; the kernel forms that drift from the ``sigma`` values each step has
+Every estimator simulates paths in chunks of ``CHUNK_SIZE`` (4096), with
+the linear-in-z cost absorbed into the drift.  On a model that declares
+``x_flat`` and has no running cost -- every built-in model -- the
+terminal state is Gaussian, and each chunk draws it from the exact law of
+the discretized scheme, two standard normals per path
+(``sde_sim._x_flat_terminal_law``); that changes the random stream, not
+the law of any estimate.  Every other model streams the shared stepping
+kernel, which forms the drift from the ``sigma`` values each step has
 already evaluated, so each computed node calls ``sigma`` once.  One
 driver, ``_estimate``, does this for all of them.  Each estimator is a
 *reducer*: a generator made per chunk as ``reducer(n)`` that receives
@@ -14,19 +19,19 @@ at one point, as the ``weight-crossval`` experiment makes -- simulates
 its paths once.  It also serves several start points in one call, as
 ``blowup-rate``, ``girsanov-equiv`` and ``pde-vs-mc`` make: per chunk it
 draws the standard normals once, for every start point, step-major, and
-each point's stream scales its own contiguous row of that draw at each
-step.  A job whose reducers all read only the terminal state -- ``u``,
-the pathwise gradient and the degenerate weight without a running cost,
-and the ``Lambda`` moments -- streams that state alone, and skips
-building the states in between.  Each estimate equals the one its
-estimator returns alone.
+each point reads its own rows of that draw.  A kernel job whose
+reducers all read only the terminal state -- ``u``, the pathwise
+gradient and the degenerate weight without a running cost, and the
+``Lambda`` moments -- streams that state alone, and skips building the
+states in between.  Each estimate equals the one its estimator returns
+alone.
 Per-path results are deterministic functions of ``(seed, path_index)``,
 and the final mean is taken over the full per-path value vector, so the
 returned numbers do not depend on chunking or evaluation order.  A call
 holds one chunk's draw at a time, ``4096 * n_draw * 8`` bytes for
-``n_draw`` normals per path: 16 MB at 500 steps, 33 MB at 1000.  The
-x-flat coefficients of each start point are evaluated once per call, not
-once per chunk.
+``n_draw`` normals per path: 64 KB for the terminal law, and on the
+kernel 16 MB at 500 steps, 33 MB at 1000.  The x-flat coefficients of
+each start point are evaluated once per call, not once per chunk.
 
 Three gradient routes coexist:
 
@@ -52,6 +57,7 @@ more than 5% such paths is flagged unreliable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -62,9 +68,11 @@ from .degeneracy import (DEFAULT_EPS_SIGMA, _abs_sigma_at,
                          _check_classifiable, gamma_report, locate_tau)
 from .model import CoefficientModel, ProblemPoint
 from .oracles import Example1Params, bachelier_digital, example1_u
-from .sde_sim import (PathBundle, TimeGrid, _check_compatible, _check_count,
-                      _live_steps, _normal_matrix, _stream_from_increments,
-                      _x_flat_coefficients, _x_flat_stream, path_stream)
+from .sde_sim import (_TERMINAL_LAW_ROWS, PathBundle, TimeGrid,
+                      _check_compatible, _check_count, _live_steps,
+                      _normal_matrix, _stream_from_increments,
+                      _x_flat_coefficients, _x_flat_stream,
+                      _x_flat_terminal_law, path_stream)
 from .weights import (default_lambda_floor, degenerate_weight_values,
                       nondegenerate_weight_values)
 
@@ -174,6 +182,33 @@ def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
         )
 
 
+def _terminal_law_job(model: CoefficientModel, grid: TimeGrid) -> bool:
+    """Whether a job draws its terminal state from the exact law
+    (``_x_flat_terminal_law``) instead of streaming the kernel: its stream
+    is x-flat and the model has no running cost, so no reducer reads a
+    state before the terminal node."""
+    return model.f1_is_zero and _x_flat_stream(model, grid)
+
+
+def _job_states(model: CoefficientModel, point: ProblemPoint,
+                grid: TimeGrid, reducers: list) -> Callable:
+    """The states one job sends its reducers, as a function of the chunk's
+    step-major draw: the terminal law's one state, or the job's
+    absorbed-drift kernel stream.  An x-flat job's coefficients are
+    evaluated here, once for all of its chunks."""
+    table = (_x_flat_coefficients(model, point, grid, absorb=True)
+             if _x_flat_stream(model, grid) else None)
+    if _terminal_law_job(model, grid):
+        law = _x_flat_terminal_law(point, grid, table)
+        return lambda rows: (law(rows),)
+    every_state = not all(getattr(r, "terminal_only", False)
+                          for r in reducers)
+    return functools.partial(_stream_from_increments, model, point, grid,
+                             scale=math.sqrt(grid.dt), absorb=True,
+                             every_state=every_state,
+                             x_flat_coefficients=table)
+
+
 def _estimate(model: CoefficientModel, seed: int, n_paths: int,
               jobs: list) -> list:
     """The one simulation-to-estimate loop, for several start points.
@@ -182,32 +217,37 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     list of ``Estimate``s per job, one per reducer.  A reducer is a
     generator function; the driver makes one generator per chunk as
     ``reducer(n)`` for the chunk's ``n`` paths, primes it with ``next``,
-    sends it every ``PathState`` of its job's absorbed-drift stream
-    (``_stream_from_increments`` with ``absorb=True``), then
-    sends ``None`` and receives ``(values, keep)``.  Paths outside
-    ``keep`` or with a non-finite value are excluded and counted in
-    ``n_floored``.  Each estimator's ``_<name>_reducer`` builder takes that
-    estimator's arguments except ``seed`` and ``n_paths``.
+    sends it the states of its job (``_job_states``), then sends ``None``
+    and receives ``(values, keep)``.  Paths outside ``keep`` or with a
+    non-finite value are excluded and counted in ``n_floored``.  Each
+    estimator's ``_<name>_reducer`` builder takes that estimator's
+    arguments except ``seed`` and ``n_paths``.
 
-    A reducer whose ``terminal_only`` attribute is true reads only the
-    terminal state.  A job whose reducers all do is a terminal job: its
-    stream computes every step but yields the terminal state alone, so
-    each of its reducers is sent one state per chunk, node ``n_steps``,
-    equal to the last state of a full stream.  Every other job's reducers
-    are sent every state.  A state is read when it is sent: the next
-    advance of an x-flat stream overwrites its arrays.
+    A job whose stream is x-flat on a model without a running cost draws
+    its terminal state from the exact law of the discretized scheme
+    (``_x_flat_terminal_law``): each of its reducers is sent one state per
+    chunk, node ``n_steps``, built from the first two normals of each
+    path, and that state also carries the classical weight's sums.  Every
+    other job streams the absorbed-drift kernel (``_stream_from_increments``
+    with ``absorb=True``).  A reducer whose ``terminal_only`` attribute is
+    true reads only the terminal state; a kernel job whose reducers all
+    do is a terminal job, whose stream yields node ``n_steps`` alone,
+    equal to the last state of a full stream.  Every other kernel job's
+    reducers are sent every state.  A state is read when it is sent: the
+    next advance of an x-flat stream overwrites its arrays.
 
     Per chunk, the standard normals are drawn once, as many per path as
-    the job with the most steps before a frozen tail reads, and every
-    job's stream takes its steps from the first rows of that step-major
-    draw, scaled by its own ``sqrt(dt)``.  A Philox prefix draw is the
+    the job that reads the most rows needs: two for a terminal-law job,
+    the steps before a frozen tail for a kernel job.  Every job takes its
+    rows from the start of that step-major draw, and a kernel stream
+    scales them by its own ``sqrt(dt)``.  A Philox prefix draw is the
     prefix of the full draw, so each job, and each of its reducers, gets
     what a call of its own would: every ``Estimate`` is ``==`` to that of
     a separate call.  The draw is released before the next chunk's, so a
     call holds one draw of ``CHUNK_SIZE * n_draw`` float64s at a time.
     An x-flat job evaluates its coefficients once, at its start ``x0``
-    (``_x_flat_coefficients``), and every chunk's stream steps with those
-    values.
+    (``_x_flat_coefficients``), and every chunk's state is formed from
+    those values.
 
     Errors come in a fixed order.  Building a reducer validates its
     inputs, so reducers built in job-then-reducer order raise their errors
@@ -223,27 +263,21 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     n_paths = _check_count(n_paths, "n_paths")
     for point, grid, _ in jobs:
         _check_compatible(model, point, grid)
-    n_draw = max(_live_steps(model, grid) for _, grid, _ in jobs)
+    n_draw = max(_TERMINAL_LAW_ROWS if _terminal_law_job(model, grid)
+                 else _live_steps(model, grid) for _, grid, _ in jobs)
     parts = [[[] for _ in reducers] for _, _, reducers in jobs]
     n_excluded = [[0] * len(reducers) for _, _, reducers in jobs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tables = [_x_flat_coefficients(model, point, grid, absorb=True)
-                  if _x_flat_stream(model, grid) else None
-                  for point, grid, _ in jobs]
+        sources = [_job_states(model, point, grid, reducers)
+                   for point, grid, reducers in jobs]
         for idx in _chunk_indices(n_paths):
             normals = _normal_matrix(seed, idx, n_draw)
-            for (point, grid, reducers), table, job_parts, job_excluded in zip(
-                    jobs, tables, parts, n_excluded):
+            for (_, _, reducers), states, job_parts, job_excluded in zip(
+                    jobs, sources, parts, n_excluded):
                 running = [reducer(idx.size) for reducer in reducers]
                 for r in running:
                     next(r)
-                every_state = not all(getattr(r, "terminal_only", False)
-                                      for r in reducers)
-                for st in _stream_from_increments(model, point, grid,
-                                                  normals, math.sqrt(grid.dt),
-                                                  absorb=True,
-                                                  every_state=every_state,
-                                                  x_flat_coefficients=table):
+                for st in states(normals):
                     for r in running:
                         r.send(st)
                 for j, r in enumerate(running):
@@ -380,11 +414,13 @@ def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
                 np.add(snd, tmp, out=snd)
                 tacc = tacc + dt
             last = st
+        if not degenerate and last.snd is not None:  # the terminal law's
+            snd, tacc, ming = last.snd, last.elapsed, last.min_abs_gamma
         w_T, floored = weight(last)
         vals = np.asarray(model.g(last.X), dtype=float) * w_T + driver
         yield vals, ~floored
 
-    # the classical weight reads gamma and dW at every step
+    # on the kernel, the classical weight reads gamma and dW at every step
     reducer.terminal_only = degenerate and not need_driver
     return reducer
 

@@ -82,14 +82,20 @@ class CoefficientModel:
       ``sigma`` and the drift once per step, at the start ``x0``, for all
       paths: once per stream, or once per estimator job for all of its
       chunks, not per chunk; ``solve_fd`` evaluates them once per level,
-      on one node, for all nodes.  This changes no value, bit for bit,
-      while ``gamma`` and ``Lambda`` are finite: ``sigma`` must be finite
-      and obey ``|sigma| <= lipschitz_K`` (``check_model_invariants``
-      checks both, and that the sampled values are one per time), and the
-      kernel keeps the full update when ``lipschitz_K**2`` times the
-      simulated span could overflow.  A stale declaration gives every
-      path the values at ``x0``, and every FD node those at one node.
-      ``False`` (the default) claims nothing.
+      on one node, for all nodes.  This changes no stream, simulation,
+      FD value or estimate with a running cost, bit for bit, while
+      ``gamma`` and ``Lambda`` are finite: ``sigma`` must be finite and
+      obey ``|sigma| <= lipschitz_K`` (``check_model_invariants`` checks
+      both, and that the sampled values are one per time), and the kernel
+      keeps the full update when ``lipschitz_K**2`` times the simulated
+      span could overflow.  A cost-free estimate (``f1_is_zero``) of such
+      a model changes its random stream: it draws the terminal state
+      from the exact law of the discretized scheme, two normals per path
+      (``sde_sim._x_flat_terminal_law``), so it equals the undeclared
+      model's estimate in law, not bit for bit; its ``Lambda_T``, and so
+      the ``Lambda`` moments, stay bitwise.  A stale declaration gives
+      every path the values at ``x0``, and every FD node those at one
+      node.  ``False`` (the default) claims nothing.
     """
 
     sigma: Coefficient

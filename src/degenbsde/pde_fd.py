@@ -339,7 +339,7 @@ def _nearest_level(times: np.ndarray, t: float) -> int:
     return i if (times[i] - t) < (t - times[i - 1]) else i - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PdeSolution:
     """Stored backward sweep: value levels on the lattice.
 
@@ -349,6 +349,7 @@ class PdeSolution:
     and interpolate linearly in space.  ``ux`` reads the centered
     differences in x (one-sided at the ends) of that level alone, so sharp
     features in time are not smeared; they are built on first lookup.
+    A solution compares and hashes by identity: its fields are arrays.
     """
 
     grid: PdeGrid
@@ -356,8 +357,7 @@ class PdeSolution:
     times: np.ndarray
     U: np.ndarray
     # at most one gradient per stored level
-    _gradients: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    _gradients: dict = field(default_factory=dict, init=False, repr=False)
 
     def u(self, t: float, x):
         i = _nearest_level(self.times, float(t))

@@ -22,9 +22,10 @@ Step ``k`` of a path takes the ``k``-th standard normal of its stream
 times ``sqrt(dt)``.  ``_normal_matrix`` draws those normals for every
 entry point, step-major, ``(n_steps, n_paths)``: step ``k``'s normals are
 one contiguous row.  The estimators draw once per chunk of paths, as many
-normals per path as the longest of their streams reads, and each stream
-scales its own row at each step; the materialized simulations scale the
-whole draw once, which gives the same bits.
+normals per path as the longest of their streams reads (two for the
+terminal law below), and each stream scales its own row at each step; the
+materialized simulations scale the whole draw once, which gives the same
+bits.
 
 Coefficients: the estimators simulate the model with the linear-in-z cost
 absorbed into the drift (``transformed_drift``).  Their streams form
@@ -39,8 +40,8 @@ drawn (a Philox prefix draw equals the prefix of the full draw).  A
 stream of every state still yields the remaining nodes, with the frozen
 state, zero ``gamma`` and zero ``dW``.  A terminal stream, which the
 estimators ask for when every reducer of a job reads only the terminal
-state, computes the same steps but builds no state before the terminal
-node, so its frozen tail costs nothing.
+state, computes the same steps but yields the terminal node alone; the
+full update builds no state before it, so its frozen tail costs nothing.
 
 x-flat: a model that declares ``x_flat`` has ``sigma``, ``b`` and ``f2``
 independent of ``x`` (so ``sigma_x``, ``b_x`` and ``f2_x`` are identically
@@ -64,14 +65,25 @@ An overflowing ``Lambda`` would make the full update's ``B`` NaN
 gives every path the ``gamma`` and drift at ``x0``, so its results still
 do not depend on chunking, and a path simulated alone still equals its
 batch row.
+
+Terminal law: on an x-flat model ``S1_T`` is a fixed linear combination
+of the increments, so the terminal state is Gaussian, with the
+deterministic ``Lambda_T`` and drift sum the x-flat loop forms.
+``_x_flat_terminal_law`` draws it exactly, together with the classical
+weight's ``sum dW / gamma``, from the first two normals of each path's
+stream, and costs the same at any step count.  The estimators use it for
+every cost-free x-flat job; it changes their random stream but not the
+law of any estimate, and its ``Lambda_T`` is the kernel's, bit for bit.
+Every state of a stream and every simulation still comes from the kernel.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -160,6 +172,14 @@ class PathState(NamedTuple):
     x-flat stream then updates ``X``, ``S1`` and ``dW`` in place, so a
     consumer reads each state before asking for the next.  The states of
     ``path_stream`` are snapshots that stay valid.
+
+    The last three fields are set only by the terminal law
+    (``_x_flat_terminal_law``), which yields node ``n_steps`` alone and
+    so cannot let a consumer accumulate the classical weight's sums:
+    ``snd`` is ``sum_{j<n} (gradX_j / gamma_j) * dW_j``, ``elapsed`` the
+    ``n`` additions of ``dt``, and ``min_abs_gamma`` the smallest
+    ``|gamma_j|`` over ``j < n``, as a read-only stride-0 row.  Kernel
+    states leave them ``None``.
     """
 
     k: int
@@ -171,6 +191,9 @@ class PathState(NamedTuple):
     S1: np.ndarray
     B: np.ndarray
     dW: Optional[np.ndarray]
+    snd: Optional[np.ndarray] = None
+    elapsed: Optional[float] = None
+    min_abs_gamma: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -421,8 +444,10 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
 
     Without ``every_state`` the stream computes the same steps but yields
     only its terminal state, node ``n_steps``, whose every field equals
-    the last state of a full stream.  A yielded state is valid until the
-    stream is advanced (see ``PathState``).
+    the last state of a full stream: the tangent update builds no state
+    before it, and an x-flat stream keeps only the last state it builds.
+    A yielded state is valid until the stream is advanced (see
+    ``PathState``).
 
     It sets no floating-point error state, so none leaks between two
     states; its callers silence the warnings of their own advances.
@@ -434,8 +459,9 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
         return
     if x_flat_coefficients is None:
         x_flat_coefficients = _x_flat_coefficients(model, point, grid, absorb)
-    yield from _x_flat_states(point, grid, rows, scale, n_live, every_state,
-                              x_flat_coefficients)
+    states = _x_flat_states(point, grid, rows, scale, n_live,
+                            x_flat_coefficients)
+    yield from states if every_state else deque(states, maxlen=1)
 
 
 def _tangent_states(model: CoefficientModel, point: ProblemPoint,
@@ -487,7 +513,7 @@ def _tangent_states(model: CoefficientModel, point: ProblemPoint,
 
 
 def _x_flat_states(point: ProblemPoint, grid: TimeGrid, rows: np.ndarray,
-                   scale: float, n_live: int, every_state: bool,
+                   scale: float, n_live: int,
                    coefficients: tuple) -> Iterator[PathState]:
     """The x-flat update: ``sigma`` and the drift of each step read from
     the Python floats of ``coefficients`` (see ``_x_flat_coefficients``);
@@ -521,9 +547,8 @@ def _x_flat_states(point: ProblemPoint, grid: TimeGrid, rows: np.ndarray,
             dW.fill(0.0)
         g = gam[k] = sigmas[k]
         lam[k] = lam_k
-        if every_state:
-            yield PathState(k, t, X, ones, gamma_rows[k], lambda_rows[k], S1,
-                            zeros, dW)
+        yield PathState(k, t, X, ones, gamma_rows[k], lambda_rows[k], S1,
+                        zeros, dW)
 
         bv = drifts[k]
         multiply(g, dW, dW)  # the step's g * dW
@@ -532,16 +557,81 @@ def _x_flat_states(point: ProblemPoint, grid: TimeGrid, rows: np.ndarray,
         add(X, bv * dt, X)
         add(X, dW, X)
 
-    if every_state:
-        for k in range(n_live + 1, n):  # the rest of a frozen tail; gam[k] = 0
-            lam[k] = lam_k
-            yield PathState(k, float(times[k]), X, ones, gamma_rows[k],
-                            lambda_rows[k], S1, zeros, zeros)
+    for k in range(n_live + 1, n):  # the rest of a frozen tail; gam[k] = 0
+        lam[k] = lam_k
+        yield PathState(k, float(times[k]), X, ones, gamma_rows[k],
+                        lambda_rows[k], S1, zeros, zeros)
 
     gam[n] = sigmas[-1]
     lam[n] = lam_k
     yield PathState(n, float(times[n]), X, ones, gamma_rows[n],
                     lambda_rows[n], S1, zeros, None)
+
+
+# The standard normals per path that the terminal law reads: rows 0 and 1
+# of a step-major draw.
+_TERMINAL_LAW_ROWS = 2
+
+
+def _x_flat_terminal_law(point: ProblemPoint, grid: TimeGrid,
+                         coefficients: tuple
+                         ) -> Callable[[np.ndarray], PathState]:
+    """The exact law of an x-flat stream's terminal state.
+
+    Under ``x_flat`` every step adds the same drift and the same multiple
+    of its increment to every path, so ``S1_T = sum_k gamma_k * dW_k`` is
+    Gaussian with variance ``Lambda_T`` and ``X_T = x0 + D + S1_T`` with
+    ``D = sum_k drift_k * dt``.  The classical weight's
+    ``snd_T = sum_k dW_k / gamma_k`` is jointly Gaussian with it: their
+    covariance is ``elapsed``, and given ``S1_T`` it is
+    ``c * S1_T`` with ``c = elapsed / Lambda_T`` plus an independent
+    residual of variance ``r = sum_k dt * (1/gamma_k - c * gamma_k)**2``.
+    So two standard normals per path, ``Z1`` and ``Z2``, give the law of
+    the discretized scheme exactly:
+    ``S1_T = sqrt(Lambda_T) * Z1`` and ``snd_T = c * S1_T + sqrt(r) * Z2``.
+
+    ``Lambda_T`` and ``D`` sum the steps the kernel computes, in its order
+    (the live steps and the first frozen step), from ``coefficients``, the
+    table of ``_x_flat_coefficients``, so ``Lambda_T`` is the kernel's bit
+    for bit.  ``r`` is a sum of nonnegative terms, exactly zero when
+    ``1/gamma_k == c * gamma_k`` (at a constant power-of-two volatility,
+    say), and then ``snd_T`` is ``c * S1_T``.  In a frozen tail past its
+    first step ``gamma`` is zero, so ``min_abs_gamma`` is 0.
+
+    Returns ``state(rows)``: node ``n_steps``'s ``PathState`` for the paths
+    of a step-major draw, read from its rows 0 and 1 alone.  ``gradX`` is
+    1 and ``B`` is +0.0, and the constant fields are read-only stride-0
+    rows.  The constants are formed once, here, for all the chunks of a
+    job.
+    """
+    n = grid.n_steps
+    dt = grid.dt
+    sigmas, drifts = coefficients
+    lam = drift = 0.0
+    for g, bv in zip(sigmas, drifts):  # the computed steps
+        lam = lam + g * g * dt
+        drift = drift + bv * dt
+    elapsed = 0.0
+    for _ in range(n):
+        elapsed = elapsed + dt
+    gam = np.zeros(n)  # gamma at every step; zero past the first frozen one
+    gam[:len(drifts)] = sigmas[:len(drifts)]
+    c = np.divide(elapsed, lam)
+    sqrt_r = np.sqrt(np.sum(dt * (1.0 / gam - c * gam) ** 2))
+    sqrt_lam = np.sqrt(lam)
+    start = point.x0 + drift
+    constants = (1.0, sigmas[-1], lam, 0.0, np.min(np.abs(gam)))
+
+    def state(rows: np.ndarray) -> PathState:
+        shape = (rows.shape[1],)
+        ones, gamma, Lambda, zeros, min_abs = (
+            np.broadcast_to(np.float64(v), shape) for v in constants)
+        S1 = rows[0] * sqrt_lam
+        snd = c * S1 + sqrt_r * rows[1]
+        return PathState(n, grid.T, start + S1, ones, gamma, Lambda, S1,
+                         zeros, None, snd, elapsed, min_abs)
+
+    return state
 
 
 def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,

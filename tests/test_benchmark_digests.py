@@ -25,10 +25,10 @@ _WORKLOADS = {
 }
 
 _CSV_SHA256 = {
-    "blowup": {"blowup-rate.csv": "73c6f1754f230e18679209e65aec771b"
-                                  "c23cce00b57888605085e22facd9cc71"},
-    "crossval": {"weight-crossval.csv": "1c33f9362d1605ee77aaa013ae93ac8d"
-                                        "e0f6c71a21718c8975437635e581aa52"},
+    "blowup": {"blowup-rate.csv": "cf26093f5ba4b830a3f48d897198a554"
+                                  "7d99d87baf10edbb809979a2ab7734cb"},
+    "crossval": {"weight-crossval.csv": "cb7d75901600c2b69cbdd68d77306297"
+                                        "4d14de56438604312c1301376309db56"},
     "zpath": {"z-path.csv": "e9d0c475435c30268ef732b99ad59b4a"
                             "3f3c9d0bbe3f9ab3d97b13d2a164be2e"},
 }

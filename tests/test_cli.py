@@ -76,11 +76,11 @@ def test_blowup_rate_draws_once_per_chunk_for_all_its_points(tmp_path,
            "t_lo": 0.5, "t_hi": 0.7, "n_t_points": 3,
            "n_paths": 400, "n_steps": 100}
     run_experiment(cfg, out_dir=tmp_path)
-    # one chunk; the earliest point's grid has the most steps before
-    # example1 freezes at t = 1
+    # one chunk; example1 is x-flat and cost-free, so every point draws
+    # its terminal state from the exact law: two normals per path
     assert len(draws) == 1
     _, idx, n_steps = draws[0]
-    assert idx.size == 400 and n_steps == 34
+    assert idx.size == 400 and n_steps == 2
 
 
 def test_later_dead_probe_exits_1_before_any_draw(tmp_path, capsys,

@@ -1,9 +1,16 @@
 """Every public estimator runs through one simulation-to-estimate driver;
-each must return the same ``Estimate``, bit for bit, as its frozen
-one-loop-per-estimator reference in ``reference_estimators.py``, or raise
-the same exception type.  So must each estimate of a joint call, where
-several reducers read one stream, and of a call at several start points,
-whose streams share one draw per chunk."""
+on the stepping kernel each must return the same ``Estimate``, bit for
+bit, as its frozen one-loop-per-estimator reference in
+``reference_estimators.py``, or raise the same exception type.  So must
+each estimate of a joint call, where several reducers read one stream, and
+of a call at several start points, whose streams share one draw per chunk.
+
+The references stream the kernel, while the driver draws a cost-free
+x-flat job's terminal state from its exact law.  So the reference tests
+run the x-flat built-ins undeclared (``x_flat=False``): the full update
+gives the bits the x-flat kernel gives, and the driver streams it.  The
+terminal law is compared with the kernel statistically in
+``test_x_flat.py``."""
 
 import dataclasses
 import math
@@ -76,6 +83,9 @@ _CASES = {
     "value_cost": _x_cost_model(),
     "nan_payoff": _nan_payoff_model(),
 }
+# the same models on the kernel, as the frozen references stream them
+_KERNEL_CASES = {name: dataclasses.replace(m, x_flat=False)
+                 for name, m in _CASES.items()}
 
 
 def _calls(p, lambda_floor):
@@ -121,7 +131,7 @@ def _outcome(fn, *args, **kwargs):
 )
 def test_driver_matches_frozen_reference(name, t_frac, x0, n_steps, seed,
                                          n_paths, chunk, p, lambda_floor):
-    model = _CASES[name]
+    model = _KERNEL_CASES[name]
     t0 = t_frac * model.horizon_T
     point = ProblemPoint(t0, x0)
     grid = TimeGrid(t0, model.horizon_T, n_steps)
@@ -174,20 +184,21 @@ def _counting(model, names):
 
 
 def test_stream_calls_each_coefficient_once_per_computed_node():
-    # example1 freezes at t = 1 of its horizon 2: on 8 steps a stream runs
-    # 5 live steps, one frozen step on a zero increment and the terminal
-    # node, 7 computed nodes; the absorbed drift reuses sigma, and an
-    # x-flat job evaluates them once for all of its 3 chunks
+    # example1 freezes at t = 1 of its horizon 2: on 8 steps the scheme
+    # runs 5 live steps, one frozen step on a zero increment and the
+    # terminal node, 7 computed nodes; the absorbed drift reuses sigma,
+    # and an x-flat job evaluates them once for all of its 3 chunks, from
+    # which the terminal law forms its constants
     model = builtin_model("example1")
     point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 2.0, 8)
     counted, calls = _counting(model, ["sigma", "b"])
-    saved = est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE
-    est_mod.CHUNK_SIZE = ref_mod.CHUNK_SIZE = 7
+    saved = est_mod.CHUNK_SIZE
+    est_mod.CHUNK_SIZE = 7
     try:
         got = est_mod.estimate_u(counted, point, grid, 5, 20)
-        want = ref_mod.estimate_u(model, point, grid, 5, 20)
+        want = est_mod.estimate_u(model, point, grid, 5, 20)
     finally:
-        est_mod.CHUNK_SIZE, ref_mod.CHUNK_SIZE = saved
+        est_mod.CHUNK_SIZE = saved
     assert got == want
     assert calls == {"sigma": 7, "b": 6}
 
@@ -266,7 +277,7 @@ def _joint_reference(outcomes):
 def test_joint_call_matches_frozen_references(name, picks, t_frac, x0,
                                               n_steps, seed, n_paths, chunk,
                                               p, lambda_floor):
-    model = _CASES[name]
+    model = _KERNEL_CASES[name]
     t0 = t_frac * model.horizon_T
     point = ProblemPoint(t0, x0)
     grid = TimeGrid(t0, model.horizon_T, n_steps)
@@ -304,15 +315,51 @@ def _count_draws(monkeypatch):
 
 def test_driver_draws_at_most_chunk_size_paths_at_a_time(monkeypatch):
     # the driver's memory bound: 2 * CHUNK_SIZE + 3 paths make two full
-    # draws and one of 3 columns, each as tall as the steps before
+    # draws and one of 3 columns, each as tall as the job reads: the two
+    # normals of the terminal law, or on the kernel the steps before
     # example1's frozen tail (5 of 8 on its horizon 2)
     draws = _count_draws(monkeypatch)
     monkeypatch.setattr(est_mod, "CHUNK_SIZE", 5)
-    model = builtin_model("example1")
     point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 2.0, 8)
-    reducer = est_mod._u_reducer(model, point, grid)
-    est_mod._estimate(model, 7, 2 * 5 + 3, [(point, grid, [reducer])])
-    assert draws == [(5, 5), (5, 5), (3, 5)]
+    for x_flat, height in ((True, 2), (False, 5)):
+        draws.clear()
+        model = dataclasses.replace(builtin_model("example1"), x_flat=x_flat)
+        reducer = est_mod._u_reducer(model, point, grid)
+        est_mod._estimate(model, 7, 2 * 5 + 3, [(point, grid, [reducer])])
+        assert draws == [(5, height), (5, height), (3, height)]
+
+
+@pytest.mark.parametrize("name", ["tanh_smooth", "example1"])
+def test_terminal_law_reads_only_the_first_two_rows_of_the_draw(monkeypatch,
+                                                               name):
+    # every estimator of a cost-free x-flat job at two start points draws
+    # two normals per path; rows past them, here NaN, change nothing
+    model = builtin_model(name)
+    T = model.horizon_T
+    calls = _calls(1.0, None)
+    picks = [0, 1, 2, 3, 4] if model.g_prime else [0, 2, 4]
+
+    def run():
+        jobs = []
+        for t0, x0 in ((0.0, 0.1), (0.25 * T, -0.2)):
+            point, grid = ProblemPoint(t0, x0), TimeGrid(t0, T, 12)
+            jobs.append((point, grid, [_REDUCERS[fn](model, point, grid,
+                                                     **kwargs)
+                                       for fn, kwargs in (calls[i]
+                                                          for i in picks)]))
+        return est_mod._estimate(model, 11, 50, jobs)
+
+    draws = _count_draws(monkeypatch)
+    want = run()
+    assert [n for _, n in draws] == [2]
+    real = est_mod._normal_matrix
+
+    def padded(seed, idx, n_steps):
+        return np.vstack([real(seed, idx, n_steps),
+                          np.full((10, idx.size), np.nan)])
+
+    monkeypatch.setattr(est_mod, "_normal_matrix", padded)
+    assert run() == want
 
 
 def test_x_flat_coefficients_are_evaluated_before_the_first_draw(
@@ -361,7 +408,7 @@ _JOB_STARTS = st.lists(st.tuples(st.floats(0.0, 0.98), st.floats(-1.0, 1.0)),
          chunk=7, p=1.0, lambda_floor=None)
 def test_call_at_several_start_points_matches_separate_calls(
         name, starts, picks, n_steps, seed, n_paths, chunk, p, lambda_floor):
-    model = _CASES[name]
+    model = _KERNEL_CASES[name]
     calls = _calls(p, lambda_floor)
     jobs = []
     for (t_frac, x0), job_picks in zip(starts, picks):
@@ -419,7 +466,8 @@ def _recording(reducer, seen):
 
 @pytest.mark.parametrize("name", ["example1", "ou", "value_cost"])
 def test_terminal_jobs_send_one_state_and_the_others_every_state(name):
-    # example1 is x-flat and freezes at t = 1 of its horizon 2; the OU
+    # example1 is x-flat and cost-free, so every job, the classical
+    # weight's too, draws its terminal state from the exact law; the OU
     # model and value_cost run the tangent flow, and value_cost has a
     # running cost, so none of its jobs is terminal.  The estimates
     # themselves are compared with the references above.
@@ -455,8 +503,11 @@ def test_terminal_jobs_send_one_state_and_the_others_every_state(name):
         _outcome(est_mod._estimate, model, 3, n_paths, jobs)
     finally:
         est_mod.CHUNK_SIZE = saved
+    law = est_mod._terminal_law_job(model, TimeGrid(0.0, model.horizon_T,
+                                                    n_steps))
+    assert law == (name == "example1")
     for (_, _, reducers), job_seen in zip(jobs, seen):
-        terminal = all(r.terminal_only for r in reducers)
+        terminal = law or all(r.terminal_only for r in reducers)
         want = [n_steps] if terminal else list(range(n_steps + 1))
         for ks in job_seen:
             assert ks == [want] * math.ceil(n_paths / chunk)

@@ -229,6 +229,16 @@ def test_digital_value_and_delta_match_normal_law():
                                                abs=1e-2)
 
 
+def test_solutions_compare_and_hash_by_identity():
+    # the fields are arrays, which have no single truth value: a solution
+    # is equal only to itself, and usable as a dict key
+    model = builtin_model("bachelier_digital")
+    grid = make_grid(model, -4.0, 4.0, 41)
+    a, b = solve_fd(model, grid), solve_fd(model, grid)
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1 and hash(a) != hash(b)
+
+
 def test_step_vol_value_uses_only_the_alive_window():
     model = builtin_model("step_vol", t_cut=0.5)
     grid = make_grid(model, -4.0, 4.0, 201)
