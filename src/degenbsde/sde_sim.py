@@ -21,11 +21,16 @@ increments from the Philox stream whose 128-bit key is the exact pair
 Step ``k`` of a path takes the ``k``-th standard normal of its stream
 times ``sqrt(dt)``.  ``_normal_matrix`` draws those normals for every
 entry point, step-major, ``(n_steps, n_paths)``: step ``k``'s normals are
-one contiguous row.  The estimators draw once per chunk of paths, as many
-normals per path as the longest of their streams reads (two for the
-terminal law below), and each stream scales its own row at each step; the
-materialized simulations scale the whole draw once, which gives the same
-bits.
+one contiguous row.  A draw of at most four normals per path, the words of
+one Philox block, is computed for all paths at once: Philox4x64-10 in
+uint64 arithmetic, then numpy's ziggurat fast path on each word, with
+numpy's own tables (``_ziggurat_tables``).  A longer draw, and the few
+paths whose words the ziggurat rejects, reset one generator to each
+path's key in turn.  Both give numpy's bits.  The estimators draw once per
+chunk of paths, as many normals per path as the longest of their streams
+reads (two for the terminal law below), and each stream scales its own
+row at each step; the materialized simulations scale the whole draw once,
+which gives the same bits.
 
 Coefficients: the estimators simulate the model with the linear-in-z cost
 absorbed into the drift (``transformed_drift``).  Their streams form
@@ -91,6 +96,7 @@ from numpy.lib.stride_tricks import as_strided
 # the first draw inside a run
 from numpy.random import Generator, Philox
 
+from ._ziggurat_tables import KI_DOUBLE, WI_DOUBLE_HEX
 from .model import (CoefficientModel, ProblemPoint, _absorbed_drift,
                     _absorbed_drift_x, _one_value)
 
@@ -286,25 +292,138 @@ def _path_indices(path_indices) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-# Paths drawn per block of ``_normal_matrix``; the block buffer holds
-# ``_DRAW_BLOCK * n_steps`` normals (1 MB at 500 steps).  Blocks of 16 or
-# 64 paths made the draw slower than a row-major one; 256 did not.
-_DRAW_BLOCK = 256
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC'11): the two round multipliers, as a column so one
+# ufunc call serves both, their 32-bit halves, and the two key bumps.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = 2 ** 64 - 1
+# The words of one Philox block: the longest draw ``_normal_matrix`` makes
+# for all paths at once.
+_PHILOX_WORDS = 4
+# Paths per pass of the vectorized draw, which holds twelve uint64 words per
+# path (192 KB); passes of 4096 paths were no faster.
+_VECTOR_BLOCK = 2048
+# numpy's ziggurat tables, indexed by the low 9 bits of a word, the sign bit
+# included: ``-wi`` for a set sign bit, since ``rabs * -wi == -(rabs * wi)``
+# in IEEE arithmetic.
+_WI = np.array([float.fromhex(h) for h in WI_DOUBLE_HEX])
+_ZIGGURAT_W = np.concatenate([_WI, -_WI])
+_ZIGGURAT_K = np.array(KI_DOUBLE * 2, dtype=np.uint64)
 
 
 def _normal_matrix(seed: int, path_indices, n_steps: int) -> np.ndarray:
     """Standard normals, step-major: shape ``(n_steps, n_paths)``.
 
     Column ``j`` is the start of the Philox stream keyed by the exact
-    128-bit pair ``(seed, path_indices[j])``.  One generator is reset to
-    that key, a zero counter and an empty buffer per index, so it draws
-    what a generator freshly built on that key would, and a shorter draw
-    is a prefix of a longer one.  Paths are drawn ``_DRAW_BLOCK`` at a
-    time into a small per-path-row buffer whose transpose is copied into
-    the output; no second full-size matrix is built.
+    128-bit pair ``(seed, path_indices[j])``: what ``standard_normal`` on a
+    generator freshly built on that key draws, so a shorter draw is a
+    prefix of a longer one.  A draw of at most ``_PHILOX_WORDS`` normals
+    per path, as the terminal law's, is computed for all paths at once
+    (``_vector_normals``); the paths it cannot finish, and every longer
+    draw, go through ``_per_path_normals``.
     """
-    key = [_check_seed(seed), 0]
-    idx = _path_indices(path_indices).tolist()
+    seed = _check_seed(seed)
+    idx = _path_indices(path_indices)
+    if n_steps > _PHILOX_WORDS:
+        return _per_path_normals(seed, idx, n_steps)
+    out, redraw = _vector_normals(seed, idx, n_steps)
+    redraw = np.flatnonzero(redraw)
+    if redraw.size:
+        out[:, redraw] = _per_path_normals(seed, idx[redraw], n_steps)
+    return out
+
+
+def _vector_normals(seed: int, idx: np.ndarray, n_steps: int) -> tuple:
+    """The first ``n_steps <= 4`` normals of each path's stream, and a
+    mask of the paths whose column is not finished.
+
+    Each column comes from the first Philox block of its stream, computed
+    for ``_VECTOR_BLOCK`` paths at a time in uint64 arithmetic, which
+    wraps as Philox's does.  numpy increments the counter before it
+    generates, so that block is the 10-round bijection of counter
+    ``[1, 0, 0, 0]`` under key ``(seed, i)``.  Its first round has
+    constant inputs and outputs ``[seed, 0, i, M0]``; the other nine run
+    here.  The state is kept as two rows of two words, ``(c0, c2)``, the
+    multiplied words, and ``(c1, c3)``; the high word of each 128-bit
+    product is formed from 32-bit halves (Hacker's Delight, ``mulhu``).
+
+    Each word then takes numpy's ziggurat fast path (Marsaglia & Tsang,
+    *J. Stat. Softw.* 5, 2000; numpy's ``random_standard_normal``): with
+    ``idx`` its low 8 bits, ``sign`` bit 8 and ``rabs`` bits 9 to 60,
+    the normal is ``rabs * wi[idx]``, negated under ``sign``, when
+    ``rabs < ki[idx]``.  numpy rejects the other words and reads further
+    ones, so a path with a rejected word among its first ``n_steps`` is
+    left to the caller; about 1.4% of words are.
+    """
+    n_paths = idx.size
+    ids = idx.view(np.uint64)  # exact: every index lies in [0, 2**63)
+    out = np.empty((n_steps, n_paths))
+    redraw = np.zeros(n_paths, dtype=bool)
+    words = np.empty((6, 2, min(_VECTOR_BLOCK, n_paths)), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for start in range(0, n_paths, _VECTOR_BLOCK):
+            cols = slice(start, start + _VECTOR_BLOCK)
+            ids_b = ids[cols]
+            mul, xor, hi, s, t, u = words[:, :, :ids_b.size]
+            mul[0], mul[1] = seed, ids_b
+            xor[0], xor[1] = 0, _PHILOX_M[0, 0]
+            for r in range(1, 10):
+                np.bitwise_and(mul, 0xFFFFFFFF, out=s)
+                np.right_shift(mul, 32, out=u)
+                np.multiply(mul, _PHILOX_M, out=mul)  # the low words
+                np.multiply(s, _PHILOX_M_LO, out=t)
+                np.right_shift(t, 32, out=t)
+                np.multiply(s, _PHILOX_M_HI, out=s)
+                np.add(t, s, out=t)
+                np.right_shift(t, 32, out=hi)
+                np.bitwise_and(t, 0xFFFFFFFF, out=t)
+                np.multiply(u, _PHILOX_M_LO, out=s)
+                np.add(t, s, out=t)
+                np.multiply(u, _PHILOX_M_HI, out=u)
+                np.add(hi, u, out=hi)
+                np.right_shift(t, 32, out=t)
+                np.add(hi, t, out=hi)  # the high words
+                # c0 = hi1 ^ c1 ^ k0 and c2 = hi0 ^ c3 ^ k1, under key r
+                hi = hi[::-1]
+                np.bitwise_xor(hi, xor, out=hi)
+                np.bitwise_xor(hi[0], (seed + r * _PHILOX_BUMP[0]) & _MASK64,
+                               out=hi[0])
+                np.add(ids_b, (r * _PHILOX_BUMP[1]) & _MASK64, out=s[0])
+                np.bitwise_xor(hi[1], s[0], out=hi[1])
+                # c1 = lo1 and c3 = lo0; the old (c1, c3) rows are spare
+                mul, xor, hi = hi, mul[::-1], xor
+            block = (mul[0], xor[0], mul[1], xor[1])[:n_steps]
+            for row, word in zip(out[:, cols], block):
+                j = (word & 0x1FF).view(np.int64)
+                rabs = (word >> 9) & (2 ** 52 - 1)
+                np.multiply(rabs, _ZIGGURAT_W[j], out=row)
+                redraw[cols] |= rabs >= _ZIGGURAT_K[j]
+    return out, redraw
+
+
+# Paths drawn per block of ``_per_path_normals``, which serves the draws of
+# more than ``_PHILOX_WORDS`` normals and the paths ``_vector_normals``
+# leaves unfinished; the block buffer holds ``_DRAW_BLOCK * n_steps``
+# normals (1 MB at 500 steps).  Blocks of 16 or 64 paths made the draw
+# slower than a row-major one; 256 did not.
+_DRAW_BLOCK = 256
+
+
+def _per_path_normals(seed: int, idx: np.ndarray, n_steps: int) -> np.ndarray:
+    """``_normal_matrix`` one path at a time: the kernel's long draws and
+    the paths ``_vector_normals`` leaves unfinished.
+
+    One generator is reset to each path's key, a zero counter and an empty
+    buffer in turn, so it draws what a generator freshly built on that key
+    would.  Paths are drawn ``_DRAW_BLOCK`` at a time into a small
+    per-path-row buffer whose transpose is copied into the output; no
+    second full-size matrix is built.
+    """
+    key = [seed, 0]
+    idx = idx.tolist()
     bit_gen = Philox(key=np.array(key, dtype=np.uint64))
     gen = Generator(bit_gen)
     # Python int lists, which the state setter reads faster than arrays
