@@ -35,7 +35,8 @@ import numpy as np
 from .degeneracy import (DEFAULT_EPS_SIGMA, check_gamma_equivalence,
                          locate_tau, locate_tau_batch)
 from .estimators import (EstimationError, OutsideGamma0Error, ValueProvider,
-                         _estimate, _lambda_moment_reducer, _u_reducer,
+                         _difference_reducer, _estimate,
+                         _lambda_moment_reducer, _u_reducer,
                          _ux_pathwise_reducer, _ux_weighted_reducer, _z_matrix,
                          bachelier_provider, empirical_lambda_moment,
                          estimate_u, estimate_ux_pathwise,
@@ -198,7 +199,7 @@ _EXPERIMENT_DOC = {
     "blowup-rate": "gradient blow-up rate toward the degeneracy onset "
                    "(dying-volatility model), with log-log slope fit",
     "weight-crossval": "pathwise vs weighted gradient estimates with "
-                       "pairwise z-scores",
+                       "paired z-scores",
     "tau-locate": "per-path exit time from the alive set, with histogram",
     "lambda-moment": "negative moments of the occupation integral across "
                      "doubling sample sizes",
@@ -386,11 +387,12 @@ def _solve(cfg: dict, model: CoefficientModel, t_min: float):
         raise NumericalFailure(str(exc)) from None
 
 
-def _zscore(a, b) -> float:
-    denom = math.hypot(a.stderr, b.stderr)
-    if denom == 0.0:
-        return 0.0 if a.mean == b.mean else math.inf
-    return (a.mean - b.mean) / denom
+def _paired_z(diff) -> float:
+    """The z-score of a paired difference's ``Estimate``: 0 when the
+    difference is identically 0, infinite when it is a nonzero constant."""
+    if diff.stderr == 0.0:
+        return 0.0 if diff.mean == 0.0 else math.copysign(math.inf, diff.mean)
+    return diff.mean / diff.stderr
 
 
 def _mc_match(name: str, diff: str, pairs: list, tol: float) -> CheckOutcome:
@@ -461,16 +463,18 @@ def _run_weight_crossval(cfg, model, out_dir):
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
     floors = {"eps_sigma": cfg["eps_sigma"],
               "lambda_floor": cfg["lambda_floor"]}
-    [(pw, nd, dg)] = _estimate(model, cfg["seed"], cfg["n_paths"], [(
-        point, grid, [
-            _ux_pathwise_reducer(model, point, grid),
-            _ux_weighted_reducer(model, point, grid,
-                                 weight_kind="nondegenerate", **floors),
-            _ux_weighted_reducer(model, point, grid, weight_kind="degenerate",
-                                 **floors)])])
-    z_pw_nd = _zscore(pw, nd)
-    z_pw_dg = _zscore(pw, dg)
-    z_nd_dg = _zscore(nd, dg)
+    routes = [_ux_pathwise_reducer(model, point, grid),
+              _ux_weighted_reducer(model, point, grid,
+                                   weight_kind="nondegenerate", **floors),
+              _ux_weighted_reducer(model, point, grid,
+                                   weight_kind="degenerate", **floors)]
+    # each z-score is the per-path difference of two routes over its own
+    # stderr: the routes read the same paths and are strongly correlated
+    pairs = [_difference_reducer(routes[i], routes[j])
+             for i, j in ((0, 1), (0, 2), (1, 2))]
+    [(pw, nd, dg, *diffs)] = _estimate(model, cfg["seed"], cfg["n_paths"],
+                                       [(point, grid, routes + pairs)])
+    z_pw_nd, z_pw_dg, z_nd_dg = (_paired_z(d) for d in diffs)
     header = ["ux_pathwise", "ux_pathwise_stderr",
               "ux_nondegenerate", "ux_nondegenerate_stderr",
               "ux_degenerate", "ux_degenerate_stderr",

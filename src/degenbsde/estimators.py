@@ -297,6 +297,27 @@ def _estimate_one(model: CoefficientModel, point: ProblemPoint,
     return _estimate(model, seed, n_paths, [(point, grid, [reducer])])[0][0]
 
 
+def _difference_reducer(a: Callable, b: Callable) -> Callable:
+    """The reducer of ``v_a - v_b`` on the same paths, kept where both
+    ``a`` and ``b`` keep theirs.  Its ``Estimate`` is the paired mean
+    difference, and its stderr carries the covariance of the two
+    estimates, which two separate stderrs ignore."""
+
+    def reducer(n):
+        running = [a(n), b(n)]
+        for r in running:
+            next(r)
+        while (st := (yield)) is not None:
+            for r in running:
+                r.send(st)
+        (va, keep_a), (vb, keep_b) = (r.send(None) for r in running)
+        yield va - vb, keep_a & keep_b
+
+    reducer.terminal_only = all(getattr(r, "terminal_only", False)
+                                for r in (a, b))
+    return reducer
+
+
 # ---------------------------------------------------------------------------
 # value estimator
 # ---------------------------------------------------------------------------

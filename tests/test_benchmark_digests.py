@@ -27,8 +27,8 @@ _WORKLOADS = {
 _CSV_SHA256 = {
     "blowup": {"blowup-rate.csv": "cf26093f5ba4b830a3f48d897198a554"
                                   "7d99d87baf10edbb809979a2ab7734cb"},
-    "crossval": {"weight-crossval.csv": "cb7d75901600c2b69cbdd68d77306297"
-                                        "4d14de56438604312c1301376309db56"},
+    "crossval": {"weight-crossval.csv": "6b673215fb83c62bc4310c084e1d62b5"
+                                        "131afe907052b6bcb45c8ed5da6220b7"},
     "zpath": {"z-path.csv": "e9d0c475435c30268ef732b99ad59b4a"
                             "3f3c9d0bbe3f9ab3d97b13d2a164be2e"},
 }
