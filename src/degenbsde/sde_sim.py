@@ -353,9 +353,9 @@ def _vector_normals(seed: int, idx: np.ndarray, n_steps: int) -> tuple:
 
     Each word then takes numpy's ziggurat fast path (Marsaglia & Tsang,
     *J. Stat. Softw.* 5, 2000; numpy's ``random_standard_normal``): with
-    ``idx`` its low 8 bits, ``sign`` bit 8 and ``rabs`` bits 9 to 60,
-    the normal is ``rabs * wi[idx]``, negated under ``sign``, when
-    ``rabs < ki[idx]``.  numpy rejects the other words and reads further
+    ``b`` its low 8 bits, ``sign`` bit 8 and ``rabs`` bits 9 to 60, the
+    normal is ``rabs * wi[b]``, negated under ``sign``, when
+    ``rabs < ki[b]``.  numpy rejects the other words and reads further
     ones, so a path with a rejected word among its first ``n_steps`` is
     left to the caller; about 1.4% of words are.
     """

@@ -3,6 +3,7 @@ ziggurat tables it embeds are numpy's own, and it returns what a fresh
 generator on each path's key draws, bit for bit, redrawing in the per-path
 loop exactly the paths whose words numpy rejects."""
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -59,6 +60,20 @@ def test_tables_match_the_installed_numpy(idx):
     assert read >= 2
 
 
+@contextlib.contextmanager
+def _per_path_calls():
+    """Record ``(n_paths, n_steps)`` of each call of the per-path loop."""
+    reached = []
+    real = sde_sim._per_path_normals
+
+    def counting(seed, idx, n_steps):
+        reached.append((idx.size, n_steps))
+        return real(seed, idx, n_steps)
+
+    with mock.patch.object(sde_sim, "_per_path_normals", counting):
+        yield reached
+
+
 def _fresh(seed, i, k):
     """The first ``k`` normals of stream ``(seed, i)``, and whether numpy
     read more than ``k`` words for them."""
@@ -82,14 +97,7 @@ def _fresh(seed, i, k):
 @example(seed=5, indices=[2, 1, 2], k=0, dtype=np.int64)
 def test_vector_draw_equals_fresh_generators(seed, indices, k, dtype):
     index_arg = indices if dtype is None else np.array(indices, dtype=dtype)
-    reached = []
-    real = sde_sim._per_path_normals
-
-    def counting(seed_, idx, n_steps):
-        reached.append(idx.size)
-        return real(seed_, idx, n_steps)
-
-    with mock.patch.object(sde_sim, "_per_path_normals", counting):
+    with _per_path_calls() as reached:
         got = _normal_matrix(seed, index_arg, k)
     assert got.shape == (k, len(indices))
     assert got.flags.c_contiguous
@@ -99,19 +107,12 @@ def test_vector_draw_equals_fresh_generators(seed, indices, k, dtype):
         assert got[:, j].tobytes() == fresh.tobytes()
         redrawn += rejected
     # the per-path loop draws the paths numpy rejects a word of, no others
-    assert sum(reached) == redrawn
+    assert sum(size for size, _ in reached) == redrawn
     if seed == 2 ** 64 - 1 and indices == [77, 3, 77, 2 ** 63 - 1, 59]:
         assert redrawn >= 3
 
 
 def test_long_draws_stay_per_path():
-    reached = []
-    real = sde_sim._per_path_normals
-
-    def counting(seed_, idx, n_steps):
-        reached.append((idx.size, n_steps))
-        return real(seed_, idx, n_steps)
-
-    with mock.patch.object(sde_sim, "_per_path_normals", counting):
+    with _per_path_calls() as reached:
         _normal_matrix(3, range(10), sde_sim._PHILOX_WORDS + 1)
     assert reached == [(10, sde_sim._PHILOX_WORDS + 1)]
