@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -213,15 +213,20 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
               jobs: list) -> list:
     """The one simulation-to-estimate loop, for several start points.
 
-    ``jobs`` is a list of ``(point, grid, reducers)``; the result holds one
-    list of ``Estimate``s per job, one per reducer.  A reducer is a
-    generator function; the driver makes one generator per chunk as
+    ``jobs`` is a list of ``(point, grid, entries)``; the result holds one
+    list of ``Estimate``s per job, one per entry.  An entry is a reducer
+    or the paired difference of two (``_difference_reducer``).  A reducer
+    is a generator function; the driver makes one generator per chunk as
     ``reducer(n)`` for the chunk's ``n`` paths, primes it with ``next``,
     sends it the states of its job (``_job_states``), then sends ``None``
-    and receives ``(values, keep)``.  Paths outside ``keep`` or with a
-    non-finite value are excluded and counted in ``n_floored``.  Each
-    estimator's ``_<name>_reducer`` builder takes that estimator's
-    arguments except ``seed`` and ``n_paths``.
+    and receives ``(values, keep)``.  Each distinct reducer of a job runs
+    once per chunk, however many entries read it (``_job_routes``): a
+    difference's ``(v_a - v_b, keep_a & keep_b)`` is formed from the raw
+    ``(values, keep)`` its two reducers returned on that chunk.  Paths
+    outside an entry's ``keep`` or with a non-finite value are excluded
+    and counted in its ``n_floored``.  Each estimator's
+    ``_<name>_reducer`` builder takes that estimator's arguments except
+    ``seed`` and ``n_paths``.
 
     A job whose stream is x-flat on a model without a running cost draws
     its terminal state from the exact law of the discretized scheme
@@ -246,8 +251,9 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     a separate call.  The draw is released before the next chunk's, so a
     call holds one draw of ``CHUNK_SIZE * n_draw`` float64s at a time.
     An x-flat job evaluates its coefficients once, at its start ``x0``
-    (``_x_flat_coefficients``), and every chunk's state is formed from
-    those values.
+    (``_x_flat_coefficients``; a built-in model's from their time
+    functions, calling no closure), and every chunk's state is formed
+    from those values.
 
     Errors come in a fixed order.  Building a reducer validates its
     inputs, so reducers built in job-then-reducer order raise their errors
@@ -265,23 +271,29 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
         _check_compatible(model, point, grid)
     n_draw = max(_TERMINAL_LAW_ROWS if _terminal_law_job(model, grid)
                  else _live_steps(model, grid) for _, grid, _ in jobs)
-    parts = [[[] for _ in reducers] for _, _, reducers in jobs]
-    n_excluded = [[0] * len(reducers) for _, _, reducers in jobs]
+    parts = [[[] for _ in entries] for _, _, entries in jobs]
+    n_excluded = [[0] * len(entries) for _, _, entries in jobs]
+    plans = [_job_routes(entries) for _, _, entries in jobs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sources = [_job_states(model, point, grid, reducers)
-                   for point, grid, reducers in jobs]
+        sources = [_job_states(model, point, grid, routes)
+                   for (point, grid, _), (routes, _) in zip(jobs, plans)]
         for idx in _chunk_indices(n_paths):
             normals = _normal_matrix(seed, idx, n_draw)
-            for (_, _, reducers), states, job_parts, job_excluded in zip(
-                    jobs, sources, parts, n_excluded):
-                running = [reducer(idx.size) for reducer in reducers]
+            for (routes, slots), states, job_parts, job_excluded in zip(
+                    plans, sources, parts, n_excluded):
+                running = [reducer(idx.size) for reducer in routes]
                 for r in running:
                     next(r)
                 for st in states(normals):
                     for r in running:
                         r.send(st)
-                for j, r in enumerate(running):
-                    vals, keep = r.send(None)
+                raw = [r.send(None) for r in running]
+                for j, slot in enumerate(slots):
+                    if isinstance(slot, tuple):
+                        (va, keep_a), (vb, keep_b) = (raw[i] for i in slot)
+                        vals, keep = va - vb, keep_a & keep_b
+                    else:
+                        vals, keep = raw[slot]
                     keep = keep & np.isfinite(vals)
                     job_excluded[j] += int(np.count_nonzero(~keep))
                     job_parts[j].append(np.asarray(vals[keep], dtype=float))
@@ -297,25 +309,37 @@ def _estimate_one(model: CoefficientModel, point: ProblemPoint,
     return _estimate(model, seed, n_paths, [(point, grid, [reducer])])[0][0]
 
 
-def _difference_reducer(a: Callable, b: Callable) -> Callable:
-    """The reducer of ``v_a - v_b`` on the same paths, kept where both
-    ``a`` and ``b`` keep theirs.  Its ``Estimate`` is the paired mean
-    difference, and its stderr carries the covariance of the two
-    estimates, which two separate stderrs ignore."""
+class _Difference(NamedTuple):
+    """A job's entry for the paired difference of two of its routes."""
 
-    def reducer(n):
-        running = [a(n), b(n)]
-        for r in running:
-            next(r)
-        while (st := (yield)) is not None:
-            for r in running:
-                r.send(st)
-        (va, keep_a), (vb, keep_b) = (r.send(None) for r in running)
-        yield va - vb, keep_a & keep_b
+    a: Callable
+    b: Callable
 
-    reducer.terminal_only = all(getattr(r, "terminal_only", False)
-                                for r in (a, b))
-    return reducer
+
+def _difference_reducer(a: Callable, b: Callable) -> _Difference:
+    """The entry of ``v_a - v_b`` on the same paths, kept where both ``a``
+    and ``b`` keep theirs, for a job of ``_estimate``.  Its ``Estimate`` is
+    the paired mean difference, and its stderr carries the covariance of
+    the two estimates, which two separate stderrs ignore.  The driver forms
+    it from what ``a`` and ``b`` return on each chunk, so it runs no
+    reducer of its own."""
+    return _Difference(a, b)
+
+
+def _job_routes(entries: list) -> tuple:
+    """The reducers a job runs on each chunk, each one once, and for each
+    of its entries the index of its reducer, or the pair of indices of a
+    difference's two reducers."""
+    routes = []
+
+    def index(reducer):
+        if reducer not in routes:
+            routes.append(reducer)
+        return routes.index(reducer)
+
+    slots = [(index(e.a), index(e.b)) if isinstance(e, _Difference)
+             else index(e) for e in entries]
+    return routes, slots
 
 
 # ---------------------------------------------------------------------------

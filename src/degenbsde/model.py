@@ -13,6 +13,12 @@ Conventions
   float64 array shaped like ``x`` (0-d for a scalar ``x``), filled by one
   rule, ``_fill``; an array ``t`` is accepted where it broadcasts to that
   shape.
+* Every built-in coefficient of an ``x_flat`` model depends on ``t``
+  alone and also carries that value as a Python float function of a
+  float ``t``, its private ``_of_t`` attribute, equal to the closure's
+  value bit for bit at every finite ``t >= 0``.  ``_x_flat_at`` reads it
+  to evaluate such a model once per time without a call on an array;
+  a coefficient without it is called as usual.
 * The linear-in-z part of the cost is absorbed into the drift by
   ``transformed_drift`` before any simulation; downstream modules only
   ever see models with ``f2 == 0``.
@@ -82,9 +88,12 @@ class CoefficientModel:
       ``sigma`` and the drift once per step, at the start ``x0``, for all
       paths: once per stream, or once per estimator job for all of its
       chunks, not per chunk; ``solve_fd`` evaluates them once per level,
-      on one node, for all nodes.  This changes no stream, simulation,
-      FD value or estimate with a running cost, bit for bit, while
-      ``gamma`` and ``Lambda`` are finite: ``sigma`` must be finite and
+      on one node, for all nodes.  Both go through ``_x_flat_at``, which
+      calls the coefficients' time functions (``_of_t``) when ``sigma``,
+      ``b`` and ``f2`` all carry one, as the built-ins do, and otherwise
+      calls the closures on a one-element ``x``.  This changes no stream,
+      simulation, FD value or estimate with a running cost, bit for bit,
+      while ``gamma`` and ``Lambda`` are finite: ``sigma`` must be finite and
       obey ``|sigma| <= lipschitz_K`` (``check_model_invariants`` checks
       both, and that the sampled values are one per time), and the kernel
       keeps the full update when ``lipschitz_K**2`` times the simulated
@@ -170,7 +179,9 @@ class ProblemPoint:
 def _fill(x, value) -> np.ndarray:
     """A fresh float64 array shaped like ``x``, holding ``value``: a scalar,
     or an array that broadcasts to that shape.  The values are copied, not
-    computed, so each keeps its bits (``-0.0``, ``inf`` and NaN included)."""
+    computed, so each keeps its bits (``-0.0``, ``inf`` and NaN included),
+    and a time function ``_of_t`` that returns the same scalar as a Python
+    float gives the closure's bits."""
     out = np.empty_like(x, dtype=float, subok=False)
     out[...] = value
     return out
@@ -180,10 +191,14 @@ def _zero2(t, x):
     return _fill(x, 0.0)
 
 
+_zero2._of_t = lambda t: 0.0
+
+
 def _const2(c: float) -> Coefficient:
     def coeff(t, x, _c=float(c)):
         return _fill(x, _c)
 
+    coeff._of_t = lambda t, _c=float(c): _c
     return coeff
 
 
@@ -251,6 +266,10 @@ def _make_example1(alpha: float = 0.8, beta: float = 0.5) -> CoefficientModel:
         # (1 - min(t, 1))**beta is the [0,1] branch and is exactly 0 after.
         return _fill(x, (1.0 - np.minimum(np.asarray(t, dtype=float), 1.0))
                      ** _b)
+
+    # libm's pow, as numpy's on a 0-d array; the base lies in [0, 1] for
+    # every t >= 0, so the power cannot overflow
+    sigma._of_t = lambda t, _b=beta: (1.0 - min(t, 1.0)) ** _b
 
     def g(x, _a=alpha):
         x = np.asarray(x, dtype=float)
@@ -333,6 +352,8 @@ def _make_step_vol(sigma_bar: float = 1.0, t_cut: float = 0.5,
     def sigma(t, x, _s=sigma_bar, _c=t_cut):
         # selected, not multiplied: inf * False would be NaN, not 0.0
         return _fill(x, np.where(t <= _c, _s, 0.0))
+
+    sigma._of_t = lambda t, _s=sigma_bar, _c=t_cut: _s if t <= _c else 0.0
 
     def g(x, _k=strike):
         return (np.asarray(x, dtype=float) > _k).astype(float)
@@ -449,6 +470,42 @@ def _absorbed_drift_x(model: CoefficientModel, t, x, sig, sig_x):
     already evaluated."""
     return (model.b_x(t, x) + model.f2_x(t, x) * sig
             + model.f2(t, x) * sig_x)
+
+
+def _x_flat_at(model: CoefficientModel, x: np.ndarray, absorb: bool = True):
+    """``at(t) -> (sigma, drift)``: an x-flat model's ``sigma`` and drift at
+    time ``t`` as Python floats, the drift ``b + f2 * sigma`` with
+    ``absorb`` (``_absorbed_drift``), else ``b``; ``at(t, drift=False)``
+    gives ``(sigma, None)`` and reads ``sigma`` alone.
+
+    When every coefficient it reads carries a time function ``_of_t``, as
+    every built-in x-flat coefficient does, ``at`` calls those alone and
+    forms the drift in Python floats, which round as numpy's float64 ops
+    do.  Otherwise it calls the closures on ``x``, a one-element array, as
+    ``_absorbed_drift`` does, in the same order.  Under a valid ``x_flat``
+    declaration both give the values at any other ``x``, bit for bit."""
+    sigma, b = model.sigma, model.b
+    read = (sigma, b, model.f2) if absorb else (sigma, b)
+    of_t = [getattr(fn, "_of_t", None) for fn in read]
+    if None in of_t:
+        def at(t, drift=True):
+            raw = sigma(t, x)
+            if not drift:
+                return _one_value(raw), None
+            return _one_value(raw), _one_value(
+                _absorbed_drift(model, t, x, raw) if absorb else b(t, x))
+    elif absorb:
+        sigma_of, b_of, f2_of = of_t
+
+        def at(t, drift=True):
+            sig = sigma_of(t)
+            return sig, b_of(t) + f2_of(t) * sig if drift else None
+    else:
+        sigma_of, b_of = of_t
+
+        def at(t, drift=True):
+            return sigma_of(t), b_of(t) if drift else None
+    return at
 
 
 def transformed_drift(model: CoefficientModel) -> CoefficientModel:

@@ -17,12 +17,14 @@ discontinuities in time land on grid levels.
 
 The sweep evaluates the coefficients once per level: one ``sigma`` call,
 whose values also give the drift with the linear-in-z cost absorbed.  For
-a model that declares ``x_flat`` that call, and the drift's, take the
-first node alone: the level's ``0.5 * sigma**2`` and drift are Python
-floats, and the drift's sign picks the forward, backward or zero
-difference for every node at once.  The stability check rejects such a
-declaration when a sampled level's ``sigma`` or drift varies across the
-lattice.
+a model that declares ``x_flat`` the level's ``sigma`` and drift are
+Python floats from ``model._x_flat_at``: the coefficients' time
+functions for a built-in model, with no closure call, and otherwise
+``sigma``, ``b`` and ``f2`` called on the first node alone.  The level's
+``0.5 * sigma**2`` is then a Python float too, and the drift's sign picks
+the forward, backward or zero difference for every node at once.  The
+stability check rejects such a declaration when a sampled level's
+``sigma`` or drift varies across the lattice.
 
 The sweep runs in place: the value, its differences and the right-hand
 side live in buffers allocated once per solve, and each kept level is
@@ -53,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import CoefficientModel, _absorbed_drift, _one_value
+from .model import CoefficientModel, _absorbed_drift, _x_flat_at
 from .sde_sim import _check_count, _check_ends
 
 __all__ = [
@@ -442,7 +444,8 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     # 0-d constants and local ufuncs: less overhead per call, same bits
     two, dx_0, dx2_0, dt_0 = (np.array(v) for v in (2.0, dx, dx * dx, dt))
     multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
-    x_flat, x_first = model.x_flat, xs[:1]
+    x_flat = model.x_flat
+    x_flat_at = _x_flat_at(model, xs[:1]) if x_flat else None
     for m in range(n_t - 1, -1, -1):
         t_up = grid.t_min + (m + 1) * dt
         frozen = frozen_after is not None and t_up > frozen_after
@@ -460,9 +463,7 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
         # c2 = (0.5 sig) sig; the upwind d1 is fwd where drf > 0, bwd where
         # drf < 0, else 0.0
         if x_flat:
-            raw = model.sigma(t_up, x_first)
-            sig = _one_value(raw)
-            drf = _one_value(_absorbed_drift(model, t_up, x_first, raw))
+            sig, drf = x_flat_at(t_up)
             c2 = (0.5 * sig) * sig
             d1 = fwd if drf > 0.0 else bwd if drf < 0.0 else zeros
         else:

@@ -57,7 +57,9 @@ zero).  The tangent update then multiplies by ``exp(+0.0) = 1`` and the
 declared volatility bound keeps ``Lambda`` finite, the kernel runs its
 x-flat loop.  ``sigma`` and the drift are evaluated once per stream, or
 once per estimator job for all of its chunks, at the start ``x0``
-(``_x_flat_coefficients``), not per chunk, and the loop keeps ``gamma``,
+(``_x_flat_coefficients``), not per chunk: from the coefficients' time
+functions when the model carries them, as every built-in does, with no
+closure call (``model._x_flat_at``).  The loop keeps ``gamma``,
 ``Lambda`` and the drift step as Python floats (IEEE doubles, which round
 as the float64 array ops do); only ``X`` and ``S1`` are updated per path,
 in place, through one buffer each and one for the increment, and ``S1``
@@ -98,7 +100,7 @@ from numpy.random import Generator, Philox
 
 from ._ziggurat_tables import KI_DOUBLE, WI_DOUBLE_HEX
 from .model import (CoefficientModel, ProblemPoint, _absorbed_drift,
-                    _absorbed_drift_x, _one_value)
+                    _absorbed_drift_x, _x_flat_at)
 
 __all__ = [
     "TimeGrid",
@@ -510,25 +512,25 @@ def _full(values, shape: tuple) -> np.ndarray:
 
 def _x_flat_coefficients(model: CoefficientModel, point: ProblemPoint,
                          grid: TimeGrid, absorb: bool) -> tuple:
-    """The values an x-flat stream steps with, evaluated once on a
-    one-element ``x`` holding ``point.x0``: ``sigma`` at every node the
-    stream computes (the live steps, the first frozen step and the
-    terminal node) and the drift at the same steps but the terminal node,
-    ``_absorbed_drift`` with ``absorb``, else ``b``; each as a Python
-    float.  Under a valid ``x_flat`` declaration they equal the values at
-    any other ``x``, bit for bit."""
+    """The values an x-flat stream steps with, each a Python float from
+    ``_x_flat_at``: ``sigma`` at every node the stream computes (the live
+    steps, the first frozen step and the terminal node) and the drift at
+    the same steps but the terminal node, ``b + f2 * sigma`` with
+    ``absorb``, else ``b``.  A built-in model's come from its time
+    functions, with no closure call; any other model's coefficients are
+    called once per node on a one-element ``x`` holding ``point.x0``.
+    Under a valid ``x_flat`` declaration they equal the values at any
+    other ``x``, bit for bit."""
     n = grid.n_steps
     n_live = _live_steps(model, grid)
-    times = grid.times()
-    x0 = np.full(1, point.x0, dtype=float)
+    times = grid.times().tolist()
+    at = _x_flat_at(model, np.full(1, point.x0, dtype=float), absorb)
     sigmas, drifts = [], []
-    for k in range(n_live + (n_live < n)):  # and the first frozen step
-        t = float(times[k])
-        sig = model.sigma(t, x0)
-        sigmas.append(_one_value(sig))
-        drifts.append(_one_value(_absorbed_drift(model, t, x0, sig) if absorb
-                                 else model.b(t, x0)))
-    sigmas.append(_one_value(model.sigma(float(times[n]), x0)))
+    for t in times[:n_live + (n_live < n)]:  # and the first frozen step
+        sig, drift = at(t)
+        sigmas.append(sig)
+        drifts.append(drift)
+    sigmas.append(at(times[n], drift=False)[0])
     return sigmas, drifts
 
 

@@ -13,8 +13,6 @@ from degenbsde import (
     EstimationError,
     Example1Params,
     OutsideGamma0Error,
-    PdeGrid,
-    PdeSolution,
     ProblemPoint,
     TimeGrid,
     ValueProvider,
@@ -291,79 +289,6 @@ def test_x_dependent_cost_agrees_with_fd():
             assert e.reliable
             slack = 3.0 * e.stderr + 2.0 * abs(fd - fd_half)
             assert abs(e.mean - fd) <= slack, (x0, e, fd, fd_half)
-
-
-# ---------------------------------------------------------------------------
-# tabulated values
-# ---------------------------------------------------------------------------
-
-
-def _solution(times, xs, U, n_t):
-    """A PdeSolution storing ``U`` at ``times``, levels of an ``n_t``-step
-    grid over ``xs``."""
-    grid = PdeGrid(x_min=float(xs[0]), x_max=float(xs[-1]), n_x=xs.size,
-                   t_min=float(times[0]), t_max=float(times[-1]), n_t=n_t)
-    return PdeSolution(grid=grid, xs=xs, times=times, U=U)
-
-
-def test_grid_provider_interpolates_and_differentiates():
-    times = np.array([0.0, 0.5, 1.0])
-    xs = np.linspace(-1.0, 1.0, 21)
-    U = np.stack([xs ** 2, 2.0 * xs ** 2, 3.0 * xs ** 2])
-    sol = _solution(times, xs, U, 2)
-    # t = 0.49 snaps to the 0.5 level; the chord of 2 x**2 between the
-    # nodes 0.3 and 0.4 passes through exactly 0.25 at the midpoint
-    assert sol.u(0.49, 0.35) == pytest.approx(0.25, rel=1e-12)
-    # centered differences are exact on quadratics at interior nodes
-    assert sol.ux(0.0, 0.5) == pytest.approx(1.0, rel=1e-12)
-    # below the time midpoint the first level is selected
-    assert sol.u(0.2, 0.3) == pytest.approx(0.09, rel=1e-12)
-
-
-def _levels_and_probes():
-    # levels whose midpoints are exact binary fractions, so the probes hit
-    # nearest-level ties exactly; a tie goes to the earlier level
-    times = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
-    probes = [(-1.0, 0), (0.0, 0), (0.1, 0), (0.125, 0), (0.13, 1),
-              (0.25, 1), (0.375, 1), (0.5, 2), (0.75, 2), (0.76, 3),
-              (1.0, 3), (1.25, 3), (1.3, 4), (1.5, 4), (9.0, 4)]
-    return times, probes
-
-
-def test_grid_provider_gradient_has_the_bits_of_the_full_gradient():
-    times, probes = _levels_and_probes()
-    xs = np.linspace(-1.3, 2.1, 37)
-    rng = np.random.default_rng(5)
-    U = np.cumsum(rng.standard_normal((times.size, xs.size)), axis=1)
-    D = np.gradient(U, xs, axis=1)
-    sol = _solution(times, xs, U, 6)
-    x = np.concatenate([xs, rng.uniform(-1.5, 2.3, 50)])
-    for _ in range(2):  # the second pass reads the kept gradients
-        for t, i in probes:
-            assert sol.ux(t, x).tobytes() == np.interp(
-                x, xs, D[i]).tobytes()
-            assert sol.u(t, x).tobytes() == np.interp(
-                x, xs, U[i]).tobytes()
-
-
-def test_fd_provider_gradient_matches_at_every_stored_level():
-    model = builtin_model("girsanov_const")
-    sol = solve_fd(model, make_grid(model, -2.0, 2.0, 41))
-    D = np.gradient(sol.U, sol.xs, axis=1)
-    x = np.linspace(-2.5, 2.5, 23)
-    for i, t in enumerate(sol.times):
-        assert sol.ux(t, x).tobytes() == np.interp(x, sol.xs, D[i]).tobytes()
-
-
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_grid_provider_rejects_a_time_that_is_not_finite(t):
-    # a NaN time used to select the terminal level
-    times, _ = _levels_and_probes()
-    xs = np.linspace(-1.0, 1.0, 5)
-    sol = _solution(times, xs, np.ones((times.size, xs.size)), 6)
-    for lookup in (sol.u, sol.ux):
-        with pytest.raises(ValueError, match="t must be finite"):
-            lookup(t, 0.0)
 
 
 # ---------------------------------------------------------------------------

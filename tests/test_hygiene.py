@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module; the FD
 solver imports nothing from the Monte Carlo estimators; importing the
-package loads no SciPy, and small runs of every experiment that call no
-closed-form oracle load no module while they run."""
+package loads no SciPy, small runs of every experiment that call no
+closed-form oracle load no module while they run, and every built-in x-flat
+model carries the time functions of its ``sigma``, ``b`` and ``f2``."""
 
 import ast
 import json
@@ -109,3 +110,17 @@ def test_list_models_loads_no_scipy():
                      if m == "scipy" or m.startswith("scipy.")))
         """)
     assert out.splitlines()[-1] == "[]"
+
+
+def test_x_flat_builtins_carry_time_functions():
+    # without one, a built-in x-flat model would quietly fall back to a
+    # closure call on a one-element array per step and per FD level
+    from degenbsde.model import BUILTIN_MODELS, builtin_model
+    bases = [name for name in BUILTIN_MODELS if name != "girsanov_const"]
+    models = ([builtin_model(name) for name in BUILTIN_MODELS]
+              + [builtin_model("girsanov_const", base=b) for b in bases])
+    for model in (m for m in models if m.x_flat):
+        missing = [label for label in ("sigma", "b", "f2")
+                   if not callable(getattr(getattr(model, label), "_of_t",
+                                           None))]
+        assert not missing, f"{model.name} lacks time functions: {missing}"
