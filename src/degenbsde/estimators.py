@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -309,21 +309,14 @@ def _estimate_one(model: CoefficientModel, point: ProblemPoint,
     return _estimate(model, seed, n_paths, [(point, grid, [reducer])])[0][0]
 
 
-class _Difference(NamedTuple):
-    """A job's entry for the paired difference of two of its routes."""
-
-    a: Callable
-    b: Callable
-
-
-def _difference_reducer(a: Callable, b: Callable) -> _Difference:
-    """The entry of ``v_a - v_b`` on the same paths, kept where both ``a``
-    and ``b`` keep theirs, for a job of ``_estimate``.  Its ``Estimate`` is
+def _difference_reducer(a: Callable, b: Callable) -> tuple:
+    """The job entry of ``v_a - v_b`` on the same paths, kept where both
+    ``a`` and ``b`` keep theirs: the pair ``(a, b)``.  Its ``Estimate`` is
     the paired mean difference, and its stderr carries the covariance of
-    the two estimates, which two separate stderrs ignore.  The driver forms
-    it from what ``a`` and ``b`` return on each chunk, so it runs no
+    the two estimates, which two separate stderrs ignore.  ``_estimate``
+    forms it from what ``a`` and ``b`` return on each chunk, so it runs no
     reducer of its own."""
-    return _Difference(a, b)
+    return a, b
 
 
 def _job_routes(entries: list) -> tuple:
@@ -337,8 +330,8 @@ def _job_routes(entries: list) -> tuple:
             routes.append(reducer)
         return routes.index(reducer)
 
-    slots = [(index(e.a), index(e.b)) if isinstance(e, _Difference)
-             else index(e) for e in entries]
+    slots = [tuple(map(index, e)) if isinstance(e, tuple) else index(e)
+             for e in entries]
     return routes, slots
 
 

@@ -523,14 +523,15 @@ def _x_flat_coefficients(model: CoefficientModel, point: ProblemPoint,
     other ``x``, bit for bit."""
     n = grid.n_steps
     n_live = _live_steps(model, grid)
-    times = grid.times().tolist()
+    times = grid.times()
     at = _x_flat_at(model, np.full(1, point.x0, dtype=float), absorb)
     sigmas, drifts = [], []
-    for t in times[:n_live + (n_live < n)]:  # and the first frozen step
+    # and the first frozen step
+    for t in times[:n_live + (n_live < n)].tolist():
         sig, drift = at(t)
         sigmas.append(sig)
         drifts.append(drift)
-    sigmas.append(at(times[n], drift=False)[0])
+    sigmas.append(at(float(times[n]), drift=False)[0])
     return sigmas, drifts
 
 
