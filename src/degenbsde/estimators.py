@@ -30,8 +30,9 @@ and the final mean is taken over the full per-path value vector, so the
 returned numbers do not depend on chunking or evaluation order.  A call
 holds one chunk's draw at a time, ``4096 * n_draw * 8`` bytes for
 ``n_draw`` normals per path: 64 KB for the terminal law, and on the
-kernel 16 MB at 500 steps, 33 MB at 1000.  The x-flat coefficients of
-each start point are evaluated once per call, not once per chunk.
+kernel 16 MB at 500 steps, 33 MB at 1000.  The terminal law's
+coefficients at each start point are evaluated once per call, not once
+per chunk.
 
 Three gradient routes coexist:
 
@@ -184,9 +185,9 @@ def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
 
 def _terminal_law_job(model: CoefficientModel, grid: TimeGrid) -> bool:
     """Whether a job draws its terminal state from the exact law
-    (``_x_flat_terminal_law``) instead of streaming the kernel: its stream
-    is x-flat and the model has no running cost, so no reducer reads a
-    state before the terminal node."""
+    (``_x_flat_terminal_law``) instead of streaming the kernel: the model
+    may draw it (``_x_flat_stream``) and has no running cost, so no reducer
+    reads a state before the terminal node."""
     return model.f1_is_zero and _x_flat_stream(model, grid)
 
 
@@ -194,19 +195,17 @@ def _job_states(model: CoefficientModel, point: ProblemPoint,
                 grid: TimeGrid, reducers: list) -> Callable:
     """The states one job sends its reducers, as a function of the chunk's
     step-major draw: the terminal law's one state, or the job's
-    absorbed-drift kernel stream.  An x-flat job's coefficients are
+    absorbed-drift kernel stream.  A terminal-law job's coefficients are
     evaluated here, once for all of its chunks."""
-    table = (_x_flat_coefficients(model, point, grid, absorb=True)
-             if _x_flat_stream(model, grid) else None)
     if _terminal_law_job(model, grid):
-        law = _x_flat_terminal_law(point, grid, table)
+        law = _x_flat_terminal_law(
+            point, grid, _x_flat_coefficients(model, point, grid))
         return lambda rows: (law(rows),)
     every_state = not all(getattr(r, "terminal_only", False)
                           for r in reducers)
     return functools.partial(_stream_from_increments, model, point, grid,
                              scale=math.sqrt(grid.dt), absorb=True,
-                             every_state=every_state,
-                             x_flat_coefficients=table)
+                             every_state=every_state)
 
 
 def _estimate(model: CoefficientModel, seed: int, n_paths: int,
@@ -228,8 +227,8 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     ``_<name>_reducer`` builder takes that estimator's arguments except
     ``seed`` and ``n_paths``.
 
-    A job whose stream is x-flat on a model without a running cost draws
-    its terminal state from the exact law of the discretized scheme
+    A job on an x-flat model without a running cost (``_terminal_law_job``)
+    draws its terminal state from the exact law of the discretized scheme
     (``_x_flat_terminal_law``): each of its reducers is sent one state per
     chunk, node ``n_steps``, built from the first two normals of each
     path, and that state also carries the classical weight's sums.  Every
@@ -238,8 +237,8 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     true reads only the terminal state; a kernel job whose reducers all
     do is a terminal job, whose stream yields node ``n_steps`` alone,
     equal to the last state of a full stream.  Every other kernel job's
-    reducers are sent every state.  A state is read when it is sent: the
-    next advance of an x-flat stream overwrites its arrays.
+    reducers are sent every state.  A reducer may keep a state it was
+    sent: no stream writes into the arrays of a state it has yielded.
 
     Per chunk, the standard normals are drawn once, as many per path as
     the job that reads the most rows needs: two for a terminal-law job,
@@ -250,7 +249,7 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     what a call of its own would: every ``Estimate`` is ``==`` to that of
     a separate call.  The draw is released before the next chunk's, so a
     call holds one draw of ``CHUNK_SIZE * n_draw`` float64s at a time.
-    An x-flat job evaluates its coefficients once, at its start ``x0``
+    A terminal-law job evaluates its coefficients once, at its start ``x0``
     (``_x_flat_coefficients``; a built-in model's from their time
     functions, calling no closure), and every chunk's state is formed
     from those values.
@@ -258,9 +257,10 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     Errors come in a fixed order.  Building a reducer validates its
     inputs, so reducers built in job-then-reducer order raise their errors
     in that order, before this driver checks ``n_paths`` and each job's
-    grid, and before any path is drawn.  The x-flat jobs' coefficients are
-    evaluated after those checks and before the first draw, so a
-    coefficient that raises there does so before any path is drawn.  The
+    grid, and before any path is drawn.  The terminal-law jobs'
+    coefficients are evaluated after those checks and before the first
+    draw, so a coefficient that raises there does so before any path is
+    drawn.  The
     estimates are then finalized in the same order, and the first
     ``EstimationError`` wins.
     Floating-point warnings are silenced throughout, since non-finite

@@ -83,28 +83,28 @@ class CoefficientModel:
       default) claims nothing.
     * ``x_flat``: ``sigma``, ``b`` and ``f2`` do not depend on ``x``, so
       ``sigma_x``, ``b_x`` and ``f2_x`` are identically zero, the tangent
-      flow stays 1 and the weight's ``B`` sum stays 0.  The stepping kernel
-      then calls neither derivative, skips both updates, and evaluates
-      ``sigma`` and the drift once per step, at the start ``x0``, for all
-      paths: once per stream, or once per estimator job for all of its
-      chunks, not per chunk; ``solve_fd`` evaluates them once per level,
-      on one node, for all nodes.  Both go through ``_x_flat_at``, which
-      calls the coefficients' time functions (``_of_t``) when ``sigma``,
-      ``b`` and ``f2`` all carry one, as the built-ins do, and otherwise
-      calls the closures on a one-element ``x``.  This changes no stream,
-      simulation, FD value or estimate with a running cost, bit for bit,
-      while ``gamma`` and ``Lambda`` are finite: ``sigma`` must be finite and
-      obey ``|sigma| <= lipschitz_K`` (``check_model_invariants`` checks
-      both, and that the sampled values are one per time), and the kernel
-      keeps the full update when ``lipschitz_K**2`` times the simulated
-      span could overflow.  A cost-free estimate (``f1_is_zero``) of such
-      a model changes its random stream: it draws the terminal state
-      from the exact law of the discretized scheme, two normals per path
-      (``sde_sim._x_flat_terminal_law``), so it equals the undeclared
-      model's estimate in law, not bit for bit; its ``Lambda_T``, and so
-      the ``Lambda`` moments, stay bitwise.  A stale declaration gives
-      every path the values at ``x0``, and every FD node those at one
-      node.  ``False`` (the default) claims nothing.
+      flow stays 1 and the weight's ``B`` sum stays 0.  The stepping
+      kernel steps such a model as any other, so no stream or simulation
+      depends on the declaration.  A cost-free estimate (``f1_is_zero``)
+      draws the terminal state from the exact law of the discretized
+      scheme instead, two normals per path (``sde_sim._x_flat_terminal_law``),
+      with ``sigma`` and the drift evaluated once per step at the start
+      ``x0``, once per estimator job for all of its chunks; ``solve_fd``
+      evaluates them once per level, on one node, for all nodes.  Both go
+      through ``_x_flat_at``, which calls the coefficients' time functions
+      (``_of_t``) when ``sigma``, ``b`` and ``f2`` all carry one, as the
+      built-ins do, and otherwise calls the closures on a one-element
+      ``x``.  Such an estimate changes its random stream, so it equals the
+      undeclared model's estimate in law, not bit for bit; its
+      ``Lambda_T``, and so the ``Lambda`` moments, stay bitwise, and no FD
+      value changes.  This holds while ``gamma`` and ``Lambda`` are
+      finite: ``sigma`` must be finite and obey ``|sigma| <= lipschitz_K``
+      (``check_model_invariants`` checks both, and that the sampled values
+      are one per time), and an estimate keeps streaming the kernel when
+      ``lipschitz_K**2`` times the simulated span could overflow.  A stale
+      declaration gives every path of the terminal law the values at
+      ``x0``, and every FD node those at one node.  ``False`` (the default)
+      claims nothing.
     """
 
     sigma: Coefficient
@@ -472,39 +472,33 @@ def _absorbed_drift_x(model: CoefficientModel, t, x, sig, sig_x):
             + model.f2(t, x) * sig_x)
 
 
-def _x_flat_at(model: CoefficientModel, x: np.ndarray, absorb: bool = True):
+def _x_flat_at(model: CoefficientModel, x: np.ndarray):
     """``at(t) -> (sigma, drift)``: an x-flat model's ``sigma`` and drift at
-    time ``t`` as Python floats, the drift ``b + f2 * sigma`` with
-    ``absorb`` (``_absorbed_drift``), else ``b``; ``at(t, drift=False)``
+    time ``t`` as Python floats, the drift ``b + f2 * sigma`` with the
+    linear-in-z cost absorbed (``_absorbed_drift``); ``at(t, drift=False)``
     gives ``(sigma, None)`` and reads ``sigma`` alone.
 
-    When every coefficient it reads carries a time function ``_of_t``, as
-    every built-in x-flat coefficient does, ``at`` calls those alone and
+    When ``sigma``, ``b`` and ``f2`` all carry a time function ``_of_t``,
+    as every built-in x-flat coefficient does, ``at`` calls those alone and
     forms the drift in Python floats, which round as numpy's float64 ops
     do.  Otherwise it calls the closures on ``x``, a one-element array, as
     ``_absorbed_drift`` does, in the same order.  Under a valid ``x_flat``
     declaration both give the values at any other ``x``, bit for bit."""
-    sigma, b = model.sigma, model.b
-    read = (sigma, b, model.f2) if absorb else (sigma, b)
-    of_t = [getattr(fn, "_of_t", None) for fn in read]
+    sigma = model.sigma
+    of_t = [getattr(fn, "_of_t", None) for fn in (sigma, model.b, model.f2)]
     if None in of_t:
         def at(t, drift=True):
             raw = sigma(t, x)
             if not drift:
                 return _one_value(raw), None
             return _one_value(raw), _one_value(
-                _absorbed_drift(model, t, x, raw) if absorb else b(t, x))
-    elif absorb:
+                _absorbed_drift(model, t, x, raw))
+    else:
         sigma_of, b_of, f2_of = of_t
 
         def at(t, drift=True):
             sig = sigma_of(t)
             return sig, b_of(t) + f2_of(t) * sig if drift else None
-    else:
-        sigma_of, b_of = of_t
-
-        def at(t, drift=True):
-            return sigma_of(t), b_of(t) if drift else None
     return at
 
 

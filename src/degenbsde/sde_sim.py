@@ -46,36 +46,24 @@ stream of every state still yields the remaining nodes, with the frozen
 state, zero ``gamma`` and zero ``dW``.  A terminal stream, which the
 estimators ask for when every reducer of a job reads only the terminal
 state, computes the same steps but yields the terminal node alone; the
-full update builds no state before it, so its frozen tail costs nothing.
+update builds no state before it, so its frozen tail costs nothing.
 
 x-flat: a model that declares ``x_flat`` has ``sigma``, ``b`` and ``f2``
 independent of ``x`` (so ``sigma_x``, ``b_x`` and ``f2_x`` are identically
-zero).  The tangent update then multiplies by ``exp(+0.0) = 1`` and the
-``B`` update adds ``+-0.0``, so ``gradX`` stays exactly 1 and ``B`` exactly
-+0.0 while ``gamma`` and ``Lambda`` are finite, and every path has the same
-``gamma``, drift and ``Lambda``.  Once per stream, when the model's
-declared volatility bound keeps ``Lambda`` finite, the kernel runs its
-x-flat loop.  ``sigma`` and the drift are evaluated once per stream, or
-once per estimator job for all of its chunks, at the start ``x0``
-(``_x_flat_coefficients``), not per chunk: from the coefficients' time
-functions when the model carries them, as every built-in does, with no
-closure call (``model._x_flat_at``).  The loop keeps ``gamma``,
-``Lambda`` and the drift step as Python floats (IEEE doubles, which round
-as the float64 array ops do); only ``X`` and ``S1`` are updated per path,
-in place, through one buffer each and one for the increment, and ``S1``
-drops its ``* gradX`` factor, since ``x * 1.0 == x``.  So its states
-share their ``X``, ``S1`` and ``dW`` arrays; ``path_stream`` yields copies
-of them.  It calls neither derivative, yields ``gradX`` (ones) and ``B``
-(zeros), and yields ``gamma`` and ``Lambda`` as read-only stride-0 rows.
-An overflowing ``Lambda`` would make the full update's ``B`` NaN
-(``inf * 0``), so such streams run the full update.  A stale declaration
-gives every path the ``gamma`` and drift at ``x0``, so its results still
-do not depend on chunking, and a path simulated alone still equals its
-batch row.
+zero), and the kernel steps it as any other model.  A job may draw its
+terminal state from the law below instead when the model also has no
+running cost and its declared bound ``|sigma| <= lipschitz_K`` keeps
+``Lambda`` finite (``_x_flat_stream``).  The law's ``sigma`` and drift are
+then evaluated once per job, for all of its chunks, at the start ``x0``
+(``_x_flat_coefficients``): from the coefficients' time functions when the
+model carries them, as every built-in does, with no closure call
+(``model._x_flat_at``).  A stale declaration gives every path the
+``gamma`` and drift at ``x0``, so its results still do not depend on
+chunking.
 
 Terminal law: on an x-flat model ``S1_T`` is a fixed linear combination
-of the increments, so the terminal state is Gaussian, with the
-deterministic ``Lambda_T`` and drift sum the x-flat loop forms.
+of the increments, so the terminal state is Gaussian, with a
+deterministic ``Lambda_T`` and drift sum.
 ``_x_flat_terminal_law`` draws it exactly, together with the classical
 weight's ``sum dW / gamma``, from the first two normals of each path's
 stream, and costs the same at any step count.  The estimators use it for
@@ -88,12 +76,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 # a module-level import, so numpy.random loads with the package and not on
 # the first draw inside a run
 from numpy.random import Generator, Philox
@@ -172,14 +158,6 @@ class PathState(NamedTuple):
     the terminal node); in a frozen tail (see the module docstring) it is
     zero, since no increment can move the state there.  Accumulators are
     the left-endpoint sums over ``j < k``, so at ``k = 0`` they are zero.
-    An x-flat stream (see the module docstring) yields ``gamma`` and
-    ``Lambda`` as read-only rows whose entries are all one value (stride
-    0); copy them before writing.
-
-    A state from the kernel is valid until its stream is advanced: an
-    x-flat stream then updates ``X``, ``S1`` and ``dW`` in place, so a
-    consumer reads each state before asking for the next.  The states of
-    ``path_stream`` are snapshots that stay valid.
 
     The last three fields are set only by the terminal law
     (``_x_flat_terminal_law``), which yields node ``n_steps`` alone and
@@ -225,10 +203,12 @@ class PathBundle:
 
 @dataclass(frozen=True)
 class BatchPaths:
-    """A batch of paths backed by contiguous (n_paths, n_nodes) arrays.
+    """A batch of paths as ``(n_paths, n_nodes)`` arrays.
 
-    Behaves as a sequence of ``PathBundle`` views; no per-path copies are
-    made.  ``dW``, the transposed step-major draw, is column-major.
+    Every field is the transpose of a contiguous step-major array, one row
+    per node (``dW``: one row per step, the draw), so the values of one
+    node are contiguous.  Behaves as a sequence of ``PathBundle`` views;
+    no per-path copies are made.
     """
 
     grid: TimeGrid
@@ -496,8 +476,9 @@ def _live_steps(model: CoefficientModel, grid: TimeGrid) -> int:
 
 
 def _x_flat_stream(model: CoefficientModel, grid: TimeGrid) -> bool:
-    """Whether the stream skips the tangent flow and ``B``: the model
-    declares ``x_flat``, and its bound ``|sigma| <= lipschitz_K`` keeps
+    """Whether the model's declarations let a job on ``grid`` draw the
+    terminal law (``_x_flat_terminal_law``): the model declares ``x_flat``,
+    and its bound ``|sigma| <= lipschitz_K`` keeps
     ``Lambda <= K**2 * (T - t0)`` finite, with a factor 2 for rounding."""
     K = model.lipschitz_K
     return model.x_flat and math.isfinite(2.0 * K * K * (grid.T - grid.t0))
@@ -511,20 +492,20 @@ def _full(values, shape: tuple) -> np.ndarray:
 
 
 def _x_flat_coefficients(model: CoefficientModel, point: ProblemPoint,
-                         grid: TimeGrid, absorb: bool) -> tuple:
-    """The values an x-flat stream steps with, each a Python float from
-    ``_x_flat_at``: ``sigma`` at every node the stream computes (the live
-    steps, the first frozen step and the terminal node) and the drift at
-    the same steps but the terminal node, ``b + f2 * sigma`` with
-    ``absorb``, else ``b``.  A built-in model's come from its time
-    functions, with no closure call; any other model's coefficients are
-    called once per node on a one-element ``x`` holding ``point.x0``.
-    Under a valid ``x_flat`` declaration they equal the values at any
-    other ``x``, bit for bit."""
+                         grid: TimeGrid) -> tuple:
+    """The values the terminal law sums, each a Python float from
+    ``_x_flat_at``: ``sigma`` at every node the kernel computes (the live
+    steps, the first frozen step and the terminal node) and the absorbed
+    drift ``b + f2 * sigma`` at the same steps but the terminal node.  A
+    built-in model's come from its time functions, with no closure call;
+    any other model's coefficients are called once per node on a
+    one-element ``x`` holding ``point.x0``.  Under a valid ``x_flat``
+    declaration they equal the kernel's values at any ``x``, bit for
+    bit."""
     n = grid.n_steps
     n_live = _live_steps(model, grid)
     times = grid.times()
-    at = _x_flat_at(model, np.full(1, point.x0, dtype=float), absorb)
+    at = _x_flat_at(model, np.full(1, point.x0, dtype=float))
     sigmas, drifts = [], []
     # and the first frozen step
     for t in times[:n_live + (n_live < n)].tolist():
@@ -538,12 +519,12 @@ def _x_flat_coefficients(model: CoefficientModel, point: ProblemPoint,
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, rows: np.ndarray, scale: float,
                             absorb: bool = False,
-                            every_state: bool = True,
-                            x_flat_coefficients: Optional[tuple] = None
-                            ) -> Iterator[PathState]:
+                            every_state: bool = True) -> Iterator[PathState]:
     """Advance a path family driven by the given step-major matrix: row
     ``k`` is step ``k``, one column per path, and step ``k``'s increment is
-    ``rows[k] * scale``.
+    ``rows[k] * scale``.  Each step updates every path: ``X``, the tangent
+    flow ``gradX`` and the sums ``Lambda``, ``S1`` and ``B`` (see the module
+    docstring).
 
     Only the first ``_live_steps`` rows are read, and none is written.  The
     streams take standard normals and ``scale = sqrt(dt)``; the
@@ -559,42 +540,19 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     ``transformed_drift(model)``, formed from the ``sigma`` and
     ``sigma_x`` values the step has already evaluated; without it the
     drift is ``model.b``.  Either way each computed node calls ``sigma``
-    once, and a step that runs the tangent flow calls ``sigma_x`` once.
-    An x-flat stream (see the module docstring) calls no coefficient: it
-    steps with ``x_flat_coefficients``, the table of
-    ``_x_flat_coefficients`` for the same ``absorb``, which a caller that
-    streams several chunks builds once, and the stream builds on its first
-    advance when it is not given.
+    once, and each step calls ``sigma_x`` once.  On an x-flat model the
+    derivatives are zero, so ``gradX`` stays exactly 1 (``exp(+0.0)``) and
+    ``B`` adds only ``+-0.0`` while ``gamma`` and ``Lambda`` are finite.
 
     Without ``every_state`` the stream computes the same steps but yields
     only its terminal state, node ``n_steps``, whose every field equals
-    the last state of a full stream: the tangent update builds no state
-    before it, and an x-flat stream keeps only the last state it builds.
-    A yielded state is valid until the stream is advanced (see
-    ``PathState``).
+    the last state of a full stream; it builds no state before it.
 
     It sets no floating-point error state, so none leaks between two
     states; its callers silence the warnings of their own advances.
     """
-    n_live = _live_steps(model, grid)
-    if not _x_flat_stream(model, grid):
-        yield from _tangent_states(model, point, grid, rows, scale, n_live,
-                                   absorb, every_state)
-        return
-    if x_flat_coefficients is None:
-        x_flat_coefficients = _x_flat_coefficients(model, point, grid, absorb)
-    states = _x_flat_states(point, grid, rows, scale, n_live,
-                            x_flat_coefficients)
-    yield from states if every_state else deque(states, maxlen=1)
-
-
-def _tangent_states(model: CoefficientModel, point: ProblemPoint,
-                    grid: TimeGrid, rows: np.ndarray, scale: float,
-                    n_live: int, absorb: bool,
-                    every_state: bool) -> Iterator[PathState]:
-    """The full update: every coefficient on every path, the tangent flow
-    and ``B``."""
     n = grid.n_steps
+    n_live = _live_steps(model, grid)
     dt = grid.dt
     times = grid.times()
     shape = (rows.shape[1],)
@@ -636,62 +594,6 @@ def _tangent_states(model: CoefficientModel, point: ProblemPoint,
                     S1, B, None)
 
 
-def _x_flat_states(point: ProblemPoint, grid: TimeGrid, rows: np.ndarray,
-                   scale: float, n_live: int,
-                   coefficients: tuple) -> Iterator[PathState]:
-    """The x-flat update: ``sigma`` and the drift of each step read from
-    the Python floats of ``coefficients`` (see ``_x_flat_coefficients``);
-    ``X``, ``S1`` and the increment updated in place in one buffer each;
-    ``gamma`` and ``Lambda`` yielded as read-only stride-0 rows."""
-    n = grid.n_steps
-    dt = grid.dt
-    times = grid.times()
-    shape = (rows.shape[1],)
-    zeros = np.zeros(shape)
-    X = np.full(shape, point.x0, dtype=float)
-    S1 = np.zeros(shape, dtype=float)
-    dW = np.empty(shape, dtype=float)
-    ones = np.ones(shape, dtype=float)
-    multiply, add = np.multiply, np.add
-    # node k's gamma and Lambda, written once, just before node k is yielded
-    gam = np.zeros(n + 1)
-    lam = np.zeros(n + 1)
-    gamma_rows, lambda_rows = (
-        as_strided(v, shape=(n + 1,) + shape, strides=(v.strides[0], 0),
-                   writeable=False)
-        for v in (gam, lam))
-    lam_k = 0.0
-    sigmas, drifts = coefficients
-
-    for k in range(n_live + (n_live < n)):  # and the first frozen step
-        t = float(times[k])
-        if k < n_live:
-            multiply(rows[k], scale, dW)
-        else:
-            dW.fill(0.0)
-        g = gam[k] = sigmas[k]
-        lam[k] = lam_k
-        yield PathState(k, t, X, ones, gamma_rows[k], lambda_rows[k], S1,
-                        zeros, dW)
-
-        bv = drifts[k]
-        multiply(g, dW, dW)  # the step's g * dW
-        add(S1, dW, S1)
-        lam_k = lam_k + g * g * dt
-        add(X, bv * dt, X)
-        add(X, dW, X)
-
-    for k in range(n_live + 1, n):  # the rest of a frozen tail; gam[k] = 0
-        lam[k] = lam_k
-        yield PathState(k, float(times[k]), X, ones, gamma_rows[k],
-                        lambda_rows[k], S1, zeros, zeros)
-
-    gam[n] = sigmas[-1]
-    lam[n] = lam_k
-    yield PathState(n, float(times[n]), X, ones, gamma_rows[n],
-                    lambda_rows[n], S1, zeros, None)
-
-
 # The standard normals per path that the terminal law reads: rows 0 and 1
 # of a step-major draw.
 _TERMINAL_LAW_ROWS = 2
@@ -700,7 +602,7 @@ _TERMINAL_LAW_ROWS = 2
 def _x_flat_terminal_law(point: ProblemPoint, grid: TimeGrid,
                          coefficients: tuple
                          ) -> Callable[[np.ndarray], PathState]:
-    """The exact law of an x-flat stream's terminal state.
+    """The exact law of the kernel's terminal state on an x-flat model.
 
     Under ``x_flat`` every step adds the same drift and the same multiple
     of its increment to every path, so ``S1_T = sum_k gamma_k * dW_k`` is
@@ -717,7 +619,7 @@ def _x_flat_terminal_law(point: ProblemPoint, grid: TimeGrid,
     ``Lambda_T`` and ``D`` sum the steps the kernel computes, in its order
     (the live steps and the first frozen step), from ``coefficients``, the
     table of ``_x_flat_coefficients``, so ``Lambda_T`` is the kernel's bit
-    for bit.  ``r`` is a sum of nonnegative terms, exactly zero when
+    for bit: the kernel's ``gamma`` on every path is the table's value.  ``r`` is a sum of nonnegative terms, exactly zero when
     ``1/gamma_k == c * gamma_k`` (at a constant power-of-two volatility,
     say), and then ``snd_T`` is ``c * S1_T``.  In a frozen tail past its
     first step ``gamma`` is zero, so ``min_abs_gamma`` is 0.
@@ -765,8 +667,9 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     It holds no per-node history, only the running state, so memory
     stays flat in ``n_steps``.  Only the increments before a frozen tail
     are drawn.  Each state is a snapshot: its ``X``, ``S1`` and ``dW`` are
-    copies, so it stays valid after the stream advances, although the
-    kernel updates an x-flat stream's arrays in place.  Floating-point
+    copies, so a caller may keep or write into one state's arrays without
+    touching another's, although the kernel yields every node of a frozen
+    tail with the same ``X``, ``S1`` and zero ``dW``.  Floating-point
     warnings are silenced while a state is computed, and only then: the
     caller's code between two states keeps its settings.
     """
@@ -792,27 +695,27 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _materialize(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
                  dW: np.ndarray) -> BatchPaths:
+    """Every state of the kernel driven by ``dW``, ``(n_paths, n_steps)``,
+    the transpose of a step-major array, stored node by node in step-major
+    arrays whose transposes make the batch."""
     n_paths = dW.shape[0]
-    X = np.empty((n_paths, grid.n_steps + 1), dtype=float)
-    gradX = np.empty_like(X)
-    gamma = np.empty_like(X)
-    Lambda = np.empty_like(X)
-    S1 = np.empty_like(X)
-    B = np.empty_like(X)
+    X, gradX, gamma, Lambda, S1, B = fields = np.empty(
+        (6, grid.n_steps + 1, n_paths))
 
     for st in _stream_from_increments(model, point, grid, dW.T, 1.0):
-        X[:, st.k] = st.X
-        gradX[:, st.k] = st.gradX
-        gamma[:, st.k] = st.gamma
-        Lambda[:, st.k] = st.Lambda
-        S1[:, st.k] = st.S1
-        B[:, st.k] = st.B
+        k = st.k
+        X[k] = st.X
+        gradX[k] = st.gradX
+        gamma[k] = st.gamma
+        Lambda[k] = st.Lambda
+        S1[k] = st.S1
+        B[k] = st.B
 
     valid = np.ones(n_paths, dtype=bool)
-    for arr in (X, gradX, gamma, Lambda, S1, B):
-        valid &= np.isfinite(arr).all(axis=1)
-    return BatchPaths(grid=grid, dW=dW, X=X, gradX=gradX, gamma=gamma,
-                      Lambda=Lambda, S1=S1, B=B, valid=valid)
+    for arr in fields:
+        valid &= np.isfinite(arr).all(axis=0)
+    return BatchPaths(grid=grid, dW=dW, X=X.T, gradX=gradX.T, gamma=gamma.T,
+                      Lambda=Lambda.T, S1=S1.T, B=B.T, valid=valid)
 
 
 def simulate_path(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,

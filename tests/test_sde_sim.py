@@ -22,7 +22,6 @@ from degenbsde import (
     simulate_path,
 )
 from degenbsde.sde_sim import (_DRAW_BLOCK, _live_steps, _normal_matrix,
-                               _stream_from_increments,
                                simulate_path_with_increments)
 
 
@@ -448,42 +447,11 @@ def test_normal_matrix_is_step_major_per_path_streams(seed, n_paths, first,
     assert _normal_matrix(seed, indices, k).tobytes() == got[:k].tobytes()
 
 
-@pytest.mark.parametrize("absorb", [False, True])
-def test_x_flat_stream_evaluates_one_path_and_yields_read_only_rows(absorb):
-    # girsanov_const[example1] freezes at t = 1 of its horizon 2: on 8
-    # steps a stream computes 5 live steps, one frozen step and the
-    # terminal node, each on one x alone
-    model = builtin_model("girsanov_const", base="example1")
-    sizes = {"sigma": [], "b": [], "f2": []}
-
-    def sized(fn, record):
-        def inner(t, x):
-            record.append(np.size(x))
-            return fn(t, x)
-        return inner
-
-    traced = replace(model, **{k: sized(getattr(model, k), sizes[k])
-                               for k in sizes})
-    point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 2.0, 8)
-    normals = _normal_matrix(5, np.arange(6), _live_steps(model, grid))
-    states = list(_stream_from_increments(traced, point, grid, normals,
-                                          math.sqrt(grid.dt), absorb=absorb))
-    assert len(states) == 9
-    assert sizes == {"sigma": [1] * 7, "b": [1] * 6,
-                     "f2": [1] * 6 if absorb else []}
-    for s in states:
-        for arr in (s.gamma, s.Lambda):
-            assert arr.shape == (6,) and arr.strides == (0,)
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
-
-
 @pytest.mark.parametrize("name", ["example1", "step_vol", "girsanov_const"])
 def test_path_stream_states_of_an_x_flat_model_share_no_memory(name):
-    # the x-flat kernel updates X, S1 and dW in place; path_stream yields
-    # copies, so states kept after the stream advanced still hold their
-    # own node's values
+    # the kernel yields every node of a frozen tail with the same X, S1
+    # and zero dW; path_stream yields copies, so no two states share
+    # memory and each holds its own node's values
     m = builtin_model(name)
     assert m.x_flat
     pt, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, m.horizon_T, 12)

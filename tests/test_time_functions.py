@@ -81,11 +81,10 @@ def test_time_functions_return_the_closure_bits(name, base, data):
             assert type(got) is float, (label, t)
             assert _bits(got) == fn(t, x).tobytes(), (label, t, got)
         # the fast path and the closure calls agree on the drift too
-        for absorb in (True, False):
-            fast = _x_flat_at(model, x, absorb)(t)
-            with np.errstate(invalid="ignore", over="ignore"):
-                slow = _x_flat_at(plain, x, absorb)(t)
-            assert list(map(_bits, fast)) == list(map(_bits, slow)), (t, absorb)
+        fast = _x_flat_at(model, x)(t)
+        with np.errstate(invalid="ignore", over="ignore"):
+            slow = _x_flat_at(plain, x)(t)
+        assert list(map(_bits, fast)) == list(map(_bits, slow)), t
 
 
 def _counted(model, calls):
@@ -102,7 +101,7 @@ def _counted(model, calls):
                              for name in calls})
 
 
-def _reference_table(model, point, grid, absorb):
+def _reference_table(model, point, grid):
     """``_x_flat_coefficients`` as the closures give it: each coefficient
     called on a one-element ``x`` at every node the stream computes."""
     n, n_live = grid.n_steps, _live_steps(model, grid)
@@ -111,21 +110,19 @@ def _reference_table(model, point, grid, absorb):
     for t in grid.times()[:n_live + (n_live < n)].tolist():
         sig = model.sigma(t, x0)
         sigmas.append(_one_value(sig))
-        drifts.append(_one_value(_absorbed_drift(model, t, x0, sig) if absorb
-                                 else model.b(t, x0)))
+        drifts.append(_one_value(_absorbed_drift(model, t, x0, sig)))
     sigmas.append(_one_value(model.sigma(float(grid.times()[n]), x0)))
     return sigmas, drifts
 
 
-@pytest.mark.parametrize("absorb", [True, False])
-def test_x_flat_table_of_example1_calls_no_closure(absorb):
+def test_x_flat_table_of_example1_calls_no_closure():
     model = builtin_model("example1", alpha=0.8, beta=0.3)
     point, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, 2.0, 1000)
     calls = dict.fromkeys(["sigma", "b", "f2"], 0)
-    table = _x_flat_coefficients(_counted(model, calls), point, grid, absorb)
+    table = _x_flat_coefficients(_counted(model, calls), point, grid)
     assert calls == {"sigma": 0, "b": 0, "f2": 0}
     assert len(table[0]) == _live_steps(model, grid) + 2
-    want = _reference_table(model, point, grid, absorb)
+    want = _reference_table(model, point, grid)
     assert repr(table) == repr(want)
     assert [list(map(_bits, v)) for v in table] == \
         [list(map(_bits, v)) for v in want]
@@ -145,24 +142,22 @@ def test_fd_sweep_of_girsanov_const_calls_no_closure_per_level():
     assert sol.U.tobytes() == solve_fd(_plain(model), grid).U.tobytes()
 
 
-def _reference_calls(model, point, grid, absorb):
+def _reference_calls(model, point, grid):
     n, n_live = grid.n_steps, _live_steps(model, grid)
     computed = n_live + (n_live < n)
-    return {"sigma": computed + 1, "b": computed,
-            "f2": computed if absorb else 0}
+    return {"sigma": computed + 1, "b": computed, "f2": computed}
 
 
-@pytest.mark.parametrize("absorb", [True, False])
 @pytest.mark.parametrize("make", [lambda: _bump_vol(1.5), _stale_x_flat_model,
                                   lambda: _plain(builtin_model("example1"))])
-def test_model_without_time_functions_is_called_as_before(make, absorb):
+def test_model_without_time_functions_is_called_as_before(make):
     model = make()
     point, grid = ProblemPoint(0.0, 0.3), TimeGrid(0.0, model.horizon_T, 50)
     calls = dict.fromkeys(["sigma", "b", "f2"], 0)
     counted = _counted(model, calls)
-    table = _x_flat_coefficients(counted, point, grid, absorb)
-    assert calls == _reference_calls(model, point, grid, absorb)
-    want = _reference_table(model, point, grid, absorb)
+    table = _x_flat_coefficients(counted, point, grid)
+    assert calls == _reference_calls(model, point, grid)
+    want = _reference_table(model, point, grid)
     assert [list(map(_bits, v)) for v in table] == \
         [list(map(_bits, v)) for v in want]
 
@@ -188,9 +183,4 @@ def test_a_partial_set_of_time_functions_calls_every_closure():
     assert at(0.25) == (1.0, 0.5)
     assert calls == {"sigma": 1, "b": 1, "f2": 1}
     assert at(0.75, drift=False) == (0.0, None)
-    assert calls == {"sigma": 2, "b": 1, "f2": 1}
-    # without the absorbed cost f2 is not read, so sigma's and b's suffice
-    model = replace(base, f2=lambda t, x: base.f2(t, x))
-    at = _x_flat_at(_counted(model, calls), np.zeros(1), absorb=False)
-    assert at(0.25) == (1.0, 0.0)
     assert calls == {"sigma": 2, "b": 1, "f2": 1}

@@ -1,7 +1,7 @@
-"""x-flat models: a model that declares ``x_flat`` skips the tangent flow
-and the ``B`` sum in the stepping kernel, and every stream, simulation and
-estimate with a running cost must equal that of the same model without
-the declaration, bit for bit.  A cost-free estimate draws its terminal
+"""x-flat models: the stepping kernel steps a model that declares
+``x_flat`` as any other, so every stream, simulation and estimate with a
+running cost must equal that of the same model without the declaration,
+bit for bit and call for call.  A cost-free estimate draws its terminal
 state from the exact law of the discretized scheme instead, so it must
 agree with the kernel's statistically, with the same paths kept and the
 same ``Lambda_T``."""
@@ -68,23 +68,46 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-def test_declared_model_calls_no_derivative_in_the_kernel():
-    calls = []
+_RECORDED = ("sigma", "sigma_x", "b", "b_x", "f1", "f1_x", "f2", "f2_x", "g")
+_STATE_FIELDS = ("X", "gradX", "gamma", "Lambda", "S1", "B", "dW")
 
-    def counted(fn):
-        def inner(t, x):
-            calls.append(t)
-            return fn(t, x)
+
+def _recorded(model, calls):
+    """``model`` with every coefficient and the payoff appending each call
+    to ``calls`` as ``(name, t, shape of x)``.  The wrappers carry no time
+    function, so every value comes from a closure call."""
+    def record(name, fn):
+        def inner(*args):
+            calls.append((name, args[:-1], np.shape(args[-1])))
+            return fn(*args)
         return inner
 
-    m = builtin_model("tanh_smooth")
-    grid = TimeGrid(0.0, 1.0, 8)
-    for model, want in ((m, 0), (dataclasses.replace(m, x_flat=False), 8)):
-        traced = dataclasses.replace(model, sigma_x=counted(model.sigma_x),
-                                     b_x=counted(model.b_x))
-        calls.clear()
-        list(path_stream(traced, ProblemPoint(0.0, 0.0), grid, 0, range(3)))
-        assert len(calls) == 2 * want
+    return dataclasses.replace(model, **{
+        name: record(name, getattr(model, name)) for name in _RECORDED})
+
+
+@pytest.mark.parametrize("name", builtin_model_names())
+def test_declared_model_steps_the_kernel_as_the_undeclared_one(name):
+    # one kernel steps both: the declaration changes no closure call, no x
+    # it is called on and no bit of a stream, a simulation or an estimate
+    # with a running cost (which streams the kernel)
+    m = _with_cost(builtin_model(name))
+    point = ProblemPoint(0.0, 0.1)
+    grid = TimeGrid(0.0, m.horizon_T, 12)
+    runs = []
+    for model in (m, dataclasses.replace(m, x_flat=False)):
+        calls = []
+        traced = _recorded(model, calls)
+        states = [[None if getattr(s, f) is None else _bits(getattr(s, f))
+                   for f in _STATE_FIELDS]
+                  for s in path_stream(traced, point, grid, 3, range(5))]
+        batch = simulate_batch(traced, point, grid, 3, 5)
+        batch_bits = [_bits(getattr(batch, f)) for f in _STATE_FIELDS]
+        est = _outcome(estimate_ux_weighted, traced, point, grid, 3, 20)
+        runs.append((calls, states, batch_bits, est))
+    declared, undeclared = runs
+    assert declared[0] == undeclared[0]
+    assert declared[1:] == undeclared[1:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,7 +232,7 @@ def test_terminal_law_draws_the_kernels_terminal_sums_in_law():
     n = 3000
     batch = simulate_batch(m, point, grid, 30_029, n)
     law = _x_flat_terminal_law(point, grid, _x_flat_coefficients(
-        m, point, grid, absorb=False))(_normal_matrix(30_031, range(n), 2))
+        m, point, grid))(_normal_matrix(30_031, range(n), 2))
     gam = batch.gamma[0, :-1]
     lam = batch.Lambda[0, -1]
     assert _bits(law.Lambda) == _bits(np.full(n, lam))
