@@ -260,9 +260,8 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     grid, and before any path is drawn.  The terminal-law jobs'
     coefficients are evaluated after those checks and before the first
     draw, so a coefficient that raises there does so before any path is
-    drawn.  The
-    estimates are then finalized in the same order, and the first
-    ``EstimationError`` wins.
+    drawn.  The estimates are then finalized in the same order, and the
+    first ``EstimationError`` wins.
     Floating-point warnings are silenced throughout, since non-finite
     samples are excluded and counted instead.
     """

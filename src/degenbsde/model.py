@@ -87,9 +87,10 @@ class CoefficientModel:
       kernel steps such a model as any other, so no stream or simulation
       depends on the declaration.  A cost-free estimate (``f1_is_zero``)
       draws the terminal state from the exact law of the discretized
-      scheme instead, two normals per path (``sde_sim._x_flat_terminal_law``),
-      with ``sigma`` and the drift evaluated once per step at the start
-      ``x0``, once per estimator job for all of its chunks; ``solve_fd``
+      scheme instead, two normals per path
+      (``sde_sim._x_flat_terminal_law``), with ``sigma`` and the drift
+      evaluated once per step at the start ``x0``, once per estimator job
+      for all of its chunks; ``solve_fd``
       evaluates them once per level, on one node, for all nodes.  Both go
       through ``_x_flat_at``, which calls the coefficients' time functions
       (``_of_t``) when ``sigma``, ``b`` and ``f2`` all carry one, as the

@@ -619,7 +619,7 @@ def _x_flat_terminal_law(point: ProblemPoint, grid: TimeGrid,
     ``Lambda_T`` and ``D`` sum the steps the kernel computes, in its order
     (the live steps and the first frozen step), from ``coefficients``, the
     table of ``_x_flat_coefficients``, so ``Lambda_T`` is the kernel's bit
-    for bit: the kernel's ``gamma`` on every path is the table's value.  ``r`` is a sum of nonnegative terms, exactly zero when
+    for bit.  ``r`` is a sum of nonnegative terms, exactly zero when
     ``1/gamma_k == c * gamma_k`` (at a constant power-of-two volatility,
     say), and then ``snd_T`` is ``c * S1_T``.  In a frozen tail past its
     first step ``gamma`` is zero, so ``min_abs_gamma`` is 0.

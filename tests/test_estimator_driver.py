@@ -7,8 +7,8 @@ of a call at several start points, whose streams share one draw per chunk.
 
 The references stream the kernel, while the driver draws a cost-free
 x-flat job's terminal state from its exact law.  So the reference tests
-run the x-flat built-ins undeclared (``x_flat=False``): the full update
-gives the bits the x-flat kernel gives, and the driver streams it.  The
+run the x-flat built-ins undeclared (``x_flat=False``), which the driver
+streams through the kernel as the references do.  The
 terminal law is compared with the kernel statistically in
 ``test_x_flat.py``."""
 

@@ -251,7 +251,7 @@ def test_terminal_law_draws_the_kernels_terminal_sums_in_law():
 
 
 def test_volatility_bound_that_lets_lambda_overflow_keeps_the_full_update():
-    # Lambda overflows on the first step; the full update's B then turns
+    # Lambda overflows on the first step; the kernel's B then turns
     # NaN (inf * 0) and floors every degenerate weight, and so must a
     # declared model's
     m = builtin_model("tanh_smooth", sigma_bar=1e160)
