@@ -81,11 +81,9 @@ def test_benchmark_workload_csv_bytes_are_pinned(tmp_path, name):
     assert _digests(res) == _CSV_SHA256[name]
 
 
-def test_every_checked_in_config_is_pinned():
-    assert {p.stem for p in _CONFIG_DIR.glob("*.json")} == set(_CONFIG_SHA256)
-
-
-@pytest.mark.parametrize("name", sorted(_CONFIG_SHA256))
+# every config, so that one added without a pin fails here
+@pytest.mark.parametrize("name",
+                         sorted(p.stem for p in _CONFIG_DIR.glob("*.json")))
 def test_checked_in_config_output_bytes_are_pinned(tmp_path, name):
     raw = json.loads((_CONFIG_DIR / f"{name}.json").read_text())
     res = run_experiment(raw, out_dir=tmp_path)
