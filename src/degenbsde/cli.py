@@ -377,12 +377,13 @@ def _out_path(cfg: dict, out_dir: Path, suffix: str = "") -> Path:
     return path
 
 
-def _solve(cfg: dict, model: CoefficientModel, t_min: float):
-    """The FD solution on the config's space grid, from ``t_min`` on."""
+def _solve(cfg: dict, model: CoefficientModel, t_min: float, at_times):
+    """The FD solution on the config's space grid, from ``t_min`` on,
+    storing only the levels that lookups at ``at_times`` read."""
     try:
         grid = make_grid(model, cfg["x_min"], cfg["x_max"], cfg["n_x"],
                          t_min=t_min)
-        return solve_fd(model, grid)
+        return solve_fd(model, grid, at_times=at_times)
     except ValueError as exc:
         raise NumericalFailure(str(exc)) from None
 
@@ -547,7 +548,7 @@ def _run_lambda_moment(cfg, model, out_dir):
 
 def _run_girsanov_equiv(cfg, model, out_dir):
     t0 = cfg["t0"]
-    sol = _solve(cfg, model, t0)
+    sol = _solve(cfg, model, t0, [t0])
     grid = TimeGrid(t0, model.horizon_T, cfg["n_steps"])
     points = [ProblemPoint(t0, x) for x in cfg["probes_x"]]
     estimates = _estimate(model, cfg["seed"], cfg["n_paths"], [
@@ -583,7 +584,8 @@ def _run_girsanov_equiv(cfg, model, out_dir):
 
 def _run_pde_vs_mc(cfg, model, out_dir):
     probes = cfg["probes"]
-    sol = _solve(cfg, model, min(t for t, _ in probes))
+    probe_ts = [t for t, _ in probes]
+    sol = _solve(cfg, model, min(probe_ts), probe_ts)
     jobs = []
     for t, x in probes:
         grid = TimeGrid(t, model.horizon_T, cfg["n_steps"])
@@ -620,10 +622,11 @@ def _run_pde_vs_mc(cfg, model, out_dir):
 _CLOSED_FORM_MODEL = {"bachelier": "bachelier_digital", "example1": "example1"}
 
 
-def _zpath_provider(cfg, model):
+def _zpath_provider(cfg, model, times):
+    """The provider of ``u_x`` at the path nodes' ``times``."""
     kind = cfg["provider"]
     if kind == "pde":
-        return ValueProvider(ux_eval=_solve(cfg, model, cfg["t0"]).ux)
+        return ValueProvider(ux_eval=_solve(cfg, model, cfg["t0"], times).ux)
     if cfg["model"] != _CLOSED_FORM_MODEL[kind]:
         raise ConfigError(f"key 'provider': {kind!r} is the closed form of "
                           f"model {_CLOSED_FORM_MODEL[kind]!r}, not "
@@ -634,12 +637,12 @@ def _zpath_provider(cfg, model):
 
 
 def _run_z_path(cfg, model, out_dir):
-    provider = _zpath_provider(cfg, model)
-    point = ProblemPoint(cfg["t0"], cfg["x0"])
     grid = TimeGrid(cfg["t0"], model.horizon_T, cfg["n_steps"])
+    times = grid.times()
+    provider = _zpath_provider(cfg, model, times)
+    point = ProblemPoint(cfg["t0"], cfg["x0"])
     batch = simulate_batch(model, point, grid, cfg["seed"], cfg["n_paths"])
     taus = locate_tau_batch(model, batch, eps_sigma=cfg["eps_sigma"])
-    times = grid.times()
     Z = _z_matrix(times, batch.X, batch.gamma, taus, provider)
     all_finite = bool(np.all(np.isfinite(Z)))
     clamped = bool(np.all(Z[times >= taus[:, None]] == 0.0))

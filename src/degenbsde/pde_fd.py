@@ -21,13 +21,18 @@ a model that declares ``x_flat`` the level's ``sigma`` and drift are
 Python floats from ``model._x_flat_at``: the coefficients' time
 functions for a built-in model, with no closure call, and otherwise
 ``sigma``, ``b`` and ``f2`` called on the first node alone.  The level's
-``0.5 * sigma**2`` is then a Python float too, and the drift's sign picks
-the forward, backward or zero difference for every node at once.  The
-stability check rejects such a declaration when a sampled level's
-``sigma`` or drift varies across the lattice.
+``0.5 * sigma**2`` and drift then enter the sweep as 0-d float64 arrays,
+and the drift's sign picks the forward, backward or zero difference for
+every node at once.  A level whose ``sigma`` and drift have the same
+float bits as the previous swept level's reuses that level's operands
+and difference: a one-entry cache, so a piecewise-constant model such as
+``girsanov_const`` builds one set per piece.  Bits, not ``==``, decide:
+a ``-0.0`` drift gives other bits than a ``+0.0`` one.  The stability
+check rejects an ``x_flat`` declaration when a sampled level's ``sigma``
+or drift varies across the lattice.
 
 The sweep runs in place: the value, its differences and the right-hand
-side live in buffers allocated once per solve, and each kept level is
+side live in buffers allocated once per solve, and each stored level is
 copied straight into its row of the stored array.  Its ufuncs are bound
 once per solve, and its constants ``2``, ``dx``, ``dx**2`` and ``dt`` are
 0-d float64 arrays, which a ufunc takes with less per-call overhead than
@@ -43,6 +48,14 @@ are written into a row of a block buffer, and the block's maxima and its
 finiteness and x-flat checks are taken once, along its rows; the first
 failing level in time order still raises its own error.
 
+``solve_fd`` keeps at most ``max_stored_levels`` evenly thinned levels,
+and stores all of them unless the caller names the times it will look
+up (``at_times``): then it stores only the kept levels those lookups
+snap to, and a lookup at a requested time gives the bits it gives on the
+solution of all kept levels.  The experiments name their lookup times,
+so ``z-path`` stores at most one level per path node and ``pde-vs-mc``
+and ``girsanov-equiv`` one per probe time, instead of up to 2001 rows.
+
 ``PdeSolution`` answers its own lookups, ``u`` and ``ux``: nearest stored
 level in time, linear in space, each level's gradient built once.
 """
@@ -50,6 +63,7 @@ level in time, linear in space, each level's gradient built once.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,6 +89,9 @@ _SAMPLE_BLOCK = 65536
 _MAX_JUMP_DENOMINATOR = 10000
 _MAX_LEVEL_MULTIPLE = 1_000_000
 _MAX_N_T = 2 ** 63  # step counts must fit an int64
+# two float64s as 16 bytes, so that -0.0 and 0.0 differ and a NaN equals
+# a NaN of the same bits
+_pack_pair = struct.Struct("dd").pack
 
 
 @dataclass(frozen=True)
@@ -345,10 +362,11 @@ def _nearest_level(times: np.ndarray, t: float) -> int:
 class PdeSolution:
     """Stored backward sweep: value levels on the lattice.
 
-    ``times`` holds the subsampled stored levels (first and last always
-    present); ``u`` and ``ux`` snap to the nearest stored level (a tie
-    goes to the earlier one; a time that is not finite raises ValueError)
-    and interpolate linearly in space.  ``ux`` reads the centered
+    ``times`` holds the stored levels: the evenly thinned kept levels,
+    first and last always present, or those of them that ``solve_fd``'s
+    ``at_times`` asked for.  ``u`` and ``ux`` snap to the nearest stored
+    level (a tie goes to the earlier one; a time that is not finite raises
+    ValueError) and interpolate linearly in space.  ``ux`` reads the centered
     differences in x (one-sided at the ends) of that level alone, so sharp
     features in time are not smeared; they are built on first lookup.
     A solution compares and hashes by identity: its fields are arrays.
@@ -376,17 +394,42 @@ class PdeSolution:
         return float(np.min(self.U)), float(np.max(self.U))
 
 
+def _stored_levels(times: np.ndarray, at_times) -> list:
+    """The indices of the kept levels at ``times`` that a solution stores:
+    all of them, or for ``at_times`` the distinct levels ``_nearest_level``
+    picks for the requested times, ascending."""
+    if at_times is None:
+        return list(range(times.size))
+    ts = np.asarray(at_times, dtype=float).ravel()
+    if ts.size == 0:
+        raise ValueError("at_times must name at least one time")
+    return sorted({_nearest_level(times, t) for t in ts.tolist()})
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_fd(model: CoefficientModel, grid: PdeGrid,
-             max_stored_levels: int = MAX_STORED_LEVELS) -> PdeSolution:
+             max_stored_levels: int = MAX_STORED_LEVELS,
+             at_times=None) -> PdeSolution:
     """Backward explicit sweep from the terminal payoff.
 
     Refuses to run on a grid that fails the stability check (use
     ``make_grid`` to get a conforming one).  The running cost ``f1``, when
     present, is evaluated on the nodes at the time each step starts from,
     as the coefficients are.  At most ``max_stored_levels`` levels are
-    retained, evenly thinned, with the initial and terminal levels always
-    kept.
+    kept, evenly thinned, the initial and terminal levels always among
+    them, and every kept level is stored unless ``at_times`` is given.
+
+    ``at_times``, a nonempty sequence of finite times, stores only the
+    kept levels that lookups at those times read: for each time, the kept
+    level nearest to it (a tie goes to the earlier one, as in
+    ``PdeSolution.u``).  Each distinct level is stored once, in ascending
+    order.  ``u`` and ``ux`` at a requested time then give the same bits
+    as on the solution of all kept levels: the level they snap to is
+    stored, so no stored level is nearer, and a tie among the stored
+    levels is a tie among the kept ones.  A lookup at a time not
+    requested snaps among the stored levels only, and ``value_range``
+    ranges over them.  An empty ``at_times``, or a time in it that is not
+    finite, raises ValueError.
 
     Levels past ``model.frozen_after`` are copied, not swept, when the
     running cost is zero: there ``sigma = b = 0``, so once the first such
@@ -418,19 +461,22 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     keep = [m for m in range(0, n_t + 1, stride)]
     if keep[-1] != n_t:
         keep.append(n_t)
-    row = {m: r for r, m in enumerate(keep)}
+    kept_times = grid.t_min + dt * np.asarray(keep, dtype=float)
+    stored = _stored_levels(kept_times, at_times)
+    row = {keep[i]: r for r, i in enumerate(stored)}
     frozen_after = None if has_cost else model.frozen_after
     identity = False
 
-    # Every array is allocated here, once, and each kept level is copied
+    # Every array is allocated here, once, and each stored level is copied
     # into its row of U.  u is updated in place once the step's rhs is
     # formed.  The difference buffers are rewritten in their interiors only,
     # so their ends stay +0.0; fwd and bwd are views of one buffer,
     # bwd[j] = fwd[j - 1].
     n_x = grid.n_x
     u = np.asarray(model.g(xs), dtype=float).copy()
-    U = np.empty((len(keep), n_x))
-    U[-1] = u
+    U = np.empty((len(stored), n_x))
+    if n_t in row:
+        U[row[n_t]] = u
     d2 = np.zeros(n_x)
     diff = np.zeros(n_x + 1)
     fwd = diff[1:]
@@ -446,6 +492,8 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
     x_flat = model.x_flat
     x_flat_at = _x_flat_at(model, xs[:1]) if x_flat else None
+    # the last x-flat level's (sig, drf) bits and its 0-d operands
+    flat_bits = flat_operands = None
     for m in range(n_t - 1, -1, -1):
         t_up = grid.t_min + (m + 1) * dt
         frozen = frozen_after is not None and t_up > frozen_after
@@ -464,8 +512,14 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
         # drf < 0, else 0.0
         if x_flat:
             sig, drf = x_flat_at(t_up)
-            c2 = (0.5 * sig) * sig
-            d1 = fwd if drf > 0.0 else bwd if drf < 0.0 else zeros
+            bits = _pack_pair(sig, drf)
+            if bits != flat_bits:
+                # built once per run of levels with the same float bits
+                flat_bits = bits
+                flat_operands = (np.array((0.5 * sig) * sig), np.array(drf),
+                                 fwd if drf > 0.0 else bwd if drf < 0.0
+                                 else zeros)
+            c2, drf, d1 = flat_operands
         else:
             raw = model.sigma(t_up, xs)
             sig = np.asarray(raw, dtype=float)
@@ -489,5 +543,4 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
         if m in row:
             U[row[m]] = u
 
-    times = grid.t_min + dt * np.asarray(keep, dtype=float)
-    return PdeSolution(grid=grid, xs=xs, times=times, U=U)
+    return PdeSolution(grid=grid, xs=xs, times=kept_times[stored], U=U)

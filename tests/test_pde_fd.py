@@ -19,7 +19,7 @@ from degenbsde import (
     solve_fd,
 )
 from degenbsde.model import CoefficientModel, transformed_drift
-from degenbsde.pde_fd import MAX_STORED_LEVELS
+from degenbsde.pde_fd import MAX_STORED_LEVELS, _nearest_level
 from reference_cfl_sample import reference_coefficient_samples
 
 
@@ -739,6 +739,34 @@ def test_x_flat_sweep_equals_the_undeclared_sweep(name, n_x, x_min, width,
     assert got.U.tobytes() == want.U.tobytes()
 
 
+def test_x_flat_sweep_takes_each_levels_signed_zero_drift():
+    # sigma is 0, f2 is -0.0 and b is -0.0 above t = 0.5, +0.0 below, so
+    # the absorbed drift is -0.0, then +0.0: equal as floats, not as bits.
+    # At the edges of the payoff's -0.0 plateau 0.5 * sigma**2 * d2 is
+    # -0.0, so the drift's zero sign decides whether a node keeps its sign
+    # bit: each level must use its own drift
+    def model(b_below):
+        def b(t, x):
+            return np.full(np.shape(x), -0.0 if t > 0.5 else b_below)
+
+        return CoefficientModel(
+            sigma=_zero2, sigma_x=_zero2, b=b, b_x=_zero2, f1=_zero2,
+            f2=lambda t, x: np.full(np.shape(x), -0.0), f2_x=_zero2,
+            g=lambda x: -np.maximum(np.abs(np.asarray(x, dtype=float))
+                                    - 0.2, 0.0) ** 2,
+            lipschitz_K=1.0, holder_alpha=1.0, holder_C=1.0, horizon_T=1.0,
+            f1_is_zero=True, x_flat=True, name="signed_zero_drift_in_time",
+        )
+
+    grid = PdeGrid(-1.0, 1.0, 41, 0.0, 1.0, 20)
+    got = solve_fd(model(0.0), grid)
+    want = solve_fd(replace(model(0.0), x_flat=False), grid)
+    assert got.U.tobytes() == want.U.tobytes()
+    # the +0.0 levels clear sign bits that -0.0 levels would keep
+    kept = solve_fd(replace(model(-0.0), x_flat=False), grid)
+    assert want.U.tobytes() != kept.U.tobytes()
+
+
 @pytest.mark.parametrize("name", ["example1", "girsanov_const"])
 def test_x_flat_sweep_evaluates_one_node_per_swept_level(name):
     model = builtin_model(name)
@@ -952,3 +980,106 @@ def test_pde_solution_rejects_a_time_that_is_not_finite(t):
     for lookup in (sol.u, sol.ux):
         with pytest.raises(ValueError, match="t must be finite"):
             lookup(t, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# at_times: only the levels the lookups read are stored
+# ---------------------------------------------------------------------------
+
+
+def _requested_times(times, draws):
+    """Times to request of a solution whose kept levels are at ``times``:
+    each draw picks a kept level, the midpoint of two neighbours (an exact
+    tie when the levels are binary fractions), a time next to a level, or
+    one outside the grid, with duplicates."""
+    out = []
+    for kind, i, shift in draws:
+        a, b = times[i % times.size], times[min(i % times.size + 1,
+                                                 times.size - 1)]
+        out.append({"level": a, "midpoint": 0.5 * (a + b),
+                    "near": a + shift * (b - a),
+                    "outside": (times[0] - 1.0 - shift if i % 2
+                                else times[-1] + 1.0 + shift),
+                    }[kind])
+    return out + out[: len(out) // 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["bachelier_digital", "girsanov_const", "step_vol",
+                          "example1", "tanh_smooth"]),
+    x_flat=st.booleans(),
+    n_x=st.integers(3, 41),
+    t_frac=st.floats(0.0, 0.9),
+    dyadic=st.booleans(),
+    max_stored_levels=st.integers(2, 40),
+    draws=st.lists(st.tuples(
+        st.sampled_from(["level", "midpoint", "near", "outside"]),
+        st.integers(0, 2 ** 16), st.floats(0.0, 1.0)),
+        min_size=1, max_size=12),
+)
+# kept levels at binary fractions: every midpoint is an exact tie
+@example(name="bachelier_digital", x_flat=True, n_x=21, t_frac=0.0,
+         dyadic=True, max_stored_levels=9,
+         draws=[("midpoint", i, 0.0) for i in range(9)])
+@example(name="girsanov_const", x_flat=False, n_x=21, t_frac=0.0,
+         dyadic=True, max_stored_levels=5,
+         draws=[("midpoint", 1, 0.0), ("outside", 0, 0.5),
+                ("outside", 1, 0.0), ("level", 3, 0.0)])
+def test_solution_at_requested_times_looks_up_the_full_solutions_bits(
+        name, x_flat, n_x, t_frac, dyadic, max_stored_levels, draws):
+    model = replace(builtin_model(name), x_flat=x_flat)
+    grid = make_grid(model, -2.0, 2.0, n_x,
+                     t_min=0.0 if dyadic else t_frac * model.horizon_T)
+    if dyadic:
+        # a power-of-two step count: still stable, and with t_min = 0 and
+        # a dyadic horizon every kept level is a binary fraction
+        grid = replace(grid, n_t=2 ** math.ceil(math.log2(grid.n_t)))
+    full = solve_fd(model, grid, max_stored_levels)
+    at_times = _requested_times(full.times, draws)
+    sol = solve_fd(model, grid, max_stored_levels, at_times=at_times)
+    levels = sorted({_nearest_level(full.times, t) for t in at_times})
+    assert sol.U.shape == (len(levels), grid.n_x)
+    assert sol.times.tobytes() == full.times[levels].tobytes()
+    assert sol.U.tobytes() == full.U[levels].tobytes()
+    x = np.concatenate([sol.xs, np.linspace(-2.5, 2.5, 17)])
+    for t in at_times:
+        assert sol.u(t, x).tobytes() == full.u(t, x).tobytes()
+        assert sol.ux(t, x).tobytes() == full.ux(t, x).tobytes()
+
+
+def test_solution_without_at_times_stores_every_kept_level():
+    model = builtin_model("girsanov_const")
+    grid = make_grid(model, -2.0, 2.0, 41)
+    full = solve_fd(model, grid, 7)
+    every = solve_fd(model, grid, 7, at_times=full.times)
+    assert every.times.tobytes() == full.times.tobytes()
+    assert every.U.tobytes() == full.U.tobytes()
+    assert every.U.flags.c_contiguous and every.U.flags.owndata
+
+
+def test_solution_storing_one_level_reads_it_alone():
+    model = builtin_model("bachelier_digital")
+    grid = make_grid(model, -2.0, 2.0, 41)
+    full = solve_fd(model, grid)
+    sol = solve_fd(model, grid, at_times=[0.3])
+    i = _nearest_level(full.times, 0.3)
+    assert sol.times.tolist() == [full.times[i]]
+    # every lookup snaps to the one stored level, and the range is its own
+    assert sol.u(0.9, 0.1).tobytes() == full.u(full.times[i], 0.1).tobytes()
+    assert sol.value_range() == (float(full.U[i].min()),
+                                 float(full.U[i].max()))
+
+
+@pytest.mark.parametrize("at_times, match", [
+    ([], "at_times must name at least one time"),
+    (np.empty(0), "at_times must name at least one time"),
+    ([0.5, math.nan], "t must be finite"),
+    ([math.inf], "t must be finite"),
+])
+def test_solve_rejects_at_times_with_no_time_or_one_not_finite(at_times,
+                                                               match):
+    model = builtin_model("bachelier_digital")
+    grid = make_grid(model, -2.0, 2.0, 21)
+    with pytest.raises(ValueError, match=match):
+        solve_fd(model, grid, at_times=at_times)

@@ -447,6 +447,35 @@ def test_normal_matrix_is_step_major_per_path_streams(seed, n_paths, first,
     assert _normal_matrix(seed, indices, k).tobytes() == got[:k].tobytes()
 
 
+@pytest.mark.parametrize("name, frozen", [("example1", True),
+                                          ("tanh_smooth", False)])
+def test_path_stream_states_keep_their_values_under_writes(name, frozen):
+    # each state's X, S1 and dW are written into as soon as the stream
+    # yields it, before the next one is drawn: no later state changes, and
+    # after the stream ends each state still holds its own writes
+    m = builtin_model(name)
+    pt, grid = ProblemPoint(0.0, 0.1), TimeGrid(0.0, m.horizon_T, 12)
+    assert (_live_steps(m, grid) < grid.n_steps) == frozen
+    fields = ("X", "S1", "dW")
+    want = [{f: None if getattr(s, f) is None else getattr(s, f).tobytes()
+             for f in fields}
+            for s in path_stream(m, pt, grid, 4, np.arange(5))]
+    states = []
+    for s in path_stream(m, pt, grid, 4, np.arange(5)):
+        for f in fields:
+            arr = getattr(s, f)
+            if arr is None:
+                continue
+            assert arr.tobytes() == want[s.k][f], (s.k, f)
+            arr[...] = s.k + 0.5
+        states.append(s)
+    assert len(states) == grid.n_steps + 1
+    for s in states:
+        for f in fields:
+            if getattr(s, f) is not None:
+                assert np.all(getattr(s, f) == s.k + 0.5), (s.k, f)
+
+
 @pytest.mark.parametrize("name", ["example1", "step_vol", "girsanov_const"])
 def test_path_stream_states_of_an_x_flat_model_share_no_memory(name):
     # the kernel yields every node of a frozen tail with the same X, S1
