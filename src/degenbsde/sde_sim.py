@@ -674,9 +674,9 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
     The states from the first frozen step on, and the terminal state, are
     copies, and they alone: the kernel yields every node of a frozen tail
     with the same ``X``, ``S1`` and zero ``dW``, and the terminal state
-    with the tail's ``X`` and ``S1``.
-    Floating-point warnings are silenced while a state is computed, and
-    only then: the caller's code between two states keeps its settings.
+    with the tail's ``X`` and ``S1``.  Floating-point warnings are
+    silenced while a state is computed, and only then: the caller's code
+    between two states keeps its settings.
     """
     _check_compatible(model, point, grid)
     n_live = _live_steps(model, grid)

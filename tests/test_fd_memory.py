@@ -1,10 +1,9 @@
 """Traced peak memory of the experiments that solve the FD equation.
 
-Each run stores only the value levels its lookups read, so its peak is
-far below that of a solution holding every kept level.  The bounds are
+Each run stores only the value levels its lookups read.  The bounds are
 on ``tracemalloc``'s peak over ``run_experiment``, which counts NumPy's
-array data; the files' comments give the peaks measured with every kept
-level stored, which each bound is well below.
+array data, and sit well below the peak of a run whose solution stores
+every kept level (given beside each bound).
 """
 
 import json
@@ -17,30 +16,26 @@ from degenbsde.cli import run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# the zpath benchmark workload: girsanov_const, n_x 801, 101 path nodes
-_ZPATH_WORKLOAD = {"experiment": "z-path", "model": "girsanov_const",
-                   "provider": "pde", "n_paths": 5, "n_steps": 100,
-                   "n_x": 801, "seed": 0}
-
 
 def _config(name):
-    if name == "zpath-workload":
-        return dict(_ZPATH_WORKLOAD)
     return json.loads((CONFIGS / name).read_text())
 
 
-# (config, bound in MB, peak in MB with every kept level stored):
-# 3.4, 13.1 and 1.6 MB were measured with only the looked-up levels
-# stored; pde-vs-mc's Monte Carlo part alone needs more than half of its
-# old peak, so its bound sits between the two
-@pytest.mark.parametrize("name, bound_mb", [
-    ("z-path.json", 3.85),  # 7.8 MB with every kept level stored
-    ("pde-vs-mc.json", 15.0),  # 22.0 MB
-    ("zpath-workload", 3.0),  # 12.5 MB
+# measured with only the looked-up levels stored: 3.4, 13.1 and 1.6 MB.
+# pde-vs-mc's Monte Carlo part alone needs more than half of its old
+# peak, so its bound sits between the two
+@pytest.mark.parametrize("cfg, bound_mb", [
+    pytest.param(_config("z-path.json"), 3.85, id="z-path.json"),  # 7.8 MB
+    pytest.param(_config("pde-vs-mc.json"), 15.0,
+                 id="pde-vs-mc.json"),  # 22.0 MB
+    # the zpath benchmark workload: girsanov_const, n_x 801, 101 nodes
+    pytest.param({"experiment": "z-path", "model": "girsanov_const",
+                  "provider": "pde", "n_paths": 5, "n_steps": 100,
+                  "n_x": 801, "seed": 0}, 3.0,
+                 id="zpath-workload"),  # 12.5 MB
 ])
-def test_fd_experiment_traced_peak_stays_under_its_bound(name, bound_mb,
+def test_fd_experiment_traced_peak_stays_under_its_bound(cfg, bound_mb,
                                                          tmp_path):
-    cfg = _config(name)
     tracemalloc.start()
     try:
         res = run_experiment(cfg, out_dir=tmp_path)
