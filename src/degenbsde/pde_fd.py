@@ -21,15 +21,10 @@ a model that declares ``x_flat`` the level's ``sigma`` and drift are
 Python floats from ``model._x_flat_at``: the coefficients' time
 functions for a built-in model, with no closure call, and otherwise
 ``sigma``, ``b`` and ``f2`` called on the first node alone.  The level's
-``0.5 * sigma**2`` and drift then enter the sweep as 0-d float64 arrays,
-and the drift's sign picks the forward, backward or zero difference for
-every node at once.  A level whose ``sigma`` and drift have the same
-float bits as the previous swept level's reuses that level's operands
-and difference: a one-entry cache, so a piecewise-constant model such as
-``girsanov_const`` builds one set per piece.  Bits, not ``==``, decide:
-a ``-0.0`` drift gives other bits than a ``+0.0`` one.  The stability
-check rejects an ``x_flat`` declaration when a sampled level's ``sigma``
-or drift varies across the lattice.
+``0.5 * sigma**2`` is then a Python float too, and the drift's sign picks
+the forward, backward or zero difference for every node at once.  The
+stability check rejects such a declaration when a sampled level's
+``sigma`` or drift varies across the lattice.
 
 The sweep runs in place: the value, its differences and the right-hand
 side live in buffers allocated once per solve, and each stored level is
@@ -63,7 +58,6 @@ level in time, linear in space, each level's gradient built once.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,9 +83,6 @@ _SAMPLE_BLOCK = 65536
 _MAX_JUMP_DENOMINATOR = 10000
 _MAX_LEVEL_MULTIPLE = 1_000_000
 _MAX_N_T = 2 ** 63  # step counts must fit an int64
-# two float64s as 16 bytes, so that -0.0 and 0.0 differ and a NaN equals
-# a NaN of the same bits
-_pack_pair = struct.Struct("dd").pack
 
 
 @dataclass(frozen=True)
@@ -492,8 +483,6 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
     multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
     x_flat = model.x_flat
     x_flat_at = _x_flat_at(model, xs[:1]) if x_flat else None
-    # the last x-flat level's (sig, drf) bits and its 0-d operands
-    flat_bits = flat_operands = None
     for m in range(n_t - 1, -1, -1):
         t_up = grid.t_min + (m + 1) * dt
         frozen = frozen_after is not None and t_up > frozen_after
@@ -512,14 +501,8 @@ def solve_fd(model: CoefficientModel, grid: PdeGrid,
         # drf < 0, else 0.0
         if x_flat:
             sig, drf = x_flat_at(t_up)
-            bits = _pack_pair(sig, drf)
-            if bits != flat_bits:
-                # built once per run of levels with the same float bits
-                flat_bits = bits
-                flat_operands = (np.array((0.5 * sig) * sig), np.array(drf),
-                                 fwd if drf > 0.0 else bwd if drf < 0.0
-                                 else zeros)
-            c2, drf, d1 = flat_operands
+            c2 = (0.5 * sig) * sig
+            d1 = fwd if drf > 0.0 else bwd if drf < 0.0 else zeros
         else:
             raw = model.sigma(t_up, xs)
             sig = np.asarray(raw, dtype=float)

@@ -666,34 +666,25 @@ def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,
 
     It holds no per-node history, only the running state, so memory
     stays flat in ``n_steps``.  Only the increments before a frozen tail
-    are drawn.  Each state is a snapshot: no two states share the memory
-    of their ``X``, ``S1`` or ``dW``, and the stream computes the next
-    state before it yields one, so the kernel, which steps from a state's
-    arrays, never reads them again once the caller has them.  A caller may
-    keep or write into one state's arrays without touching another's.
-    The states from the first frozen step on, and the terminal state, are
-    copies, and they alone: the kernel yields every node of a frozen tail
-    with the same ``X``, ``S1`` and zero ``dW``, and the terminal state
-    with the tail's ``X`` and ``S1``.  Floating-point warnings are
-    silenced while a state is computed, and only then: the caller's code
-    between two states keeps its settings.
+    are drawn.  Each state is a snapshot: its ``X``, ``S1`` and ``dW`` are
+    copies, so a caller may keep or write into one state's arrays without
+    touching another's, although the kernel yields every node of a frozen
+    tail with the same ``X``, ``S1`` and zero ``dW``.  Floating-point
+    warnings are silenced while a state is computed, and only then: the
+    caller's code between two states keeps its settings.
     """
     _check_compatible(model, point, grid)
-    n_live = _live_steps(model, grid)
-    normals = _normal_matrix(seed, path_indices, n_live)
+    normals = _normal_matrix(seed, path_indices, _live_steps(model, grid))
     stream = _stream_from_increments(model, point, grid, normals,
                                      math.sqrt(grid.dt))
-    state = None
     while True:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            following = next(stream, None)
-        if state is not None:
-            yield state if state.k < n_live else state._replace(
-                X=state.X.copy(), S1=state.S1.copy(),
-                dW=None if state.dW is None else state.dW.copy())
-        if following is None:
+            state = next(stream, None)
+        if state is None:
             return
-        state = following
+        yield state._replace(
+            X=state.X.copy(), S1=state.S1.copy(),
+            dW=None if state.dW is None else state.dW.copy())
 
 
 # ---------------------------------------------------------------------------

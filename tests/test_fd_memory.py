@@ -22,11 +22,12 @@ def _config(name):
 
 
 # measured with only the looked-up levels stored: 3.4, 13.1 and 1.6 MB.
-# pde-vs-mc's Monte Carlo part alone needs more than half of its old
-# peak, so its bound sits between the two
+# The two configs' bounds sit about halfway between that and the old
+# peak, and the workload's near twice its measurement, so that NumPy's
+# temporaries may move with the toolchain without failing a bound
 @pytest.mark.parametrize("cfg, bound_mb", [
-    pytest.param(_config("z-path.json"), 3.85, id="z-path.json"),  # 7.8 MB
-    pytest.param(_config("pde-vs-mc.json"), 15.0,
+    pytest.param(_config("z-path.json"), 5.5, id="z-path.json"),  # 7.8 MB
+    pytest.param(_config("pde-vs-mc.json"), 17.5,
                  id="pde-vs-mc.json"),  # 22.0 MB
     # the zpath benchmark workload: girsanov_const, n_x 801, 101 nodes
     pytest.param({"experiment": "z-path", "model": "girsanov_const",
