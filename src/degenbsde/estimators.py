@@ -19,12 +19,10 @@ at one point, as the ``weight-crossval`` experiment makes -- simulates
 its paths once.  It also serves several start points in one call, as
 ``blowup-rate``, ``girsanov-equiv`` and ``pde-vs-mc`` make: per chunk it
 draws the standard normals once, for every start point, step-major, and
-each point reads its own rows of that draw.  A kernel job whose
-reducers all read only the terminal state -- ``u``, the pathwise
-gradient and the degenerate weight without a running cost, and the
-``Lambda`` moments -- streams that state alone, and skips building the
-states in between.  Each estimate equals the one its estimator returns
-alone.
+each point reads its own rows of that draw.  Which states a job gets,
+and how many rows of the draw it reads, is decided in one place,
+``sde_sim._job_source``.  Each estimate equals the one its estimator
+returns alone.
 Per-path results are deterministic functions of ``(seed, path_index)``,
 and the final mean is taken over the full per-path value vector, so the
 returned numbers do not depend on chunking or evaluation order.  A call
@@ -58,7 +56,6 @@ more than 5% such paths is flagged unreliable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -69,11 +66,8 @@ from .degeneracy import (DEFAULT_EPS_SIGMA, _abs_sigma_at,
                          _check_classifiable, gamma_report, locate_tau)
 from .model import CoefficientModel, ProblemPoint
 from .oracles import Example1Params, bachelier_digital, example1_u
-from .sde_sim import (_TERMINAL_LAW_ROWS, PathBundle, TimeGrid,
-                      _check_compatible, _check_count, _live_steps,
-                      _normal_matrix, _stream_from_increments,
-                      _x_flat_coefficients, _x_flat_stream,
-                      _x_flat_terminal_law, path_stream)
+from .sde_sim import (PathBundle, TimeGrid, _check_compatible, _check_count,
+                      _job_source, _normal_matrix, path_stream)
 from .weights import (default_lambda_floor, degenerate_weight_values,
                       nondegenerate_weight_values)
 
@@ -183,31 +177,6 @@ def _require_gamma0(model: CoefficientModel, point: ProblemPoint,
         )
 
 
-def _terminal_law_job(model: CoefficientModel, grid: TimeGrid) -> bool:
-    """Whether a job draws its terminal state from the exact law
-    (``_x_flat_terminal_law``) instead of streaming the kernel: the model
-    may draw it (``_x_flat_stream``) and has no running cost, so no reducer
-    reads a state before the terminal node."""
-    return model.f1_is_zero and _x_flat_stream(model, grid)
-
-
-def _job_states(model: CoefficientModel, point: ProblemPoint,
-                grid: TimeGrid, reducers: list) -> Callable:
-    """The states one job sends its reducers, as a function of the chunk's
-    step-major draw: the terminal law's one state, or the job's
-    absorbed-drift kernel stream.  A terminal-law job's coefficients are
-    evaluated here, once for all of its chunks."""
-    if _terminal_law_job(model, grid):
-        law = _x_flat_terminal_law(
-            point, grid, _x_flat_coefficients(model, point, grid))
-        return lambda rows: (law(rows),)
-    every_state = not all(getattr(r, "terminal_only", False)
-                          for r in reducers)
-    return functools.partial(_stream_from_increments, model, point, grid,
-                             scale=math.sqrt(grid.dt), absorb=True,
-                             every_state=every_state)
-
-
 def _estimate(model: CoefficientModel, seed: int, n_paths: int,
               jobs: list) -> list:
     """The one simulation-to-estimate loop, for several start points.
@@ -217,28 +186,24 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     or the paired difference of two (``_difference_reducer``).  A reducer
     is a generator function; the driver makes one generator per chunk as
     ``reducer(n)`` for the chunk's ``n`` paths, primes it with ``next``,
-    sends it the states of its job (``_job_states``), then sends ``None``
-    and receives ``(values, keep)``.  Each distinct reducer of a job runs
-    once per chunk, however many entries read it (``_job_routes``): a
-    difference's ``(v_a - v_b, keep_a & keep_b)`` is formed from the raw
-    ``(values, keep)`` its two reducers returned on that chunk.  Paths
-    outside an entry's ``keep`` or with a non-finite value are excluded
-    and counted in its ``n_floored``.  Each estimator's
-    ``_<name>_reducer`` builder takes that estimator's arguments except
-    ``seed`` and ``n_paths``.
+    sends it the states of its job (``sde_sim._job_source``), then sends
+    ``None`` and receives ``(values, keep)``.  Each distinct reducer of a
+    job runs once per chunk, however many entries read it
+    (``_job_routes``): a difference's ``(v_a - v_b, keep_a & keep_b)`` is
+    formed from the raw ``(values, keep)`` its two reducers returned on
+    that chunk.  Paths outside an entry's ``keep`` or with a non-finite
+    value are excluded and counted in its ``n_floored``.  Each
+    estimator's ``_<name>_reducer`` builder takes that estimator's
+    arguments except ``seed`` and ``n_paths``.
 
-    A job on an x-flat model without a running cost (``_terminal_law_job``)
-    draws its terminal state from the exact law of the discretized scheme
-    (``_x_flat_terminal_law``): each of its reducers is sent one state per
-    chunk, node ``n_steps``, built from the first two normals of each
-    path, and that state also carries the classical weight's sums.  Every
-    other job streams the absorbed-drift kernel (``_stream_from_increments``
-    with ``absorb=True``).  A reducer whose ``terminal_only`` attribute is
-    true reads only the terminal state; a kernel job whose reducers all
-    do is a terminal job, whose stream yields node ``n_steps`` alone,
-    equal to the last state of a full stream.  Every other kernel job's
-    reducers are sent every state.  A reducer may keep a state it was
-    sent: no stream writes into the arrays of a state it has yielded.
+    A job on an x-flat model without a running cost draws its terminal
+    state from the exact law of the discretized scheme
+    (``sde_sim._x_flat_terminal_law``): each of its reducers is sent one
+    state per chunk, node ``n_steps``, built from the first two normals of
+    each path, and that state also carries the classical weight's sums.
+    Every other job's reducers are sent every state of the absorbed-drift
+    kernel stream.  A reducer may keep a state it was sent: no stream
+    writes into the arrays of a state it has yielded.
 
     Per chunk, the standard normals are drawn once, as many per path as
     the job that reads the most rows needs: two for a terminal-law job,
@@ -259,23 +224,22 @@ def _estimate(model: CoefficientModel, seed: int, n_paths: int,
     in that order, before this driver checks ``n_paths`` and each job's
     grid, and before any path is drawn.  The terminal-law jobs'
     coefficients are evaluated after those checks and before the first
-    draw, so a coefficient that raises there does so before any path is
-    drawn.  The estimates are then finalized in the same order, and the
-    first ``EstimationError`` wins.
+    draw (``_job_source``, once per job), so a coefficient that raises
+    there does so before any path is drawn.  The estimates are then
+    finalized in the same order, and the first ``EstimationError`` wins.
     Floating-point warnings are silenced throughout, since non-finite
     samples are excluded and counted instead.
     """
     n_paths = _check_count(n_paths, "n_paths")
     for point, grid, _ in jobs:
         _check_compatible(model, point, grid)
-    n_draw = max(_TERMINAL_LAW_ROWS if _terminal_law_job(model, grid)
-                 else _live_steps(model, grid) for _, grid, _ in jobs)
     parts = [[[] for _ in entries] for _, _, entries in jobs]
     n_excluded = [[0] * len(entries) for _, _, entries in jobs]
     plans = [_job_routes(entries) for _, _, entries in jobs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sources = [_job_states(model, point, grid, routes)
-                   for (point, grid, _), (routes, _) in zip(jobs, plans)]
+        n_rows, sources = zip(*(_job_source(model, point, grid)
+                                for point, grid, _ in jobs))
+        n_draw = max(n_rows)
         for idx in _chunk_indices(n_paths):
             normals = _normal_matrix(seed, idx, n_draw)
             for (routes, slots), states, job_parts, job_excluded in zip(
@@ -355,7 +319,6 @@ def _u_reducer(model: CoefficientModel, point: ProblemPoint,
         vals = np.asarray(model.g(last.X), dtype=float) + driver
         yield np.broadcast_to(vals, last.X.shape), True
 
-    reducer.terminal_only = not need_driver
     return reducer
 
 
@@ -393,7 +356,6 @@ def _ux_pathwise_reducer(model: CoefficientModel, point: ProblemPoint,
         vals = np.asarray(model.g_prime(last.X), dtype=float) * last.gradX + acc
         yield vals, True
 
-    reducer.terminal_only = not need_driver
     return reducer
 
 
@@ -457,8 +419,6 @@ def _ux_weighted_reducer(model: CoefficientModel, point: ProblemPoint,
         vals = np.asarray(model.g(last.X), dtype=float) * w_T + driver
         yield vals, ~floored
 
-    # on the kernel, the classical weight reads gamma and dW at every step
-    reducer.terminal_only = degenerate and not need_driver
     return reducer
 
 
@@ -538,7 +498,6 @@ def _lambda_moment_reducer(model: CoefficientModel, point: ProblemPoint,
         vals = np.where(floored, 1.0, lam) ** (-p)
         yield vals, ~floored
 
-    reducer.terminal_only = True
     return reducer
 
 

@@ -42,19 +42,18 @@ Frozen tail: when the model declares ``frozen_after``, every step from the
 first grid node past that time leaves the state unchanged, so the kernel
 stops computing there and only the normals of the steps before it are
 drawn (a Philox prefix draw equals the prefix of the full draw).  A
-stream of every state still yields the remaining nodes, with the frozen
-state, zero ``gamma`` and zero ``dW``.  A terminal stream, which the
-estimators ask for when every reducer of a job reads only the terminal
-state, computes the same steps but yields the terminal node alone; the
-update builds no state before it, so its frozen tail costs nothing.
+stream still yields the remaining nodes, with the frozen state, zero
+``gamma`` and zero ``dW``.
 
 x-flat: a model that declares ``x_flat`` has ``sigma``, ``b`` and ``f2``
 independent of ``x`` (so ``sigma_x``, ``b_x`` and ``f2_x`` are identically
-zero), and the kernel steps it as any other model.  A job may draw its
-terminal state from the law below instead when the model also has no
-running cost and its declared bound ``|sigma| <= lipschitz_K`` keeps
-``Lambda`` finite (``_x_flat_stream``).  The law's ``sigma`` and drift are
-then evaluated once per job, for all of its chunks, at the start ``x0``
+zero), and the kernel steps it as any other model.  An estimator job
+draws its terminal state from the law below instead when the model also
+has no running cost and its declared bound ``|sigma| <= lipschitz_K``
+keeps ``Lambda`` finite.  ``_job_source`` makes that choice for every
+job, together with how many normals per path the job reads.  The law's
+``sigma`` and drift are then evaluated once per job, for all of its
+chunks, at the start ``x0``
 (``_x_flat_coefficients``): from the coefficients' time functions when the
 model carries them, as every built-in does, with no closure call
 (``model._x_flat_at``).  A stale declaration gives every path the
@@ -475,15 +474,6 @@ def _live_steps(model: CoefficientModel, grid: TimeGrid) -> int:
     return min(k_star, grid.n_steps)
 
 
-def _x_flat_stream(model: CoefficientModel, grid: TimeGrid) -> bool:
-    """Whether the model's declarations let a job on ``grid`` draw the
-    terminal law (``_x_flat_terminal_law``): the model declares ``x_flat``,
-    and its bound ``|sigma| <= lipschitz_K`` keeps
-    ``Lambda <= K**2 * (T - t0)`` finite, with a factor 2 for rounding."""
-    K = model.lipschitz_K
-    return model.x_flat and math.isfinite(2.0 * K * K * (grid.T - grid.t0))
-
-
 def _full(values, shape: tuple) -> np.ndarray:
     """A coefficient's values as a float array of ``shape``, broadcast only
     when the coefficient returned another shape (a scalar, say)."""
@@ -518,8 +508,7 @@ def _x_flat_coefficients(model: CoefficientModel, point: ProblemPoint,
 
 def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
                             grid: TimeGrid, rows: np.ndarray, scale: float,
-                            absorb: bool = False,
-                            every_state: bool = True) -> Iterator[PathState]:
+                            absorb: bool = False) -> Iterator[PathState]:
     """Advance a path family driven by the given step-major matrix: row
     ``k`` is step ``k``, one column per path, and step ``k``'s increment is
     ``rows[k] * scale``.  Each step updates every path: ``X``, the tangent
@@ -544,10 +533,6 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
     derivatives are zero, so ``gradX`` stays exactly 1 (``exp(+0.0)``) and
     ``B`` adds only ``+-0.0`` while ``gamma`` and ``Lambda`` are finite.
 
-    Without ``every_state`` the stream computes the same steps but yields
-    only its terminal state, node ``n_steps``, whose every field equals
-    the last state of a full stream; it builds no state before it.
-
     It sets no floating-point error state, so none leaks between two
     states; its callers silence the warnings of their own advances.
     """
@@ -568,8 +553,7 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
         dWk = rows[k] * scale if k < n_live else zeros
         sig = model.sigma(t, X)
         gamma = _full(sig, shape)
-        if every_state:
-            yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
+        yield PathState(k, t, X, gradX, gamma, Lambda, S1, B, dWk)
 
         sig_x = model.sigma_x(t, X)
         sx = np.asarray(sig_x, dtype=float)
@@ -584,10 +568,9 @@ def _stream_from_increments(model: CoefficientModel, point: ProblemPoint,
         Lambda = Lambda + gamma * gamma * dt
         X = X + bv * dt + gamma * dWk
 
-    if every_state:
-        for k in range(n_live + 1, n):  # the rest of a frozen tail
-            yield PathState(k, float(times[k]), X, gradX, zeros, Lambda, S1,
-                            B, zeros)
+    for k in range(n_live + 1, n):  # the rest of a frozen tail
+        yield PathState(k, float(times[k]), X, gradX, zeros, Lambda, S1, B,
+                        zeros)
 
     t = float(times[n])
     yield PathState(n, t, X, gradX, _full(model.sigma(t, X), shape), Lambda,
@@ -658,6 +641,33 @@ def _x_flat_terminal_law(point: ProblemPoint, grid: TimeGrid,
                          zeros, None, snd, elapsed, min_abs)
 
     return state
+
+
+def _job_source(model: CoefficientModel, point: ProblemPoint,
+                grid: TimeGrid) -> tuple:
+    """What an estimator job at ``point`` on ``grid`` is sent:
+    ``(n_rows, states)``, where ``states(rows)`` gives the job's states for
+    the paths of a step-major draw of standard normals and reads its first
+    ``n_rows`` rows alone.
+
+    A model without a running cost that may draw the terminal law (it
+    declares ``x_flat``, and its bound ``|sigma| <= lipschitz_K`` keeps
+    ``Lambda <= K**2 * (T - t0)`` finite, with a factor 2 for rounding)
+    gets the law's one state, node ``n_steps``, from rows 0 and 1; the
+    law's coefficients are evaluated here, once for all of the job's
+    chunks.  Every other job gets every state of the absorbed-drift kernel
+    stream, which reads the rows before a frozen tail and scales them by
+    ``sqrt(dt)``.
+    """
+    K = model.lipschitz_K
+    if (model.f1_is_zero and model.x_flat
+            and math.isfinite(2.0 * K * K * (grid.T - grid.t0))):
+        law = _x_flat_terminal_law(
+            point, grid, _x_flat_coefficients(model, point, grid))
+        return _TERMINAL_LAW_ROWS, lambda rows: (law(rows),)
+    scale = math.sqrt(grid.dt)
+    return _live_steps(model, grid), lambda rows: _stream_from_increments(
+        model, point, grid, rows, scale, absorb=True)
 
 
 def path_stream(model: CoefficientModel, point: ProblemPoint, grid: TimeGrid,

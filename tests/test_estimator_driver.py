@@ -13,6 +13,7 @@ terminal law is compared with the kernel statistically in
 ``test_x_flat.py``."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -449,7 +450,9 @@ def test_call_at_several_start_points_matches_separate_calls(
 
 def _recording(reducer, seen):
     """The reducer, with the node ``k`` of every state it is sent recorded
-    in ``seen``, one list per chunk; it keeps the reducer's mark."""
+    in ``seen``, one list per chunk; it carries the reducer's attributes,
+    so the driver treats it as it would the reducer."""
+    @functools.wraps(reducer)
     def wrapped(n):
         inner = reducer(n)
         next(inner)
@@ -460,7 +463,6 @@ def _recording(reducer, seen):
             inner.send(st)
         yield inner.send(None)
 
-    wrapped.terminal_only = getattr(reducer, "terminal_only", False)
     return wrapped
 
 
@@ -468,9 +470,11 @@ def _recording(reducer, seen):
 def test_terminal_jobs_send_one_state_and_the_others_every_state(name):
     # example1 is x-flat and cost-free, so every job, the classical
     # weight's too, draws its terminal state from the exact law; the OU
-    # model and value_cost run the tangent flow, and value_cost has a
-    # running cost, so none of its jobs is terminal.  The estimates
-    # themselves are compared with the references above.
+    # model and value_cost run the tangent flow, so every one of their
+    # jobs streams the kernel and is sent every state, the jobs whose
+    # reducers read only the terminal state ([2] and [0, 2, 4] on the OU
+    # model) included.  The estimates themselves are compared with the
+    # references above.
     if name == "ou":
         from test_sde_sim import _ou_model
         model = _ou_model()
@@ -488,11 +492,6 @@ def test_terminal_jobs_send_one_state_and_the_others_every_state(name):
         grid = TimeGrid(t0, model.horizon_T, n_steps)
         reducers = [_REDUCERS[fn](model, point, grid, **kwargs)
                     for fn, kwargs in (calls[i] for i in job_picks)]
-        # the Lambda moments (4) read the terminal state alone, the
-        # classical weight (3) every state, the rest every state when
-        # they sum a running cost
-        assert [r.terminal_only for r in reducers] == [
-            i == 4 or (model.f1_is_zero and i != 3) for i in job_picks]
         seen.append([[] for _ in reducers])
         jobs.append((point, grid, [_recording(r, ks)
                                    for r, ks in zip(reducers, seen[-1])]))
@@ -503,11 +502,7 @@ def test_terminal_jobs_send_one_state_and_the_others_every_state(name):
         _outcome(est_mod._estimate, model, 3, n_paths, jobs)
     finally:
         est_mod.CHUNK_SIZE = saved
-    law = est_mod._terminal_law_job(model, TimeGrid(0.0, model.horizon_T,
-                                                    n_steps))
-    assert law == (name == "example1")
-    for (_, _, reducers), job_seen in zip(jobs, seen):
-        terminal = law or all(r.terminal_only for r in reducers)
-        want = [n_steps] if terminal else list(range(n_steps + 1))
+    want = [n_steps] if name == "example1" else list(range(n_steps + 1))
+    for job_seen in seen:
         for ks in job_seen:
             assert ks == [want] * math.ceil(n_paths / chunk)

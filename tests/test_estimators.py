@@ -196,6 +196,35 @@ def test_weight_kinds_coincide_at_constant_vol(sigma_bar, t0, x0, n_steps,
         assert deg == non
 
 
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["tanh_smooth", "bachelier_digital"]),
+       sigma_bar=st.sampled_from([0.5, 1.0, 2.0]), x_flat=st.booleans(),
+       t0=st.floats(0.0, 0.9), x0=st.floats(-2.0, 2.0),
+       n_steps=st.integers(1, 40), seed=st.integers(0, 2 ** 64 - 1),
+       n_paths=st.integers(2, 40), chunk=st.integers(1, 16))
+def test_weights_are_bitwise_identical_at_power_of_two_volatility(
+        name, sigma_bar, x_flat, t0, x0, n_steps, seed, n_paths, chunk):
+    # declared x-flat, the job draws the terminal law; undeclared, it
+    # streams the kernel.  Either way a power-of-two volatility scales
+    # Lambda and the elapsed time exactly, so the two weights agree path
+    # by path and their paired difference is exactly zero
+    model = dataclasses.replace(builtin_model(name, sigma_bar=sigma_bar),
+                                x_flat=x_flat)
+    point, grid = ProblemPoint(t0, x0), TimeGrid(t0, 1.0, n_steps)
+    deg, non = (est_mod._ux_weighted_reducer(model, point, grid,
+                                             weight_kind=kind)
+                for kind in ("degenerate", "nondegenerate"))
+    saved = est_mod.CHUNK_SIZE
+    est_mod.CHUNK_SIZE = chunk
+    try:
+        [[d, n, diff]] = est_mod._estimate(model, seed, n_paths, [
+            (point, grid, [deg, non, est_mod._difference_reducer(deg, non)])])
+    finally:
+        est_mod.CHUNK_SIZE = saved
+    assert d == n
+    assert diff.mean == diff.stderr == 0.0
+
+
 def test_pathwise_gradient_matches_quadrature():
     model = builtin_model("tanh_smooth")
     grid = TimeGrid(0.0, 1.0, 32)

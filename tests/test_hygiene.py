@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module; the FD
-solver imports nothing from the Monte Carlo estimators; importing the
+solver imports nothing from the Monte Carlo estimators; the estimators
+leave the choice of what a job streams to ``sde_sim``; importing the
 package loads no SciPy, small runs of every experiment that call no
 closed-form oracle load no module while they run, and every built-in x-flat
 model carries the time functions of its ``sigma``, ``b`` and ``f2``."""
@@ -48,6 +49,19 @@ def test_pde_fd_imports_nothing_from_estimators():
             continue
         assert not any("estimators" in n.split(".") for n in names), \
             ast.unparse(node)
+
+
+def test_estimators_leave_the_stream_choice_to_sde_sim():
+    # sde_sim._job_source alone decides which states an estimator job gets
+    # and how many rows of the draw it reads; the estimators import none
+    # of the pieces it chooses from
+    owned = {"_stream_from_increments", "_x_flat_terminal_law",
+             "_x_flat_coefficients", "_live_steps", "_TERMINAL_LAW_ROWS"}
+    tree = ast.parse((_SRC / "estimators.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {a.name.split(".")[-1] for a in node.names}
+            assert not names & owned, ast.unparse(node)
 
 
 def fresh_python(script, *args):

@@ -50,7 +50,6 @@ def test_difference_reducer_is_the_paired_difference(x_flat):
             values.setdefault(name, []).append(
                 np.where(keep, vals, np.nan))
             yield vals, keep
-        inner.terminal_only = reducer.terminal_only
         return inner
 
     [(a, b, diff)] = _estimate(model, 11, 5000, [(point, grid, [
