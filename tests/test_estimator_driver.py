@@ -467,7 +467,7 @@ def _recording(reducer, seen):
 
 
 @pytest.mark.parametrize("name", ["example1", "ou", "value_cost"])
-def test_terminal_jobs_send_one_state_and_the_others_every_state(name):
+def test_law_jobs_get_one_state_kernel_jobs_all_states(name):
     # example1 is x-flat and cost-free, so every job, the classical
     # weight's too, draws its terminal state from the exact law; the OU
     # model and value_cost run the tangent flow, so every one of their
